@@ -11,6 +11,7 @@ import json
 import os
 import sys
 import traceback
+from dataclasses import replace
 
 from . import io as cpio
 from .core import (
@@ -20,7 +21,7 @@ from .core import (
     enumerate_events,
     parse_number,
 )
-from .inequalities import from_hrep, parse_text, to_text
+from .inequalities import parse_text, to_text
 from .polyhedra import (
     DEFAULT_RAY_CAP,
     HRepresentation,
@@ -37,6 +38,7 @@ from .quantum import (
     sample_violation_curve,
     sample_violation_grid,
     scan_violations,
+    select_inequalities,
 )
 from .vertices import DEFAULT_VERTEX_CAP, truth_table
 
@@ -63,7 +65,7 @@ def _add_config_flags(parser, required=False):
     parser.set_defaults(config_required=required)
 
 
-def _resolve_config(args, fallback: Configuration | None = None) -> Configuration | None:
+def _resolve_config(args) -> Configuration | None:
     given_nm = args.particles is not None or args.settings is not None
     if args.config and given_nm:
         raise ValueError("--config and -n/-m are mutually exclusive")
@@ -77,8 +79,6 @@ def _resolve_config(args, fallback: Configuration | None = None) -> Configuratio
         if args.particles is None or args.settings is None:
             raise ValueError("-n and -m must be given together")
         return Configuration.uniform(args.particles, args.settings)
-    if fallback is not None:
-        return fallback
     if args.config_required:
         raise ValueError("no configuration given (use -n/-m or --config)")
     return None
@@ -99,10 +99,8 @@ def _ray_cap(args) -> int:
 def _parse_rows(text: str) -> tuple[int, int] | None:
     if text is None or text.lower() == "all":
         return None
-    lo, sep, hi = text.partition(":")
-    if not sep:
-        raise ValueError(f"--rows expects MIN:MAX or 'all', got {text!r}")
     try:
+        lo, hi = text.split(":")
         return int(lo), int(hi)
     except ValueError:
         raise ValueError(f"--rows expects MIN:MAX or 'all', got {text!r}")
@@ -137,15 +135,20 @@ def _progress():
 
 
 def _load_hrep(args) -> HRepresentation:
+    """Read ``--ine`` in the layout of -n/-m/--config, else the file's own."""
     hrep = cpio.read_ine(args.ine)
-    config = _resolve_config(args, fallback=hrep.config)
-    if config is not None:
-        if hrep.config is None or hrep.config != config:
-            hrep = HRepresentation(
-                dimension=hrep.dimension, rows=hrep.rows,
-                linearity=hrep.linearity, config=config,
-            )
+    config = _resolve_config(args) or hrep.config
+    if config is None:
+        raise ValueError("no configuration in file; pass -n/-m or --config")
+    if config != hrep.config:
+        hrep = replace(hrep, config=config)
     return hrep
+
+
+def _load_model_inputs(args):
+    """The facets, the model and the angles of ``violations``/``plot``/``contour``."""
+    hrep = _load_hrep(args)
+    return hrep, builtin_model(args.model), parse_angles(args.angles, hrep.config)
 
 
 def cmd_events(args) -> int:
@@ -205,25 +208,13 @@ def cmd_enum(args) -> int:
 
 
 def cmd_inequalities(args) -> int:
-    hrep = _load_hrep(args)
-    config = hrep.config
-    if config is None:
-        raise ValueError("no configuration in file; pass -n/-m or --config")
-    rows = _parse_rows(args.rows)
-    indexed = list(zip(hrep.inequality_indices, from_hrep(hrep)))
-    for i, ineq in indexed:
-        row_no = i + 1
-        if rows is None or rows[0] <= row_no <= rows[1]:
-            print(to_text(ineq))
+    for _, ineq in select_inequalities(_load_hrep(args), rows=_parse_rows(args.rows)):
+        print(to_text(ineq))
     return EXIT_OK
 
 
 def cmd_violations(args) -> int:
-    hrep = _load_hrep(args)
-    if hrep.config is None:
-        raise ValueError("no configuration in file; pass -n/-m or --config")
-    model = builtin_model(args.model)
-    angles = parse_angles(args.angles, hrep.config)
+    hrep, model, angles = _load_model_inputs(args)
     if angles.free_variables:
         raise ValueError("violation scans need concrete angles (no x or y)")
     reports = scan_violations(
@@ -248,11 +239,7 @@ def cmd_violations(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    hrep = _load_hrep(args)
-    if hrep.config is None:
-        raise ValueError("no configuration in file; pass -n/-m or --config")
-    model = builtin_model(args.model)
-    angles = parse_angles(args.angles, hrep.config)
+    hrep, model, angles = _load_model_inputs(args)
     curves = sample_violation_curve(
         hrep, model, angles=angles,
         x_range=_parse_range(args.range), samples=args.samples,
@@ -269,11 +256,7 @@ def cmd_plot(args) -> int:
 
 
 def cmd_contour(args) -> int:
-    hrep = _load_hrep(args)
-    if hrep.config is None:
-        raise ValueError("no configuration in file; pass -n/-m or --config")
-    model = builtin_model(args.model)
-    angles = parse_angles(args.angles, hrep.config)
+    hrep, model, angles = _load_model_inputs(args)
     grids = sample_violation_grid(
         hrep, model, angles=angles,
         x_range=_parse_range(args.range_x), y_range=_parse_range(args.range_y),
@@ -344,8 +327,6 @@ def build_parser() -> _Parser:
     p.add_argument("--ray-cap", type=int, default=None,
                    help="intermediate ray cap (or env CORRPOLY_RAY_CAP)")
     p.add_argument("--vertex-cap", type=int, default=DEFAULT_VERTEX_CAP)
-    p.add_argument("--threads", type=int, default=None,
-                   help="cap kernel parallelism (results are identical for any value)")
     p.add_argument("-q", "--quiet", action="store_true",
                    help="suppress progress output")
     p.set_defaults(func=cmd_hull)
@@ -355,7 +336,6 @@ def build_parser() -> _Parser:
     p.add_argument("-o", "--output", metavar="FILE", help="write a .ext file")
     p.add_argument("--order", default="lexmin")
     p.add_argument("--ray-cap", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("-q", "--quiet", action="store_true")
     p.set_defaults(func=cmd_enum)
 

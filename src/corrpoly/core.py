@@ -11,7 +11,7 @@ import itertools
 import string
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Union
 
 #: Exact scalar used throughout the polyhedral kernel.  ``fractions.Fraction``
 #: already guarantees the invariants we need: positive denominator, fully
@@ -172,10 +172,6 @@ def as_rational(value: NumberLike) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"expected an exact number, got {type(value).__name__}")
-
-
-def rational_vector(values: Iterable[NumberLike]) -> tuple[Fraction, ...]:
-    return tuple(as_rational(v) for v in values)
 
 
 def parse_number(token: str, max_denominator: int = 10**9) -> NumberLike:

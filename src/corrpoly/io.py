@@ -29,7 +29,11 @@ from .quantum import CurveSamples, GridSamples, ViolationReport
 from .vertices import VRepresentation
 
 _NUMBER_TYPES = ("integer", "rational", "real")
-_KONFIG_RE = re.compile(r"^Konfiguration\s+(\d+)\s+(\d+)\s*$")
+# "Konfiguration N M" for N particles with M settings each, or
+# "Konfiguration M1,M2,..." with per-particle setting counts.
+_KONFIG_RE = re.compile(
+    r"^Konfiguration\s+(?:(\d+)\s+(\d+)|(?P<counts>\d+(?:,\d+)+))\s*$"
+)
 
 
 @dataclass(frozen=True)
@@ -148,6 +152,8 @@ def parse_polyhedra_file(text: str, source: str = "<string>") -> PolyhedraFile:
 def _config_option(options: Sequence[str]) -> Configuration | None:
     for line in options:
         m = _KONFIG_RE.match(line)
+        if m and m.group("counts"):
+            return Configuration(tuple(int(t) for t in m.group("counts").split(",")))
         if m:
             return Configuration.uniform(int(m.group(1)), int(m.group(2)))
     return None
@@ -157,9 +163,8 @@ def _with_config_option(options: Sequence[str], config: Configuration | None) ->
     options = tuple(options)
     if config is None or any(_KONFIG_RE.match(ln) for ln in options):
         return options
-    settings = set(config.settings)
-    if len(settings) != 1:
-        return options  # only uniform layouts have the two-number form
+    if len(set(config.settings)) > 1:
+        return options + (f"Konfiguration {config}",)
     return options + (f"Konfiguration {config.particles} {config.settings[0]}",)
 
 

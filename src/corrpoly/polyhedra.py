@@ -404,7 +404,8 @@ def verify_facet(row: Sequence[NumberLike], vrep: VRepresentation) -> FacetRepor
 
     ``valid`` means every generator satisfies the row; ``is_facet``
     additionally requires the tight generators to span a flat of dimension
-    one less than the ambient space (exact rank computation).
+    one less than the generators' own affine hull, which may be lower than
+    the ambient space (exact rank computation).
     """
     if len(row) != vrep.dimension + 1:
         raise ValueError(
@@ -415,12 +416,13 @@ def verify_facet(row: Sequence[NumberLike], vrep: VRepresentation) -> FacetRepor
     tight = []
     gens = [(1,) + tuple(v) for v in vrep.vertices]
     gens += [(0,) + tuple(ray) for ray in vrep.rays]
+    gens = [clear_to_int(g) for g in gens]
     for g in gens:
-        g = clear_to_int(g)
         value = dot(r, g)
         if value < 0:
             valid = False
         elif value == 0:
             tight.append(g)
-    is_facet = valid and integer_rank(tight) == vrep.dimension
+    is_facet = (valid and bool(tight)
+                and integer_rank(tight) == integer_rank(gens) - 1)
     return FacetReport(valid=valid, tight_count=len(tight), is_facet=is_facet)

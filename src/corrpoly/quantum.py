@@ -186,32 +186,52 @@ class ViolationReport:
         return f"row {self.row}: {to_text(self.inequality)}   [{self.amount}]"
 
 
-def _indexed_inequalities(
+def select_inequalities(
     source: HRepresentation | Sequence[Inequality],
-    config: Configuration | None,
-) -> tuple[list[tuple[int, Inequality]], Configuration]:
+    config: Configuration | None = None,
+    rows: tuple[int, int] | None = None,
+) -> list[tuple[int, Inequality]]:
+    """The (1-based row, inequality) pairs within ``rows``.
+
+    An H-representation's rows are numbered as in its file, equalities
+    included, and read in the layout ``config`` or else its own.  A range
+    outside ``1..total`` or reversed is an error.
+    """
     if isinstance(source, HRepresentation):
-        cfg = config or source.config
-        if cfg is None:
-            raise ValueError("no configuration attached; pass one explicitly")
-        ineqs = from_hrep(source, cfg)
-        return list(zip((i + 1 for i in source.inequality_indices), ineqs)), cfg
-    items = list(source)
-    if not items:
-        raise ValueError("empty inequality list")
-    cfg = config or items[0].config
-    return [(i + 1, ineq) for i, ineq in enumerate(items)], cfg
+        indexed = list(zip((i + 1 for i in source.inequality_indices),
+                           from_hrep(source, config)))
+        total = len(source.rows)
+    else:
+        indexed = list(enumerate(source, 1))
+        if not indexed:
+            raise ValueError("empty inequality list")
+        total = len(indexed)
+    if rows is not None:
+        lo, hi = rows
+        if lo < 1 or hi > total or lo > hi:
+            raise ValueError(f"row range {lo}:{hi} out of bounds (1..{total})")
+        indexed = [(i, q) for i, q in indexed if lo <= i <= hi]
+    return indexed
 
 
-def _select_rows(indexed: list[tuple[int, Inequality]],
-                 rows: tuple[int, int] | None,
-                 total: int) -> list[tuple[int, Inequality]]:
-    if rows is None:
-        return indexed
-    lo, hi = rows
-    if lo < 1 or hi > total or lo > hi:
-        raise ValueError(f"row range {lo}:{hi} out of bounds (1..{total})")
-    return [(i, q) for i, q in indexed if lo <= i <= hi]
+def _violated(selected: list[tuple[int, Inequality]],
+              vectors: Sequence[ProbabilityVector],
+              threshold: float) -> list[tuple[int, Inequality, tuple]]:
+    """``(row, inequality, values)`` for the rows whose largest value of
+    ``sum(c_e p_e) - rhs`` over ``vectors`` exceeds the threshold.
+
+    Terms are summed in event order, so exact vectors give exact values.
+    """
+    cut = threshold + VIOLATION_EPS
+    vectors = [vec.values for vec in vectors]
+    out = []
+    for row, ineq in selected:
+        terms = [(k, c) for k, c in enumerate(ineq.coefficients) if c]
+        values = tuple([sum([c * vec[k] for k, c in terms]) - ineq.rhs
+                        for vec in vectors])
+        if max(values) > cut:
+            out.append((row, ineq, values))
+    return out
 
 
 def scan_probability_vector(
@@ -223,14 +243,9 @@ def scan_probability_vector(
     """Violation scan against a precomputed (possibly exact) vector."""
     if threshold < 0:
         raise ValueError("threshold must be nonnegative")
-    indexed, _ = _indexed_inequalities(source, probabilities.config)
-    total = len(source.rows) if isinstance(source, HRepresentation) else len(indexed)
-    reports = []
-    for row, ineq in _select_rows(indexed, rows, total):
-        lhs = sum(c * p for c, p in zip(ineq.coefficients, probabilities) if c)
-        amount = lhs - ineq.rhs
-        if amount > threshold + VIOLATION_EPS:
-            reports.append(ViolationReport(row=row, inequality=ineq, amount=amount))
+    selected = select_inequalities(source, probabilities.config, rows)
+    reports = [ViolationReport(row=row, inequality=ineq, amount=values[0])
+               for row, ineq, values in _violated(selected, [probabilities], threshold)]
     reports.sort(key=lambda r: (-r.amount, r.row))
     return reports
 
@@ -247,12 +262,12 @@ def scan_violations(
 
     For each selected row the discrepancy ``sum(c_e p_e) - rhs`` is
     computed; rows exceeding ``threshold`` (default 0) are reported, sorted
-    by descending amount, then row number.
+    by descending amount, then row number.  Probabilities and inequalities
+    take the layout ``config``, or else that of ``angles``.
     """
     if angles is None:
         raise ValueError("scan_violations requires an angle assignment")
-    _, cfg = _indexed_inequalities(source, config)
-    vec = probability_vector(model, cfg, angles)
+    vec = probability_vector(model, config or angles.config, angles)
     return scan_probability_vector(source, vec, rows=rows, threshold=threshold)
 
 
@@ -302,27 +317,21 @@ def sample_violation_curve(
     """Sample ``f(x) = sum(c_e p_e(x)) - rhs`` for each selected inequality.
 
     Only inequalities whose sampled maximum exceeds the threshold are
-    returned (the violated ones, for plotting).
+    returned (the violated ones, for plotting).  Probabilities and
+    inequalities take the layout ``config``, or else that of ``angles``.
     """
     if angles is None:
         raise ValueError("curve sampling requires an angle assignment")
-    free = angles.free_variables
-    if "y" in free:
+    if "y" in angles.free_variables:
         raise ValueError("curve sampling allows only the free variable x")
-    indexed, cfg = _indexed_inequalities(source, config)
-    total = len(source.rows) if isinstance(source, HRepresentation) else len(indexed)
-    selected = _select_rows(indexed, rows, total)
+    cfg = config or angles.config
+    selected = select_inequalities(source, cfg, rows)
     xs = _linspace(*x_range, samples)
     vectors = [probability_vector(model, cfg, angles, x=x) for x in xs]
-    out = []
-    for row, ineq in selected:
-        values = tuple(
-            sum(c * p for c, p in zip(ineq.coefficients, vec) if c) - ineq.rhs
-            for vec in vectors
-        )
-        if max(values) > threshold + VIOLATION_EPS:
-            out.append(CurveSamples(row=row, inequality=ineq, xs=xs, values=values))
-    return out
+    return [
+        CurveSamples(row=row, inequality=ineq, xs=xs, values=values)
+        for row, ineq, values in _violated(selected, vectors, threshold)
+    ]
 
 
 def sample_violation_grid(
@@ -343,26 +352,17 @@ def sample_violation_grid(
     extra = angles.free_variables - {"x", "y"}
     if extra:
         raise ValueError(f"unexpected free variables {sorted(extra)}")
-    indexed, cfg = _indexed_inequalities(source, config)
-    total = len(source.rows) if isinstance(source, HRepresentation) else len(indexed)
-    selected = _select_rows(indexed, rows, total)
+    cfg = config or angles.config
+    selected = select_inequalities(source, cfg, rows)
     xs = _linspace(*x_range, samples_x)
     ys = _linspace(*y_range, samples_y)
     vectors = [
-        [probability_vector(model, cfg, angles, x=x, y=y) for x in xs] for y in ys
+        probability_vector(model, cfg, angles, x=x, y=y) for y in ys for x in xs
     ]
-    out = []
-    for row, ineq in selected:
-        values = tuple(
-            sum(c * p for c, p in zip(ineq.coefficients, vec) if c) - ineq.rhs
-            for vec_row in vectors
-            for vec in vec_row
-        )
-        if max(values) > threshold + VIOLATION_EPS:
-            out.append(
-                GridSamples(row=row, inequality=ineq, xs=xs, ys=ys, values=values)
-            )
-    return out
+    return [
+        GridSamples(row=row, inequality=ineq, xs=xs, ys=ys, values=values)
+        for row, ineq, values in _violated(selected, vectors, threshold)
+    ]
 
 
 _TOKEN_RE = re.compile(

@@ -119,6 +119,16 @@ def test_inequalities_listing(tmp_path, capsys):
     assert len(out.splitlines()) == 2
 
 
+def test_rows_out_of_range_is_usage_error(tmp_path, capsys):
+    ine = tmp_path / "urn.ine"
+    run(capsys, "hull", "-n", "2", "-m", "1", "-o", str(ine), "-q")
+    scan = ("violations", "--model", "singlet", "--angles", "0;0")
+    for rows in ("0:99999", "5:2"):
+        for argv in (("inequalities",), scan):
+            code, out, err = run(capsys, *argv, "--ine", str(ine), "--rows", rows)
+            assert code == 1 and out == ""
+            assert "out of bounds" in err
+
 def test_violations_cli_matches_library(tmp_path, capsys):
     ine = tmp_path / "2_2.ine"
     run(capsys, "hull", "-n", "2", "-m", "2", "-o", str(ine), "-q")
@@ -238,6 +248,7 @@ def test_exit_code_usage(capsys):
     assert run(capsys, "hull")[0] == 1  # no input source
     assert run(capsys, "events", "-n", "2")[0] == 1  # -n without -m
     assert run(capsys, "nonsense")[0] == 1
+    assert run(capsys, "hull", "-n", "2", "-m", "2", "--threads", "1")[0] == 1
 
 
 def test_exit_code_parse_error(tmp_path, capsys):
@@ -274,13 +285,3 @@ def test_help_everywhere(capsys):
         code, out, err = run(capsys, sub, "--help")
         assert code == 0
         assert "usage" in out or "usage" in err
-
-
-def test_threads_flag_accepted(tmp_path, capsys):
-    a = tmp_path / "a.ine"
-    b = tmp_path / "b.ine"
-    run(capsys, "hull", "-n", "2", "-m", "2", "-o", str(a), "-q",
-        "--threads", "1")
-    run(capsys, "hull", "-n", "2", "-m", "2", "-o", str(b), "-q",
-        "--threads", "8")
-    assert a.read_bytes() == b.read_bytes()

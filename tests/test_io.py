@@ -150,14 +150,19 @@ def test_comments_and_options_handling(tmp_path):
     assert pf.rows == ((1, -1),)
 
 
-def test_konfiguration_option_round_trip(tmp_path, hull_2_3, config_2_3):
-    path = write_ine(hull_2_3, tmp_path / "2_3")
-    lines = path.read_text().splitlines()
-    assert lines[2] == "684 16 integer"
-    assert lines[-1] == "Konfiguration 2 3"
-    back = read_ine(path)
-    assert back.config == config_2_3
-    assert back.rows == hull_2_3.rows
+def test_konfiguration_option_round_trip(tmp_path, hull_2_3):
+    non_uniform = hull(truth_table(Configuration((2, 3))))
+    for hrep, size, option in (
+        (hull_2_3, "684 16 integer", "Konfiguration 2 3"),
+        (non_uniform, "48 12 integer", "Konfiguration 2,3"),
+    ):
+        path = write_ine(hrep, tmp_path / "layout")
+        lines = path.read_text().splitlines()
+        assert lines[2] == size
+        assert lines[-1] == option
+        back = read_ine(path)
+        assert back.config == hrep.config
+        assert back.rows == hrep.rows
 
 
 def test_real_numbertype_snaps_to_rationals():

@@ -327,6 +327,20 @@ def test_verify_facet_invalid(config_2_2):
     assert not report.valid and not report.is_facet
 
 
+def test_verify_facet_lower_dimensional():
+    # a triangle in R^3: facets are its three edges within the plane z = 0
+    tri = VRepresentation(3, ((0, 0, 0), (1, 0, 0), (0, 1, 0)))
+    h = hull(tri)
+    assert len(h.linearity) == 1 and len(h.inequality_indices) == 3
+    for i in h.inequality_indices:
+        report = verify_facet(h.rows[i], tri)
+        assert report.valid and report.is_facet and report.tight_count == 2
+    assert not verify_facet((0, 0, 0, 1), tri).is_facet  # z >= 0 holds everywhere
+    assert not verify_facet((1, -1, 0, 0), tri).is_facet  # x <= 1: one vertex only
+    # a single point has no facets, as hull reports none
+    point = VRepresentation(3, ((1, 2, 3),))
+    assert not verify_facet((1, 0, 0, 0), point).is_facet
+
 def test_verify_facet_dimension_mismatch(config_2_2):
     with pytest.raises(ValueError):
         verify_facet((1, -1, 0), truth_table(config_2_2))
