@@ -24,6 +24,9 @@ from .core import (
 from .inequalities import parse_text, to_text
 from .polyhedra import (
     DEFAULT_RAY_CAP,
+    ENUM_ORDER,
+    HULL_ORDER,
+    ORDERS,
     HRepresentation,
     contains,
     enumerate_vertices,
@@ -322,8 +325,8 @@ def build_parser() -> _Parser:
     _add_config_flags(p)
     p.add_argument("--ext", metavar="FILE", help="read vertices from a .ext file")
     p.add_argument("-o", "--output", metavar="FILE", help="write a .ine file")
-    p.add_argument("--order", default="lexmin",
-                   help="constraint insertion order: lexmin, given, random:SEED")
+    p.add_argument("--order", default=HULL_ORDER,
+                   help=f"generator insertion order: {ORDERS} (default: %(default)s)")
     p.add_argument("--ray-cap", type=int, default=None,
                    help="intermediate ray cap (or env CORRPOLY_RAY_CAP)")
     p.add_argument("--vertex-cap", type=int, default=DEFAULT_VERTEX_CAP)
@@ -334,7 +337,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("enum", help="vertex enumeration (H- to V-representation)")
     p.add_argument("--ine", required=True, metavar="FILE")
     p.add_argument("-o", "--output", metavar="FILE", help="write a .ext file")
-    p.add_argument("--order", default="lexmin")
+    p.add_argument("--order", default=ENUM_ORDER,
+                   help=f"constraint insertion order: {ORDERS} (default: %(default)s)")
     p.add_argument("--ray-cap", type=int, default=None)
     p.add_argument("-q", "--quiet", action="store_true")
     p.set_defaults(func=cmd_enum)

@@ -35,6 +35,9 @@ def primitive(vec: Iterable[int]) -> IntVec:
 
 def clear_to_int(vec: Iterable[NumberLike]) -> IntVec:
     """Scale a rational vector by a positive factor to a primitive int vector."""
+    vec = tuple(vec)
+    if all(type(v) is int for v in vec):
+        return primitive(vec)
     fracs = [as_rational(v) for v in vec]
     lcm = 1
     for f in fracs:

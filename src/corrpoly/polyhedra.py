@@ -119,10 +119,7 @@ class DDPair:
 
     def insert(self, row: Sequence[NumberLike], equality: bool = False,
                ray_cap: int | None = DEFAULT_RAY_CAP) -> None:
-        if all(isinstance(x, int) for x in row):
-            row = primitive(row)
-        else:
-            row = clear_to_int(row)
+        row = clear_to_int(row)
         if len(row) != self.dimension:
             raise ValueError("constraint dimension mismatch")
         if not any(row):
@@ -265,24 +262,40 @@ def dd_insert(state: DDPair, row: Sequence[int], equality: bool = False) -> DDPa
     return out
 
 
+#: Sort keys of the static insertion orders; ``random:SEED`` is the other.
+#: ``support`` inserts the sparsest rows first (ties lexicographic), which
+#: keeps the intermediate ray sets of vertex enumeration small.
+_ORDER_KEYS = {
+    "given": lambda r: 0,
+    "lexmin": lambda r: r,
+    "support": lambda r: (len(r) - r.count(0), r),
+}
+ORDERS = ", ".join([*_ORDER_KEYS, "random:SEED"])
+#: Default insertion order of each direction, chosen from measured peak
+#: ray counts: ``support`` blows up the generator side of ``hull`` (2x3:
+#: 3,679 peak rays against 1,044) but tames ``enumerate_vertices`` (1,548
+#: against 9,371).
+HULL_ORDER = "lexmin"
+ENUM_ORDER = "support"
+
+
 def _order_rows(rows: Iterable[IntVec], order: str) -> list[IntVec]:
     rows = list(dict.fromkeys(rows))
-    if order == "given":
-        return rows
-    if order == "lexmin":
-        return sorted(rows)
     if order.startswith("random:"):
         try:
             seed = int(order.split(":", 1)[1])
         except ValueError:
             raise ValueError(f"bad insertion order {order!r}") from None
-        rng = random.Random(seed)
-        rng.shuffle(rows)
+        random.Random(seed).shuffle(rows)
         return rows
-    raise ValueError(f"unknown insertion order {order!r}")
+    try:
+        key = _ORDER_KEYS[order]
+    except KeyError:
+        raise ValueError(f"unknown insertion order {order!r}") from None
+    return sorted(rows, key=key)
 
 
-def hull(vrep: VRepresentation, order: str = "lexmin", *,
+def hull(vrep: VRepresentation, order: str = HULL_ORDER, *,
          ray_cap: int | None = DEFAULT_RAY_CAP,
          progress: ProgressFn | None = None,
          debug: bool = False) -> HRepresentation:
@@ -327,7 +340,7 @@ def hull(vrep: VRepresentation, order: str = "lexmin", *,
     )
 
 
-def enumerate_vertices(hrep: HRepresentation, order: str = "lexmin", *,
+def enumerate_vertices(hrep: HRepresentation, order: str = ENUM_ORDER, *,
                        ray_cap: int | None = DEFAULT_RAY_CAP,
                        progress: ProgressFn | None = None,
                        debug: bool = False) -> VRepresentation:

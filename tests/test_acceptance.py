@@ -397,6 +397,19 @@ def test_criterion_9c_insertion_order_independence():
     verdict("criterion 9c (order independence)", "lexmin vs 5 random orders")
 
 
+def test_criterion_9c_enum_insertion_order_independence():
+    orders = ["lexmin", "support"] + [f"random:{seed}" for seed in range(5)]
+    for settings in ((1, 1), (2, 1), (2, 2), (2, 3)):
+        h = hull(truth_table(Configuration(settings)))
+        reference = enumerate_vertices(h, order="given")
+        for order in orders:
+            assert enumerate_vertices(h, order=order) == reference, order
+    # exact-rank adjacency cross-check on (2, 3) under the default order
+    assert enumerate_vertices(h, debug=True) == reference
+    verdict("criterion 9c (enum order independence)",
+            "given vs lexmin, support and 5 random orders")
+
+
 def test_criterion_9d_uniform_model_inside_hull(hull_2_2, hull_2_3):
     uniform = builtin_model("uniform")
     for config, h in ((C22, hull_2_2), (C23, hull_2_3)):

@@ -277,6 +277,16 @@ def test_vertex_cap_flag(capsys):
     assert code == 3
 
 
+def test_order_flag_help_lists_orders(capsys):
+    for sub, default in (("hull", "lexmin"), ("enum", "support")):
+        _, out, _ = run(capsys, sub, "--help")
+        text = " ".join(out.split())
+        for order in ("lexmin", "support", "given", "random:SEED"):
+            assert order in text
+        assert f"(default: {default})" in text
+    assert run(capsys, "hull", "-n", "2", "-m", "2", "--order", "bogus", "-q")[0] == 1
+
+
 def test_help_everywhere(capsys):
     for sub in (
         "events", "vertices", "hull", "enum", "inequalities",

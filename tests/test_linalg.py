@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from corrpoly.linalg import (
     clear_to_int,
     dot,
@@ -21,9 +23,23 @@ def test_primitive():
 
 
 def test_clear_to_int():
-    assert clear_to_int((Fraction(1, 2), Fraction(1, 3))) == (3, 2)
-    assert clear_to_int((2, 4)) == (1, 2)
-    assert clear_to_int((Fraction(-1, 2), 1)) == (-1, 2)
+    cases = [
+        ((Fraction(1, 2), Fraction(1, 3)), (3, 2)),   # Fraction
+        ((2, 4), (1, 2)),                             # int
+        ((-6, 0, 9), (-2, 0, 3)),
+        ((0, 0), (0, 0)),
+        (iter((3, 6)), (1, 2)),
+        ((True, False, True), (1, 0, 1)),             # bool
+        ((Fraction(-1, 2), 1), (-1, 2)),              # mixed
+        ((Fraction(4), 2, True), (4, 2, 1)),
+    ]
+    for vec, expected in cases:
+        out = clear_to_int(vec)
+        assert out == expected
+        assert all(type(x) is int for x in out)
+    for vec in ((0.5, 1), (1, 2.0), (Fraction(1, 2), 1.5)):
+        with pytest.raises(TypeError):
+            clear_to_int(vec)
 
 
 def test_integer_rank_matches_rational_elimination():

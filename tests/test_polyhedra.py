@@ -154,6 +154,13 @@ def test_hull_insertion_order_independence(hull_2_2, config_2_2):
         assert h.linearity == hull_2_2.linearity
 
 
+def test_unknown_insertion_order_rejected(config_2_2):
+    tt = truth_table(config_2_2)
+    for order in ("bogus", "random:x", "Support"):
+        with pytest.raises(ValueError, match="insertion order"):
+            hull(tt, order=order)
+
+
 def test_hull_ray_cap():
     tt = truth_table(Configuration.uniform(2, 2))
     with pytest.raises(CapacityError):
@@ -272,6 +279,20 @@ def test_roundtrip_v_h_v(config_2_2):
     back = enumerate_vertices(hull(tt))
     assert set(back.vertices) == set(tt.vertices)
     assert not back.rays
+
+
+def test_roundtrip_v_h_v_2_3(hull_2_3, config_2_3):
+    peak = 0
+
+    def progress(done, total, rays):
+        nonlocal peak
+        peak = max(peak, rays)
+
+    back = enumerate_vertices(hull_2_3, progress=progress)
+    assert set(back.vertices) == set(truth_table(config_2_3).vertices)
+    assert len(back.vertices) == 64
+    assert not back.rays
+    assert peak < 2000  # lexmin order peaks at 9,371 rays here
 
 
 def test_roundtrip_h_v_h():
