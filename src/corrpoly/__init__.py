@@ -13,7 +13,6 @@ from .core import (
     EventLabel,
     ParseError,
     ProbabilityVector,
-    Rational,
     enumerate_events,
     event_count,
 )
@@ -24,7 +23,6 @@ from .polyhedra import (
     FacetReport,
     HRepresentation,
     contains,
-    dd_insert,
     enumerate_vertices,
     hull,
     verify_facet,
@@ -64,12 +62,10 @@ __all__ = [
     "ParseError",
     "ProbabilityModel",
     "ProbabilityVector",
-    "Rational",
     "VRepresentation",
     "ViolationReport",
     "builtin_model",
     "contains",
-    "dd_insert",
     "enumerate_events",
     "enumerate_vertices",
     "event_count",

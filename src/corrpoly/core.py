@@ -13,11 +13,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
 
-#: Exact scalar used throughout the polyhedral kernel.  ``fractions.Fraction``
-#: already guarantees the invariants we need: positive denominator, fully
-#: reduced, zero stored as 0/1.
-Rational = Fraction
-
 #: Anything accepted where an exact number is expected.
 NumberLike = Union[int, Fraction]
 
@@ -174,18 +169,22 @@ def as_rational(value: NumberLike) -> Fraction:
     raise TypeError(f"expected an exact number, got {type(value).__name__}")
 
 
-def parse_number(token: str, max_denominator: int = 10**9) -> NumberLike:
+#: Decimal tokens snap to the nearest rational with at most this denominator.
+MAX_DENOMINATOR = 10**9
+
+
+def parse_number(token: str) -> NumberLike:
     """Parse an exact numeric token: integer, ``p/q`` or decimal.
 
     Decimal tokens (cdd's ``real`` number type) are snapped to the nearest
-    rational with denominator at most ``max_denominator``.
+    rational with denominator at most ``MAX_DENOMINATOR``.
     """
     token = token.strip()
     try:
         if "/" in token:
             value = Fraction(token)
         elif "." in token or "e" in token or "E" in token:
-            value = Fraction(token).limit_denominator(max_denominator)
+            value = Fraction(token).limit_denominator(MAX_DENOMINATOR)
         else:
             return int(token)
     except (ValueError, ZeroDivisionError) as exc:

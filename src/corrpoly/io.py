@@ -149,23 +149,27 @@ def parse_polyhedra_file(text: str, source: str = "<string>") -> PolyhedraFile:
     )
 
 
-def _config_option(options: Sequence[str]) -> Configuration | None:
+def _read_config(options: Sequence[str], dimension: int) -> Configuration | None:
+    """The layout of the first Konfiguration line, if it has ``dimension`` events."""
     for line in options:
         m = _KONFIG_RE.match(line)
         if m and m.group("counts"):
-            return Configuration(tuple(int(t) for t in m.group("counts").split(",")))
-        if m:
-            return Configuration.uniform(int(m.group(1)), int(m.group(2)))
+            config = Configuration(tuple(int(t) for t in m.group("counts").split(",")))
+        elif m:
+            config = Configuration.uniform(int(m.group(1)), int(m.group(2)))
+        else:
+            continue
+        return config if event_count(config) == dimension else None
     return None
 
 
-def _with_config_option(options: Sequence[str], config: Configuration | None) -> tuple[str, ...]:
-    options = tuple(options)
-    if config is None or any(_KONFIG_RE.match(ln) for ln in options):
-        return options
+def _config_lines(config: Configuration | None) -> tuple[str, ...]:
+    """The Konfiguration line of a layout: ``N M`` if uniform, else ``M1,M2,...``."""
+    if config is None:
+        return ()
     if len(set(config.settings)) > 1:
-        return options + (f"Konfiguration {config}",)
-    return options + (f"Konfiguration {config.particles} {config.settings[0]}",)
+        return (f"Konfiguration {config}",)
+    return (f"Konfiguration {config.particles} {config.settings[0]}",)
 
 
 def _ensure_suffix(path, suffix: str) -> Path:
@@ -175,14 +179,13 @@ def _ensure_suffix(path, suffix: str) -> Path:
     return path
 
 
-def vrep_to_file(vrep: VRepresentation, options: Sequence[str] = ()) -> PolyhedraFile:
-    rows = [(1,) + tuple(v) for v in vrep.vertices]
-    rows += [(0,) + tuple(r) for r in vrep.rays]
+def vrep_to_file(vrep: VRepresentation) -> PolyhedraFile:
+    rows = vrep.homogenized
     return PolyhedraFile(
         kind="V",
-        rows=tuple(rows),
+        rows=rows,
         numbertype=_numbertype_for(rows),
-        options=_with_config_option(options, vrep.config),
+        options=_config_lines(vrep.config),
         columns=vrep.dimension + 1,
     )
 
@@ -204,21 +207,19 @@ def vrep_from_file(pf: PolyhedraFile, source: str = "<string>") -> VRepresentati
                 f"{source}: generator rows must start with 0 or 1, got {row[0]}"
             )
     dimension = max(pf.n_columns - 1, 0)
-    config = _config_option(pf.options)
-    if config is not None and event_count(config) != dimension:
-        config = None
     return VRepresentation(
-        dimension=dimension, vertices=tuple(vertices), rays=tuple(rays), config=config
+        dimension=dimension, vertices=tuple(vertices), rays=tuple(rays),
+        config=_read_config(pf.options, dimension),
     )
 
 
-def hrep_to_file(hrep: HRepresentation, options: Sequence[str] = ()) -> PolyhedraFile:
+def hrep_to_file(hrep: HRepresentation) -> PolyhedraFile:
     return PolyhedraFile(
         kind="H",
         rows=hrep.rows,
         numbertype=_numbertype_for(hrep.rows),
         linearity=tuple(sorted(hrep.linearity)),
-        options=_with_config_option(options, hrep.config),
+        options=_config_lines(hrep.config),
         columns=hrep.dimension + 1,
     )
 
@@ -227,21 +228,18 @@ def hrep_from_file(pf: PolyhedraFile, source: str = "<string>") -> HRepresentati
     if pf.kind != "H":
         raise ParseError(f"{source}: expected an H-representation")
     dimension = max(pf.n_columns - 1, 0)
-    config = _config_option(pf.options)
-    if config is not None and event_count(config) != dimension:
-        config = None
     return HRepresentation(
         dimension=dimension,
         rows=pf.rows,
         linearity=frozenset(pf.linearity),
-        config=config,
+        config=_read_config(pf.options, dimension),
     )
 
 
-def write_ext(vrep: VRepresentation, path, options: Sequence[str] = ()) -> Path:
+def write_ext(vrep: VRepresentation, path) -> Path:
     """Write a V-representation; the ``.ext`` suffix is appended if absent."""
     path = _ensure_suffix(path, ".ext")
-    path.write_text(format_polyhedra_file(vrep_to_file(vrep, options)), newline="\n")
+    path.write_text(format_polyhedra_file(vrep_to_file(vrep)), newline="\n")
     return path
 
 
@@ -250,10 +248,10 @@ def read_ext(path) -> VRepresentation:
     return vrep_from_file(parse_polyhedra_file(path.read_text(), str(path)), str(path))
 
 
-def write_ine(hrep: HRepresentation, path, options: Sequence[str] = ()) -> Path:
+def write_ine(hrep: HRepresentation, path) -> Path:
     """Write an H-representation; the ``.ine`` suffix is appended if absent."""
     path = _ensure_suffix(path, ".ine")
-    path.write_text(format_polyhedra_file(hrep_to_file(hrep, options)), newline="\n")
+    path.write_text(format_polyhedra_file(hrep_to_file(hrep)), newline="\n")
     return path
 
 
@@ -414,13 +412,8 @@ def grid_svg(grid: GridSamples) -> str:
 
 
 def render_svg(data, path) -> Path:
-    """Render curve samples (list) or one grid to a standalone SVG file."""
+    """Render a list of curve samples or one grid to a standalone SVG file."""
     path = Path(path)
-    if isinstance(data, GridSamples):
-        text = grid_svg(data)
-    elif isinstance(data, CurveSamples):
-        text = curves_svg([data])
-    else:
-        text = curves_svg(list(data))
+    text = grid_svg(data) if isinstance(data, GridSamples) else curves_svg(list(data))
     path.write_text(text, newline="\n")
     return path

@@ -1,8 +1,8 @@
 """Exact linear algebra on integer and rational vectors.
 
 Small, dependency-free routines backing the polyhedral kernel: gcd
-normalization, fraction-free rank, reduced row echelon form and null
-spaces.  All arithmetic is exact.
+normalization, fraction-free rank, reduced row echelon form and
+reduction modulo a row space.  All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -100,20 +100,6 @@ def rref(rows: Sequence[Sequence[NumberLike]]) -> tuple[list[list[Fraction]], li
         if r == len(mat):
             break
     return mat[:r], pivots
-
-
-def null_space(rows: Sequence[Sequence[NumberLike]], cols: int) -> list[IntVec]:
-    """Primitive integer basis of ``{x : rows @ x = 0}``."""
-    reduced, pivots = rref(rows) if rows else ([], [])
-    free_cols = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for free in free_cols:
-        vec = [Fraction(0)] * cols
-        vec[free] = Fraction(1)
-        for row, piv in zip(reduced, pivots):
-            vec[piv] = -row[free]
-        basis.append(clear_to_int(vec))
-    return basis
 
 
 def reduce_mod_rowspace(

@@ -98,25 +98,6 @@ class DDPair:
         ]
         self.debug = debug
 
-    def copy(self) -> "DDPair":
-        dup = DDPair.__new__(DDPair)
-        dup.dimension = self.dimension
-        dup.rows = list(self.rows)
-        dup.rays = list(self.rays)
-        dup.active = list(self.active)
-        dup.lineality = list(self.lineality)
-        dup.debug = self.debug
-        return dup
-
-    def generators(self) -> list[IntVec]:
-        """All generators: lineality directions (both signs) plus rays."""
-        out = []
-        for l in self.lineality:
-            out.append(l)
-            out.append(tuple(-x for x in l))
-        out.extend(self.rays)
-        return out
-
     def insert(self, row: Sequence[NumberLike], equality: bool = False,
                ray_cap: int | None = DEFAULT_RAY_CAP) -> None:
         row = clear_to_int(row)
@@ -238,28 +219,12 @@ class DDPair:
                     new_active.append(common | bit)
 
     def _check_adjacency(self, common: int, combinatorial: bool) -> None:
-        tight = [self.rows[i] for i in _iter_bits(common)]
+        tight = [row for i, row in enumerate(self.rows) if common >> i & 1]
         algebraic = integer_rank(tight) == self.dimension - len(self.lineality) - 2
         if algebraic != combinatorial:
             raise AssertionError(
                 "combinatorial and algebraic adjacency tests disagree"
             )
-
-
-def _iter_bits(mask: int):
-    i = 0
-    while mask:
-        if mask & 1:
-            yield i
-        mask >>= 1
-        i += 1
-
-
-def dd_insert(state: DDPair, row: Sequence[int], equality: bool = False) -> DDPair:
-    """Pure kernel step: return a new state with one constraint inserted."""
-    out = state.copy()
-    out.insert(row, equality=equality)
-    return out
 
 
 #: Sort keys of the static insertion orders; ``random:SEED`` is the other.
@@ -295,6 +260,21 @@ def _order_rows(rows: Iterable[IntVec], order: str) -> list[IntVec]:
     return sorted(rows, key=key)
 
 
+def _run(dimension: int, steps: Sequence[tuple[IntVec, bool]], ray_cap: int | None,
+         progress: ProgressFn | None, debug: bool) -> tuple[list[IntVec], tuple]:
+    """Insert ``(row, is_equality)`` steps into the free cone of ``dimension``.
+
+    Both conversion directions run here.  Returns the extreme rays and the
+    reduced row echelon form of the lineality space.
+    """
+    pair = DDPair(dimension, debug=debug)
+    for i, (row, equality) in enumerate(steps):
+        pair.insert(row, equality=equality, ray_cap=ray_cap)
+        if progress is not None:
+            progress(i + 1, len(steps), len(pair.rays))
+    return pair.rays, rref(pair.lineality)
+
+
 def hull(vrep: VRepresentation, order: str = HULL_ORDER, *,
          ray_cap: int | None = DEFAULT_RAY_CAP,
          progress: ProgressFn | None = None,
@@ -308,21 +288,15 @@ def hull(vrep: VRepresentation, order: str = HULL_ORDER, *,
     """
     if not vrep.vertices:
         raise ValueError("hull requires at least one vertex")
-    vertex_rows = [clear_to_int((1,) + tuple(v)) for v in vrep.vertices]
-    ray_rows = [clear_to_int((0,) + tuple(r)) for r in vrep.rays]
-    gens = _order_rows(vertex_rows + ray_rows, order)
-
-    pair = DDPair(vrep.dimension + 1, debug=debug)
-    for i, g in enumerate(gens):
-        pair.insert(g, ray_cap=ray_cap)
-        if progress is not None:
-            progress(i + 1, len(gens), len(pair.rays))
-
-    lin_reduced, lin_pivots = rref(pair.lineality)
+    gens = [clear_to_int(g) for g in vrep.homogenized]
+    vertex_rows = gens[:len(vrep.vertices)]
+    steps = [(g, False) for g in _order_rows(gens, order)]
+    rays, (lin_reduced, lin_pivots) = _run(vrep.dimension + 1, steps,
+                                           ray_cap, progress, debug)
     lin_rows = sorted(clear_to_int(r) for r in lin_reduced)
 
     facets = []
-    for ray in pair.rays:
+    for ray in rays:
         if lin_rows:
             ray = reduce_mod_rowspace(ray, lin_reduced, lin_pivots)
         # A ray tight on no input point is the homogenization facet
@@ -352,25 +326,17 @@ def enumerate_vertices(hrep: HRepresentation, order: str = ENUM_ORDER, *,
     (no generators), not an error.
     """
     d = hrep.dimension
-    eq_rows = []
-    ineq_rows = []
-    for i, row in enumerate(hrep.rows):
-        target = eq_rows if i in hrep.linearity else ineq_rows
-        target.append(clear_to_int(row))
-    hom = (1,) + (0,) * d
-
-    pair = DDPair(d + 1, debug=debug)
+    rows = [clear_to_int(row) for row in hrep.rows]
+    eq_rows = [rows[i] for i in sorted(hrep.linearity)]
+    ineq_rows = [rows[i] for i in hrep.inequality_indices]
     steps = [(r, True) for r in _order_rows(eq_rows, order)]
-    steps.append((hom, False))
+    steps.append(((1,) + (0,) * d, False))
     steps.extend((r, False) for r in _order_rows(ineq_rows, order))
-    for i, (row, is_eq) in enumerate(steps):
-        pair.insert(row, equality=is_eq, ray_cap=ray_cap)
-        if progress is not None:
-            progress(i + 1, len(steps), len(pair.rays))
+    rays, (lin_reduced, _) = _run(d + 1, steps, ray_cap, progress, debug)
 
     points = []
     directions = []
-    for r in pair.rays:
+    for r in rays:
         if r[0] > 0:
             points.append(tuple(_tidy(Fraction(x, r[0])) for x in r[1:]))
         else:
@@ -378,7 +344,6 @@ def enumerate_vertices(hrep: HRepresentation, order: str = ENUM_ORDER, *,
     if not points:
         return VRepresentation(dimension=d, vertices=(), rays=(), config=hrep.config)
 
-    lin_reduced, _ = rref(pair.lineality)
     for l in lin_reduced:
         line = clear_to_int(l)[1:]
         directions.append(line)
@@ -427,9 +392,7 @@ def verify_facet(row: Sequence[NumberLike], vrep: VRepresentation) -> FacetRepor
     r = clear_to_int(row)
     valid = True
     tight = []
-    gens = [(1,) + tuple(v) for v in vrep.vertices]
-    gens += [(0,) + tuple(ray) for ray in vrep.rays]
-    gens = [clear_to_int(g) for g in gens]
+    gens = [clear_to_int(g) for g in vrep.homogenized]
     for g in gens:
         value = dot(r, g)
         if value < 0:

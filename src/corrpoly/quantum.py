@@ -153,10 +153,10 @@ def builtin_model(name: str) -> ProbabilityModel:
     raise ValueError(f"unknown model {name!r} (choose from {', '.join(BUILTIN_MODELS)})")
 
 
-def probability_vector(model: ProbabilityModel, config: Configuration,
-                       angles: AngleAssignment, x: float | None = None,
+def probability_vector(model: ProbabilityModel, angles: AngleAssignment,
+                       x: float | None = None,
                        y: float | None = None) -> ProbabilityVector:
-    """Evaluate the model on every canonical event of the configuration.
+    """Evaluate the model on every canonical event of the angles' layout.
 
     ``angles`` must be concrete unless the free variables are bound through
     ``x``/``y``.
@@ -168,10 +168,10 @@ def probability_vector(model: ProbabilityModel, config: Configuration,
         raise ValueError("angle assignment has a free variable y; pass y=")
     concrete = angles.evaluated(x or 0.0, y or 0.0)
     values = []
-    for ev in enumerate_events(config):
+    for ev in enumerate_events(angles.config):
         tup = tuple(concrete[p][s] for p, s in zip(ev.particles, ev.choices))
         values.append(model.probability(tup))
-    return ProbabilityVector(tuple(values), config)
+    return ProbabilityVector(tuple(values), angles.config)
 
 
 @dataclass(frozen=True)
@@ -221,7 +221,11 @@ def _violated(selected: list[tuple[int, Inequality]],
     ``sum(c_e p_e) - rhs`` over ``vectors`` exceeds the threshold.
 
     Terms are summed in event order, so exact vectors give exact values.
+    A NaN threshold would compare false against every value and hide all
+    violations, so it is rejected.
     """
+    if math.isnan(threshold):
+        raise ValueError("threshold must be a number, not NaN")
     cut = threshold + VIOLATION_EPS
     vectors = [vec.values for vec in vectors]
     out = []
@@ -253,8 +257,7 @@ def scan_probability_vector(
 def scan_violations(
     source: HRepresentation | Sequence[Inequality],
     model: ProbabilityModel,
-    config: Configuration | None = None,
-    angles: AngleAssignment | None = None,
+    angles: AngleAssignment,
     rows: tuple[int, int] | None = None,
     threshold: float = 0.0,
 ) -> list[ViolationReport]:
@@ -263,11 +266,9 @@ def scan_violations(
     For each selected row the discrepancy ``sum(c_e p_e) - rhs`` is
     computed; rows exceeding ``threshold`` (default 0) are reported, sorted
     by descending amount, then row number.  Probabilities and inequalities
-    take the layout ``config``, or else that of ``angles``.
+    take the layout of ``angles``.
     """
-    if angles is None:
-        raise ValueError("scan_violations requires an angle assignment")
-    vec = probability_vector(model, config or angles.config, angles)
+    vec = probability_vector(model, angles)
     return scan_probability_vector(source, vec, rows=rows, threshold=threshold)
 
 
@@ -307,8 +308,7 @@ def _linspace(lo: float, hi: float, samples: int) -> tuple[float, ...]:
 def sample_violation_curve(
     source: HRepresentation | Sequence[Inequality],
     model: ProbabilityModel,
-    config: Configuration | None = None,
-    angles: AngleAssignment | None = None,
+    angles: AngleAssignment,
     x_range: tuple[float, float] = (0.0, math.pi),
     samples: int = 101,
     rows: tuple[int, int] | None = None,
@@ -318,16 +318,13 @@ def sample_violation_curve(
 
     Only inequalities whose sampled maximum exceeds the threshold are
     returned (the violated ones, for plotting).  Probabilities and
-    inequalities take the layout ``config``, or else that of ``angles``.
+    inequalities take the layout of ``angles``.
     """
-    if angles is None:
-        raise ValueError("curve sampling requires an angle assignment")
     if "y" in angles.free_variables:
         raise ValueError("curve sampling allows only the free variable x")
-    cfg = config or angles.config
-    selected = select_inequalities(source, cfg, rows)
+    selected = select_inequalities(source, angles.config, rows)
     xs = _linspace(*x_range, samples)
-    vectors = [probability_vector(model, cfg, angles, x=x) for x in xs]
+    vectors = [probability_vector(model, angles, x=x) for x in xs]
     return [
         CurveSamples(row=row, inequality=ineq, xs=xs, values=values)
         for row, ineq, values in _violated(selected, vectors, threshold)
@@ -337,8 +334,7 @@ def sample_violation_curve(
 def sample_violation_grid(
     source: HRepresentation | Sequence[Inequality],
     model: ProbabilityModel,
-    config: Configuration | None = None,
-    angles: AngleAssignment | None = None,
+    angles: AngleAssignment,
     x_range: tuple[float, float] = (0.0, math.pi),
     y_range: tuple[float, float] = (0.0, math.pi),
     samples_x: int = 41,
@@ -347,17 +343,14 @@ def sample_violation_grid(
     threshold: float = 0.0,
 ) -> list[GridSamples]:
     """Two-variable analogue of ``sample_violation_curve``."""
-    if angles is None:
-        raise ValueError("grid sampling requires an angle assignment")
     extra = angles.free_variables - {"x", "y"}
     if extra:
         raise ValueError(f"unexpected free variables {sorted(extra)}")
-    cfg = config or angles.config
-    selected = select_inequalities(source, cfg, rows)
+    selected = select_inequalities(source, angles.config, rows)
     xs = _linspace(*x_range, samples_x)
     ys = _linspace(*y_range, samples_y)
     vectors = [
-        probability_vector(model, cfg, angles, x=x, y=y) for y in ys for x in xs
+        probability_vector(model, angles, x=x, y=y) for y in ys for x in xs
     ]
     return [
         GridSamples(row=row, inequality=ineq, xs=xs, ys=ys, values=values)

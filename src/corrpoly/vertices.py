@@ -42,6 +42,12 @@ class VRepresentation:
     def is_empty(self) -> bool:
         return not self.vertices and not self.rays
 
+    @property
+    def homogenized(self) -> tuple[tuple[NumberLike, ...], ...]:
+        """cdd generator rows: ``(1, v)`` per vertex, then ``(0, r)`` per ray."""
+        return (tuple((1,) + tuple(v) for v in self.vertices)
+                + tuple((0,) + tuple(r) for r in self.rays))
+
 
 def vertex_for_assignment(
     config: Configuration, outcomes: Sequence[int]

@@ -243,7 +243,7 @@ def test_criterion_4_three_particle_full_hull():
 
 def test_criterion_5_ch_violation(hull_2_2):
     angles = parse_angles("0,2pi/3;-2pi/3,0", C22)
-    vec = probability_vector(builtin_model("singlet"), C22, angles)
+    vec = probability_vector(builtin_model("singlet"), angles)
     assert tuple(vec) == pytest.approx(
         (0.5, 0.5, 0.5, 0.5, 3 / 8, 0.0, 3 / 8, 3 / 8), abs=1e-12
     )

@@ -77,10 +77,16 @@ def test_hull_from_ext_and_exclusivity(tmp_path, capsys):
     assert code == 1
 
 
-def test_hull_progress_on_stderr(tmp_path, capsys):
-    code, out, err = run(capsys, "hull", "-n", "2", "-m", "2")
+@pytest.mark.parametrize("command", ["hull", "enum"])
+def test_hull_progress_on_stderr(tmp_path, capsys, command):
+    ine = tmp_path / "2_2.ine"
+    run(capsys, "hull", "-n", "2", "-m", "2", "-o", str(ine), "-q")
+    args = ["-n", "2", "-m", "2"] if command == "hull" else ["--ine", str(ine)]
+    code, out, err = run(capsys, command, *args)
     assert code == 0
     assert "constraints" in err
+    code, out, err = run(capsys, command, *args, "-q")
+    assert code == 0 and err == ""
 
 
 def test_enum_roundtrip(tmp_path, capsys):
@@ -183,6 +189,26 @@ def test_violations_threshold_filters(tmp_path, capsys):
     payload = json.loads(out)
     assert len(payload["violations"]) == 6
     assert all(v["amount"] > 0.2 for v in payload["violations"])
+
+
+def test_nan_threshold_is_usage_error(tmp_path, capsys, hull_2_2):
+    config = Configuration.uniform(2, 2)
+    angles = parse_angles("0,2pi/3;-2pi/3,0", config)
+    model = builtin_model("singlet")
+    assert len(scan_violations(hull_2_2, model, angles=angles)) == 1
+    with pytest.raises(ValueError, match="NaN"):
+        scan_violations(hull_2_2, model, angles=angles, threshold=float("nan"))
+    ine = tmp_path / "2_2.ine"
+    run(capsys, "hull", "-n", "2", "-m", "2", "-o", str(ine), "-q")
+    common = ["--ine", str(ine), "--model", "singlet", "--threshold", "nan"]
+    for argv in (
+        ["violations", *common, "--angles=0,2pi/3;-2pi/3,0"],
+        ["plot", *common, "--angles=-pi/3+x,0;0,2x", "-o", str(tmp_path / "c.csv")],
+        ["contour", *common, "--angles", "x,0;0,y", "-o", str(tmp_path / "g")],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 1, argv
+        assert "NaN" in err and out == ""
 
 
 def test_plot_csv_and_svg(tmp_path, capsys):

@@ -7,7 +7,6 @@ from corrpoly.linalg import (
     clear_to_int,
     dot,
     integer_rank,
-    null_space,
     primitive,
     reduce_mod_rowspace,
     rref,
@@ -55,18 +54,6 @@ def test_integer_rank_matches_rational_elimination():
             mat[-1] = [2 * a - b for a, b in zip(mat[0], mat[m // 2])]
         expected = frac_rank(mat) if any(any(r) for r in mat) else 0
         assert integer_rank(mat) == expected, mat
-
-
-def test_null_space_annihilates():
-    rng = random.Random(77)
-    for _ in range(200):
-        m = rng.randint(1, 5)
-        n = rng.randint(1, 6)
-        mat = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
-        basis = null_space(mat, n)
-        assert len(basis) == n - integer_rank(mat)
-        for vec in basis:
-            assert all(dot(row, vec) == 0 for row in mat)
 
 
 def test_reduce_mod_rowspace_is_canonical():

@@ -10,7 +10,6 @@ from corrpoly import (
     HRepresentation,
     VRepresentation,
     contains,
-    dd_insert,
     enumerate_vertices,
     hull,
     truth_table,
@@ -42,16 +41,14 @@ def cone_signature(pair):
     return lineality, rays
 
 
-# ---------------------------------------------------------------- dd_insert
+# ---------------------------------------------------------------- DDPair.insert
 
 def test_dd_insert_halfplane():
     pair = DDPair(2)
-    out = dd_insert(pair, (1, 0))
-    lineality, rays = cone_signature(out)
-    oracle = brute_force_cone([(1, 0)], 2)
-    assert (lineality, rays) == oracle
-    # the free cone is untouched in the original
-    assert pair.rays == [] and len(pair.lineality) == 2
+    pair.insert((1, 0))
+    assert cone_signature(pair) == brute_force_cone([(1, 0)], 2)
+    # x >= 0 turns one lineality direction into the ray (1, 0)
+    assert pair.rays == [(1, 0)] and len(pair.lineality) == 1
 
 
 def test_dd_insert_redundant_row_keeps_generators():

@@ -78,20 +78,20 @@ def test_model_outputs_stay_probabilities():
 
 def test_probability_vector_ch_angles():
     angles = parse_angles(CH_ANGLES, C22)
-    vec = probability_vector(builtin_model("singlet"), C22, angles)
+    vec = probability_vector(builtin_model("singlet"), angles)
     expected = (0.5, 0.5, 0.5, 0.5, 3 / 8, 0.0, 3 / 8, 3 / 8)
     assert tuple(vec) == pytest.approx(expected, abs=1e-12)
 
 
 def test_probability_vector_uniform_2_2():
     angles = AngleAssignment.constant(C22, ((0.0, 1.0), (2.0, 3.0)))
-    vec = probability_vector(builtin_model("uniform"), C22, angles)
+    vec = probability_vector(builtin_model("uniform"), angles)
     assert tuple(vec) == (0.5, 0.5, 0.5, 0.5, 0.25, 0.25, 0.25, 0.25)
 
 
 def test_probability_vector_ghz3_zero_angles():
     angles = AngleAssignment.constant(C32, ((0, 0), (0, 0), (0, 0)))
-    vec = tuple(probability_vector(builtin_model("ghz3"), C32, angles))
+    vec = tuple(probability_vector(builtin_model("ghz3"), angles))
     assert vec[:6] == (0.5,) * 6
     assert vec[6:18] == (0.25,) * 12
     assert vec[18:] == pytest.approx((1 / 8,) * 8)
@@ -100,8 +100,8 @@ def test_probability_vector_ghz3_zero_angles():
 def test_probability_vector_free_variable_errors():
     angles = parse_angles("x,0;0,0", C22)
     with pytest.raises(ValueError):
-        probability_vector(builtin_model("singlet"), C22, angles)
-    vec = probability_vector(builtin_model("singlet"), C22, angles, x=0.5)
+        probability_vector(builtin_model("singlet"), angles)
+    vec = probability_vector(builtin_model("singlet"), angles, x=0.5)
     assert len(vec) == 8
 
 
@@ -134,7 +134,7 @@ def test_scan_uniform_model_never_violates(hull_2_2, hull_2_3):
             config, tuple((0.0,) * m for m in config.settings)
         )
         assert scan_violations(h, uniform, angles=angles) == []
-        vec = probability_vector(uniform, config, angles)
+        vec = probability_vector(uniform, angles)
         exact = ProbabilityVector(
             tuple(Fraction(v).limit_denominator(2**10) for v in vec), config
         )
@@ -307,7 +307,7 @@ def test_grid_symmetry_and_diagonal(hull_2_2):
         # diagonal of the grid equals pointwise evaluation with y = x
         n = len(grid.xs)
         for i, x in enumerate(grid.xs):
-            direct = probability_vector(model, C22, angles, x=x, y=x)
+            direct = probability_vector(model, angles, x=x, y=x)
             ineq = grid.inequality
             f = sum(c * p for c, p in zip(ineq.coefficients, direct)) - ineq.rhs
             assert grid.values[i * n + i] == pytest.approx(f, abs=1e-12)
