@@ -289,15 +289,17 @@ def write_curve_csv(curves: Sequence[CurveSamples], path) -> Path:
 
 
 def write_grid_csv(grid: GridSamples, path) -> Path:
-    """Long form ``x,y,f`` rows, x fastest."""
+    """Long form ``x,y,f`` rows, x fastest.
+
+    The bytes are those of ``csv.writer`` with ``"\n"`` line ends, which
+    writes a float as its ``repr``, the same text as ``str``.
+    """
     path = Path(path)
+    xs = [f"{x}," for x in grid.xs]
+    prefixes = [x + y for y in [f"{y}," for y in grid.ys] for x in xs]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["x", "y", "f"])
-        nx = len(grid.xs)
-        for iy, y in enumerate(grid.ys):
-            for ix, x in enumerate(grid.xs):
-                writer.writerow([x, y, grid.values[iy * nx + ix]])
+        fh.write("x,y,f\n")
+        fh.write("".join([f"{p}{v}\n" for p, v in zip(prefixes, grid.values)]))
     return path
 
 
@@ -376,30 +378,28 @@ def curves_svg(curves: Sequence[CurveSamples]) -> str:
 def grid_svg(grid: GridSamples) -> str:
     """Grayscale cell grid; darker cells mark stronger violation."""
     margin = 40
-    cell = max(2, 400 // max(len(grid.xs), len(grid.ys)))
-    width = 2 * margin + cell * len(grid.xs)
-    height = 2 * margin + cell * len(grid.ys)
+    nx, ny = len(grid.xs), len(grid.ys)
+    cell = max(2, 400 // max(nx, ny))
+    width = 2 * margin + cell * nx
+    height = 2 * margin + cell * ny
     f_max = max(grid.values)
+    if f_max > 0:
+        levels = [round(255 * (1 - f / f_max)) if f > 0 else 255
+                  for f in grid.values]
+    else:
+        levels = [255] * len(grid.values)
+    fills = [f'{v:02x}{v:02x}{v:02x}"/>' for v in range(256)]
+    heads = [f'<rect x="{margin + ix * cell}" y="' for ix in range(nx)]
+    tail = f'" width="{cell}" height="{cell}" fill="#'
     out = _svg_header(width, height)
-    nx = len(grid.xs)
-    for iy in range(len(grid.ys)):
-        for ix in range(nx):
-            f = grid.values[iy * nx + ix]
-            if f > 0 and f_max > 0:
-                level = int(round(255 * (1 - f / f_max)))
-            else:
-                level = 255
-            fill = f"#{level:02x}{level:02x}{level:02x}"
-            # y axis points up: last sample row sits at the top
-            x0 = margin + ix * cell
-            y0 = margin + (len(grid.ys) - 1 - iy) * cell
-            out.append(
-                f'<rect x="{x0}" y="{y0}" width="{cell}" height="{cell}" '
-                f'fill="{fill}"/>'
-            )
+    for iy in range(ny):
+        # y axis points up: last sample row sits at the top
+        y_tail = f"{margin + (ny - 1 - iy) * cell}{tail}"
+        out += [head + y_tail + fills[level]
+                for head, level in zip(heads, levels[iy * nx:(iy + 1) * nx])]
     out.append(
         f'<rect x="{margin}" y="{margin}" width="{cell * nx}" '
-        f'height="{cell * len(grid.ys)}" fill="none" stroke="black"/>'
+        f'height="{cell * ny}" fill="none" stroke="black"/>'
     )
     out.append(
         f'<text x="{margin}" y="{height - margin + 16}" font-size="11">'

@@ -400,5 +400,5 @@ def verify_facet(row: Sequence[NumberLike], vrep: VRepresentation) -> FacetRepor
         elif value == 0:
             tight.append(g)
     is_facet = (valid and bool(tight)
-                and integer_rank(tight) == integer_rank(gens) - 1)
+                and integer_rank(tight) == vrep.rank - 1)
     return FacetReport(valid=valid, tight_count=len(tight), is_facet=is_facet)

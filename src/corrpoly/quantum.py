@@ -220,22 +220,41 @@ def _violated(selected: list[tuple[int, Inequality]],
     """``(row, inequality, values)`` for the rows whose largest value of
     ``sum(c_e p_e) - rhs`` over ``vectors`` exceeds the threshold.
 
-    Terms are summed in event order, so exact vectors give exact values.
-    A NaN threshold would compare false against every value and hide all
-    violations, so it is rejected.
+    The vectors are transposed into one column per event, ``p_e`` over all
+    vectors, and each scaled column ``c * p_e`` is built once and shared by
+    every row with coefficient ``c`` on event ``e`` (``1 * p_e`` is the
+    column itself).  A row is then summed over all vectors at once, with
+    ``sum`` over the zipped columns: per vector this adds the same terms
+    ``c_e p_e`` in event order, starting from the int 0, as a plain loop
+    would, so floats are bit-identical (``0 + -0.0`` is ``0.0``) and exact
+    vectors give exact values.
+
+    A first pass keeps the rows whose largest sum minus ``rhs`` exceeds the
+    cut (subtracting a constant is monotone, so these are the same rows);
+    only those rows get their ``values`` built.  A NaN threshold would
+    compare false against every value and hide all violations, so it is
+    rejected.
     """
     if math.isnan(threshold):
         raise ValueError("threshold must be a number, not NaN")
     cut = threshold + VIOLATION_EPS
-    vectors = [vec.values for vec in vectors]
-    out = []
-    for row, ineq in selected:
-        terms = [(k, c) for k, c in enumerate(ineq.coefficients) if c]
-        values = tuple([sum([c * vec[k] for k, c in terms]) - ineq.rhs
-                        for vec in vectors])
-        if max(values) > cut:
-            out.append((row, ineq, values))
-    return out
+    columns = list(zip(*[vec.values for vec in vectors]))
+    scaled = [{1: col} for col in columns]  # scaled[e][c] is c * p_e
+
+    def sums(ineq: Inequality):
+        terms = []
+        for k, c in enumerate(ineq.coefficients):
+            if c:
+                col = scaled[k].get(c)
+                if col is None:
+                    col = scaled[k][c] = [c * p for p in columns[k]]
+                terms.append(col)
+        return map(sum, zip(*terms))
+
+    kept = [(row, ineq) for row, ineq in selected
+            if max(sums(ineq)) - ineq.rhs > cut]
+    return [(row, ineq, tuple([s - ineq.rhs for s in sums(ineq)]))
+            for row, ineq in kept]
 
 
 def scan_probability_vector(
@@ -343,9 +362,6 @@ def sample_violation_grid(
     threshold: float = 0.0,
 ) -> list[GridSamples]:
     """Two-variable analogue of ``sample_violation_curve``."""
-    extra = angles.free_variables - {"x", "y"}
-    if extra:
-        raise ValueError(f"unexpected free variables {sorted(extra)}")
     selected = select_inequalities(source, angles.config, rows)
     xs = _linspace(*x_range, samples_x)
     ys = _linspace(*y_range, samples_y)

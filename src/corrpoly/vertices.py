@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .core import (
@@ -12,6 +13,7 @@ from .core import (
     enumerate_events,
     event_count,
 )
+from .linalg import clear_to_int, integer_rank
 
 #: Refuse to materialize truth tables larger than this unless overridden.
 DEFAULT_VERTEX_CAP = 2**24
@@ -47,6 +49,11 @@ class VRepresentation:
         """cdd generator rows: ``(1, v)`` per vertex, then ``(0, r)`` per ray."""
         return (tuple((1,) + tuple(v) for v in self.vertices)
                 + tuple((0,) + tuple(r) for r in self.rays))
+
+    @cached_property
+    def rank(self) -> int:
+        """Rank of the ``homogenized`` rows, computed once per representation."""
+        return integer_rank([clear_to_int(g) for g in self.homogenized])
 
 
 def vertex_for_assignment(

@@ -1,3 +1,6 @@
+import csv
+import dataclasses
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -23,6 +26,7 @@ from corrpoly import (
 )
 from corrpoly.core import ParseError
 from corrpoly.io import (
+    grid_svg,
     parse_polyhedra_file,
     write_curve_csv,
     write_grid_csv,
@@ -353,6 +357,51 @@ def test_grid_csv_cell_count(tmp_path, hull_2_2):
     lines = path.read_text().splitlines()
     assert lines[0] == "x,y,f"
     assert len(lines) == 1 + 7 * 5
+
+
+def test_grid_csv_matches_csv_writer(tmp_path, hull_2_2):
+    config = Configuration.uniform(2, 2)
+    grid = sample_violation_grid(
+        hull_2_2,
+        builtin_model("singlet"),
+        angles=parse_angles("x,0;0,y", config),
+        samples_x=7,
+        samples_y=5,
+    )[0]
+    odd = (-0.0, 1e-300, 1 / 3, 1.5e16, float("inf"), Fraction(1, 3), 0, -2.5)
+    for values in (grid.values, odd * 4 + (0.1, 0.2, 0.3)):
+        sample = dataclasses.replace(grid, values=values)
+        with open(tmp_path / "oracle.csv", "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["x", "y", "f"])
+            for iy, y in enumerate(sample.ys):
+                for ix, x in enumerate(sample.xs):
+                    writer.writerow([x, y, sample.values[iy * len(sample.xs) + ix]])
+        got = write_grid_csv(sample, tmp_path / "grid.csv").read_bytes()
+        assert got == (tmp_path / "oracle.csv").read_bytes()
+
+
+@pytest.mark.parametrize("layout,angles,samples,row,digest", [
+    ((2, 2), "x,0;0,y", 9, 18,
+     "069c2e4e632f997952873e43af1b60589f4d5330fd72a004a8a37f60628c32a5"),
+    ((2, 3), "x,0,2pi/3;0,y,4pi/3", 41, 22,
+     "5cf4900fa04a4784c732935a1f81ba7a542bcb1f742867bf84b5c5189759d321"),
+])
+def test_grid_svg_bytes_pinned(hull_2_2, hull_2_3, layout, angles, samples, row, digest):
+    config = Configuration.uniform(*layout)
+    hrep = hull_2_2 if layout == (2, 2) else hull_2_3
+    (grid,) = sample_violation_grid(
+        hrep,
+        builtin_model("singlet"),
+        angles=parse_angles(angles, config),
+        samples_x=samples,
+        samples_y=samples,
+        rows=(row, row),
+    )
+    assert hashlib.sha256(grid_svg(grid).encode()).hexdigest() == digest
+    # a grid with no violation renders every cell white
+    calm = grid_svg(dataclasses.replace(grid, values=tuple(-abs(v) for v in grid.values)))
+    assert calm.count('fill="#ffffff"') == samples * samples
 
 
 def test_svg_outputs(tmp_path, hull_2_2):

@@ -358,6 +358,7 @@ def test_verify_facet_lower_dimensional():
     # a single point has no facets, as hull reports none
     point = VRepresentation(3, ((1, 2, 3),))
     assert not verify_facet((1, 0, 0, 0), point).is_facet
+    assert (tri.rank, point.rank) == (3, 1)  # affine hull dimension plus one
 
 def test_verify_facet_dimension_mismatch(config_2_2):
     with pytest.raises(ValueError):

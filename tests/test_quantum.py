@@ -313,6 +313,55 @@ def test_grid_symmetry_and_diagonal(hull_2_2):
             assert grid.values[i * n + i] == pytest.approx(f, abs=1e-12)
 
 
+def event_order_value(ineq, vec):
+    """``sum(c_e p_e) - rhs`` over the nonzero terms, one event at a time."""
+    return sum(c * p for c, p in zip(ineq.coefficients, vec) if c) - ineq.rhs
+
+
+def test_grid_and_curve_bit_identical_to_event_order_loop(hull_2_3):
+    model = builtin_model("singlet")
+    angles = parse_angles("x,0,2pi/3;0,y,4pi/3", C23)
+    grids = sample_violation_grid(hull_2_3, model, angles=angles,
+                                  samples_x=9, samples_y=7, threshold=-100.0)
+    assert len(grids) == 684
+    vectors = [probability_vector(model, angles, x=x, y=y)
+               for y in grids[0].ys for x in grids[0].xs]
+    for grid in grids:
+        expected = [event_order_value(grid.inequality, v) for v in vectors]
+        # float.hex tells -0.0 from 0.0, which == would not
+        assert [v.hex() for v in grid.values] == [e.hex() for e in expected]
+
+    angles = parse_angles("x,0,2pi/3;0,2pi/3,4pi/3", C23)
+    curves = sample_violation_curve(hull_2_3, model, angles=angles,
+                                    samples=17, threshold=-100.0)
+    assert len(curves) == 684
+    vectors = [probability_vector(model, angles, x=x) for x in curves[0].xs]
+    for curve in curves:
+        expected = [event_order_value(curve.inequality, v) for v in vectors]
+        assert [v.hex() for v in curve.values] == [e.hex() for e in expected]
+
+
+def test_exact_vector_gives_exact_amounts(hull_2_3):
+    # singlet at the symmetric setting: pairs 0 on equal settings, else 3/8
+    floats = probability_vector(
+        builtin_model("singlet"),
+        parse_angles("0,2pi/3,4pi/3;0,2pi/3,4pi/3", C23),
+    )
+    exact = ProbabilityVector(tuple(Fraction(round(8 * p), 8) for p in floats), C23)
+    reports = scan_probability_vector(hull_2_3, exact)
+    assert all(type(r.amount) is Fraction for r in reports)
+    assert sorted(r.amount for r in reports) == [Fraction(1, 8)] * 6 + [Fraction(1, 4)] * 6
+
+
+def test_negative_zero_terms_sum_to_positive_zero():
+    # equal angles make p_a1b1 = p_a2b2 = 0.0, so every term is -1 * 0.0
+    ineq = parse_text("-a1b1 - a2b2 <= 0", C22)
+    curves = sample_violation_curve([ineq], builtin_model("singlet"),
+                                    angles=parse_angles("x,0;x,0", C22),
+                                    samples=5, threshold=-1.0)
+    assert [v.hex() for v in curves[0].values] == [(0.0).hex()] * 5
+
+
 def test_constant_angles_give_constant_curves(hull_2_2):
     angles = parse_angles(CH_ANGLES, C22)
     curves = sample_violation_curve(
