@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 from .core import NumberLike, as_rational
@@ -17,7 +18,7 @@ IntVec = tuple[int, ...]
 
 
 def dot(u: Sequence[int], v: Sequence[int]) -> int:
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def primitive(vec: Iterable[int]) -> IntVec:

@@ -74,6 +74,28 @@ class FacetReport:
     is_facet: bool
 
 
+#: Ray ids are renumbered densely once dead ids outnumber live ones by this
+#: factor, which bounds the column bitsets by a constant times the ray count.
+_DEAD_ID_FACTOR = 2
+
+
+def _id_set(ids: Iterable[int]) -> int:
+    """Bit set of distinct ids."""
+    return sum(1 << i for i in ids)
+
+
+def _transpose(ids: Iterable[int], active: Iterable[int], n_rows: int) -> list[int]:
+    """Per row, the bit set of the ids whose ``active`` set holds that row."""
+    cols = [0] * n_rows
+    for i, a in zip(ids, active):
+        b = 1 << i
+        while a:
+            low = a & -a
+            cols[low.bit_length() - 1] |= b
+            a ^= low
+    return cols
+
+
 class DDPair:
     """Mutable double description state over an ambient cone dimension.
 
@@ -81,9 +103,17 @@ class DDPair:
     where ``rays`` are exactly the extreme rays modulo the lineality space
     of the cone cut out by the processed rows, and ``active[i]`` is the
     bit set of processed rows tight at ``rays[i]``.
+
+    The same incidences are kept transposed for the adjacency test: ray
+    ``rays[i]`` has the integer id ``ids[i]``, ``alive`` is the bit set of
+    the ids in ``ids``, and ``cols[k] & alive`` is exactly the bit set of
+    the ids of the rays tight on ``rows[k]``.  Ids are never reused until
+    a renumbering rebuilds ``cols`` from ``active``, so a column may still
+    hold dead ids, which ``alive`` masks out.
     """
 
-    __slots__ = ("dimension", "rows", "rays", "active", "lineality", "debug")
+    __slots__ = ("dimension", "rows", "rays", "active", "lineality", "debug",
+                 "ids", "cols", "alive", "next_id")
 
     def __init__(self, dimension: int, debug: bool = False):
         if dimension < 1:
@@ -97,6 +127,10 @@ class DDPair:
             for i in range(dimension)
         ]
         self.debug = debug
+        self.ids: list[int] = []
+        self.cols: list[int] = []
+        self.alive = 0
+        self.next_id = 0
 
     def insert(self, row: Sequence[NumberLike], equality: bool = False,
                ray_cap: int | None = DEFAULT_RAY_CAP) -> None:
@@ -110,28 +144,40 @@ class DDPair:
         hit = next((i for i, p in enumerate(lin_prods) if p), None)
         if hit is not None:
             self._consume_lineality(row, hit, lin_prods, equality)
-            return
+        else:
+            self._split(row, equality)
+        if self.next_id > (_DEAD_ID_FACTOR + 1) * len(self.rays):
+            self._renumber()
+        if self.debug:
+            self._check_columns()
+        if ray_cap is not None and len(self.rays) > ray_cap:
+            raise CapacityError(
+                f"intermediate ray count {len(self.rays)} exceeds cap {ray_cap}"
+            )
 
+    def _split(self, row: IntVec, equality: bool) -> None:
         k = len(self.rows)
         bit = 1 << k
         rays = self.rays
         active = self.active
+        ids = self.ids
         vals = [dot(row, r) for r in rays]
         pos_i = [i for i, v in enumerate(vals) if v > 0]
         neg_i = [i for i, v in enumerate(vals) if v < 0]
+        self.rows.append(row)
+        self.cols.append(_id_set(ids[i] for i, v in enumerate(vals) if v == 0))
 
         if not neg_i and not (equality and pos_i):
             # Implied constraint: only tightness bookkeeping changes.
             for i, v in enumerate(vals):
                 if v == 0:
                     active[i] |= bit
-            self.rows.append(row)
             return
 
         new_rays: list[IntVec] = []
         new_active: list[int] = []
         if pos_i and neg_i:
-            self._combine_pairs(row, vals, pos_i, neg_i, bit, new_rays, new_active)
+            self._combine_pairs(vals, pos_i, neg_i, bit, new_rays, new_active)
 
         keep = []
         for i, v in enumerate(vals):
@@ -143,11 +189,17 @@ class DDPair:
         self.active = [active[i] | bit if vals[i] == 0 else active[i] for i in keep]
         self.rays.extend(new_rays)
         self.active.extend(new_active)
-        self.rows.append(row)
-        if ray_cap is not None and len(self.rays) > ray_cap:
-            raise CapacityError(
-                f"intermediate ray count {len(self.rays)} exceeds cap {ray_cap}"
-            )
+
+        # Each new ray's id joins the columns of its tight rows, this one's
+        # included; the dropped rays' ids leave ``alive``.
+        new_ids = range(self.next_id, self.next_id + len(new_rays))
+        joined = _transpose(new_ids, new_active, k + 1)
+        self.cols = [c | t for c, t in zip(self.cols, joined)]
+        dropped = neg_i + pos_i if equality else neg_i
+        self.alive = (self.alive & ~_id_set(ids[i] for i in dropped)) | _id_set(new_ids)
+        self.ids = [ids[i] for i in keep]
+        self.ids.extend(new_ids)
+        self.next_id = new_ids.stop
 
     def _consume_lineality(self, row: IntVec, hit: int,
                            lin_prods: list[int], equality: bool) -> None:
@@ -175,39 +227,56 @@ class DDPair:
             projected.append(primitive(s * a - v * b for a, b in zip(r, l0)) if v else r)
         self.rays = projected
         self.active = [a | bit for a in self.active]
+        self.cols.append(self.alive)  # every ray is tight on the new row
         if not equality:
             self.rays.append(l0)
             self.active.append(bit - 1)  # tight on every previous row, not this one
+            b = 1 << self.next_id
+            self.cols[:k] = [c | b for c in self.cols[:k]]
+            self.ids.append(self.next_id)
+            self.alive |= b
+            self.next_id += 1
         self.rows.append(row)
 
-    def _combine_pairs(self, row: IntVec, vals: list[int],
-                       pos_i: list[int], neg_i: list[int], bit: int,
-                       new_rays: list[IntVec], new_active: list[int]) -> None:
+    def _renumber(self) -> None:
+        n = len(self.rays)
+        self.ids = list(range(n))
+        self.cols = _transpose(self.ids, self.active, len(self.rows))
+        self.alive = (1 << n) - 1
+        self.next_id = n
+
+    def _combine_pairs(self, vals: list[int], pos_i: list[int], neg_i: list[int],
+                       bit: int, new_rays: list[IntVec],
+                       new_active: list[int]) -> None:
+        # A pair with enough common tight rows is adjacent iff no other ray
+        # is tight on all of them: ANDing the live columns of the common
+        # rows leaves exactly the pair's own two ids.  Those two are in
+        # every such column, so the AND can stop once nothing else is left.
         rays = self.rays
         active = self.active
+        cols = self.cols
+        alive = self.alive
         need = self.dimension - len(self.lineality) - 2
         if need < 0:
             need = 0
-        counts = [a.bit_count() for a in active]
-        scan = sorted(range(len(rays)), key=lambda j: -counts[j])
+        neg = [(im, 1 << self.ids[im]) for im in neg_i]
         for ip in pos_i:
             ap = active[ip]
             vp = vals[ip]
             rp = rays[ip]
-            for im in neg_i:
+            bp = 1 << self.ids[ip]
+            for im, bm in neg:
                 common = ap & active[im]
-                c_count = common.bit_count()
-                if c_count < need:
+                if common.bit_count() < need:
                     continue
-                adjacent = True
-                for j in scan:
-                    if counts[j] < c_count:
-                        break  # sorted descending: no superset further on
-                    if j == ip or j == im:
-                        continue
-                    if active[j] & common == common:
-                        adjacent = False
-                        break
+                own = bp | bm
+                tight = alive
+                c = common
+                while c and tight != own:
+                    low = c & -c
+                    tight &= cols[low.bit_length() - 1]
+                    c ^= low
+                adjacent = tight == own
                 if self.debug:
                     self._check_adjacency(common, adjacent)
                 if adjacent:
@@ -225,6 +294,14 @@ class DDPair:
             raise AssertionError(
                 "combinatorial and algebraic adjacency tests disagree"
             )
+
+    def _check_columns(self) -> None:
+        alive = _id_set(self.ids)
+        if (len(self.ids) != len(self.rays) or len(set(self.ids)) != len(self.ids)
+                or alive != self.alive
+                or [c & alive for c in self.cols]
+                != _transpose(self.ids, self.active, len(self.rows))):
+            raise AssertionError("incidence columns are not the transpose of active")
 
 
 #: Sort keys of the static insertion orders; ``random:SEED`` is the other.

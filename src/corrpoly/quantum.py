@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
 from .core import Configuration, ParseError, ProbabilityVector, enumerate_events
@@ -167,11 +168,16 @@ def probability_vector(model: ProbabilityModel, angles: AngleAssignment,
     if "y" in free and y is None:
         raise ValueError("angle assignment has a free variable y; pass y=")
     concrete = angles.evaluated(x or 0.0, y or 0.0)
-    values = []
-    for ev in enumerate_events(angles.config):
-        tup = tuple(concrete[p][s] for p, s in zip(ev.particles, ev.choices))
-        values.append(model.probability(tup))
-    return ProbabilityVector(tuple(values), angles.config)
+    values = tuple(model.probability(tuple(concrete[p][s] for p, s in slots))
+                   for slots in _event_slots(angles.config))
+    return ProbabilityVector(values, angles.config)
+
+
+@lru_cache(maxsize=32)
+def _event_slots(config: Configuration) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The ``(particle, setting)`` pairs of each canonical event, in order."""
+    return tuple(tuple(zip(ev.particles, ev.choices))
+                 for ev in enumerate_events(config))
 
 
 @dataclass(frozen=True)

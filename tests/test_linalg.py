@@ -14,6 +14,17 @@ from corrpoly.linalg import (
 from oracles import frac_rank
 
 
+def test_dot():
+    assert dot((3, -2, 5), (-1, 4, 2)) == -3 - 8 + 10
+    big = 2**64 + 7
+    assert dot((big, -big), (big, 3)) == big * big - 3 * big
+    assert type(dot((big, 1), (-big, 1))) is int
+    out = dot((), ())
+    assert out == 0 and type(out) is int
+    out = dot((Fraction(1, 3), Fraction(-1, 2)), (Fraction(3, 4), 5))
+    assert out == Fraction(-9, 4) and type(out) is Fraction
+
+
 def test_primitive():
     assert primitive((2, 4, -6)) == (1, 2, -3)
     assert primitive((0, 0, 0)) == (0, 0, 0)

@@ -100,6 +100,28 @@ def test_random_cones_match_brute_force():
         assert cone_signature(pair) == brute_force_cone(rows, dim), rows
 
 
+def test_random_polytope_cones_renumber_ray_ids():
+    # Long insertion runs into a pointed cone retire many rays, so dead ids
+    # come to outnumber live ones and get renumbered along the way;
+    # debug=True checks the incidence columns against `active` after every
+    # insert.
+    rng = random.Random(2718)
+    renumbered = 0
+    for trial in range(3):
+        rows = [(1, 0, 0, 0)] + [
+            (rng.randint(3, 9),) + tuple(rng.randint(-3, 3) for _ in range(3))
+            for _ in range(18)
+        ]
+        pair = DDPair(4, debug=True)
+        for r in rows:
+            before = pair.next_id
+            pair.insert(r)
+            renumbered += pair.next_id < before
+        assert pair.rays
+        assert cone_signature(pair) == brute_force_cone(rows, 4), rows
+    assert renumbered
+
+
 # --------------------------------------------------------------------- hull
 
 def test_urn_hull_exact_facets():
