@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import CapacityError, Configuration, NumberLike
 from .linalg import (
@@ -252,24 +252,31 @@ class DDPair:
         # is tight on all of them: ANDing the live columns of the common
         # rows leaves exactly the pair's own two ids.  Those two are in
         # every such column, so the AND can stop once nothing else is left.
+        # Only the partners that ``_partners`` finds for the rays of the
+        # smaller side are tested.  The adjacent pairs are combined in
+        # ``(pos, neg)`` order, so the new rays and their ids do not depend
+        # on which side drives.
         rays = self.rays
         active = self.active
+        ids = self.ids
         cols = self.cols
         alive = self.alive
-        need = self.dimension - len(self.lineality) - 2
-        if need < 0:
-            need = 0
-        neg = [(im, 1 << self.ids[im]) for im in neg_i]
-        for ip in pos_i:
-            ap = active[ip]
-            vp = vals[ip]
-            rp = rays[ip]
-            bp = 1 << self.ids[ip]
-            for im, bm in neg:
-                common = ap & active[im]
-                if common.bit_count() < need:
-                    continue
-                own = bp | bm
+        debug = self.debug
+        need = max(self.dimension - len(self.lineality) - 2, 0)
+        flip = len(neg_i) < len(pos_i)
+        drive, other = (neg_i, pos_i) if flip else (pos_i, neg_i)
+        index = {ids[i]: i for i in other}
+        adjacent_pairs = []
+        candidates = []
+        for d, hit in self._partners(drive, need):
+            a = active[d]
+            bd = 1 << ids[d]
+            while hit:
+                bo = hit & -hit
+                hit ^= bo
+                o = index[bo.bit_length() - 1]
+                common = a & active[o]
+                own = bd | bo
                 tight = alive
                 c = common
                 while c and tight != own:
@@ -277,15 +284,69 @@ class DDPair:
                     tight &= cols[low.bit_length() - 1]
                     c ^= low
                 adjacent = tight == own
-                if self.debug:
+                if debug:
                     self._check_adjacency(common, adjacent)
+                    candidates.append((o, d) if flip else (d, o))
                 if adjacent:
-                    vm = vals[im]
-                    rm = rays[im]
-                    new_rays.append(
-                        primitive(vp * a - vm * b for a, b in zip(rm, rp))
-                    )
-                    new_active.append(common | bit)
+                    adjacent_pairs.append((o, d, common) if flip else (d, o, common))
+        if debug:
+            self._check_candidates(pos_i, neg_i, need, sorted(candidates))
+        adjacent_pairs.sort()
+        for ip, im, common in adjacent_pairs:
+            vp = vals[ip]
+            vm = vals[im]
+            new_rays.append(
+                primitive(vp * a - vm * b for a, b in zip(rays[im], rays[ip]))
+            )
+            new_active.append(common | bit)
+
+    def _partners(self, drive: list[int], need: int) -> Iterator[tuple[int, int]]:
+        """Count filter of a split whose new row's column is ``cols[-1]``.
+
+        For each ray index ``d`` of ``drive`` (one sign side), yields ``d``
+        and the bit set of the ids of the rays on the other sign side that
+        share at least ``need`` tight rows with it, skipping empty sets.
+        """
+        ids = self.ids
+        active = self.active
+        cols = self.cols
+        # alive = drive + other side + zero rays, and cols[-1] holds the
+        # zero rays' ids.
+        others = self.alive ^ cols[-1] ^ _id_set(ids[i] for i in drive)
+        if need == 0:
+            for d in drive:
+                yield d, others
+            return
+        # A saturating counter, bit-sliced over the other side's ids: plane
+        # j holds bit j of every lane's count.  Invariant: a lane in ``live``
+        # reads 2**w - need plus the number of the drive ray's rows walked
+        # so far that it is tight on.  Its count reaching ``need`` is a
+        # carry out of the top plane, which moves it from ``live`` to
+        # ``hit``; its planes wrap to 0 but no longer count.
+        w = need.bit_length()
+        start = [others if (2 ** w - need) >> j & 1 else 0 for j in range(w)]
+        for d in drive:
+            a = active[d]
+            if a.bit_count() < need:
+                continue
+            planes = start.copy()
+            live = others
+            hit = 0
+            while a and live:
+                low = a & -a
+                a ^= low
+                carry = cols[low.bit_length() - 1] & live
+                for j in range(w):
+                    p = planes[j]
+                    planes[j] = p ^ carry
+                    carry &= p
+                    if not carry:
+                        break
+                else:
+                    live ^= carry
+                    hit |= carry
+            if hit:
+                yield d, hit
 
     def _check_adjacency(self, common: int, combinatorial: bool) -> None:
         tight = [row for i, row in enumerate(self.rows) if common >> i & 1]
@@ -294,6 +355,14 @@ class DDPair:
             raise AssertionError(
                 "combinatorial and algebraic adjacency tests disagree"
             )
+
+    def _check_candidates(self, pos_i: list[int], neg_i: list[int], need: int,
+                          candidates: list[tuple[int, int]]) -> None:
+        active = self.active
+        expected = [(ip, im) for ip in pos_i for im in neg_i
+                    if (active[ip] & active[im]).bit_count() >= need]
+        if candidates != expected:
+            raise AssertionError("count filter disagrees with the pairwise count")
 
     def _check_columns(self) -> None:
         alive = _id_set(self.ids)

@@ -122,6 +122,64 @@ def test_random_polytope_cones_renumber_ray_ids():
     assert renumbered
 
 
+def test_pair_filter_matches_brute_count(monkeypatch):
+    # The count filter must yield, for each ray of the side that drives it,
+    # exactly the rays of the other sign side sharing at least `need` tight
+    # rows with it, as the plain pairwise count finds them.  Covered: need 0
+    # (dimension 2), ids left sparse after a renumbering, and either side
+    # being the smaller one that drives.
+    original = DDPair._partners
+    current = {}
+    seen = set()
+
+    def checked(pair, drive, need):
+        row = current["row"]
+        vals = [sum(a * b for a, b in zip(row, r)) for r in pair.rays]
+        positive = vals[drive[0]] > 0
+        other = [i for i, v in enumerate(vals) if v and (v > 0) != positive]
+        active = pair.active
+        expected = {}
+        for d in drive:
+            hit = sum(1 << pair.ids[o] for o in other
+                      if (active[d] & active[o]).bit_count() >= need)
+            if hit:
+                expected[d] = hit
+        got = list(original(pair, drive, need))
+        assert got == list(expected.items())
+        assert need == max(pair.dimension - len(pair.lineality) - 2, 0)
+        assert len(drive) <= len(other)
+        seen.add("need 0" if need == 0 else "need > 0")
+        seen.add("positive drives" if positive else "negative drives")
+        if current["renumbered"] and any(c & ~pair.alive for c in pair.cols):
+            seen.add("dead ids after renumbering")
+        return iter(got)
+
+    monkeypatch.setattr(DDPair, "_partners", checked)
+    rng = random.Random(4242)
+    for trial in range(44):
+        dim = 2 if trial < 20 else rng.randint(3, 5)
+        if trial < 40:
+            rows = [tuple(rng.randint(-3, 3) for _ in range(dim))
+                    for _ in range(rng.randint(3, 10))]
+            rows = [r for r in rows if any(r)]
+        else:  # long polytope runs, which renumber the ray ids
+            dim = 4
+            rows = [(1, 0, 0, 0)] + [
+                (rng.randint(3, 9),) + tuple(rng.randint(-3, 3) for _ in range(3))
+                for _ in range(18)
+            ]
+        pair = DDPair(dim)
+        current["renumbered"] = False
+        for r in rows:
+            current["row"] = r
+            before = pair.next_id
+            pair.insert(r)
+            current["renumbered"] |= pair.next_id < before
+        assert cone_signature(pair) == brute_force_cone(rows, dim), rows
+    assert seen == {"need 0", "need > 0", "positive drives", "negative drives",
+                    "dead ids after renumbering"}
+
+
 # --------------------------------------------------------------------- hull
 
 def test_urn_hull_exact_facets():
