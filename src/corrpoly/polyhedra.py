@@ -84,10 +84,10 @@ def _id_set(ids: Iterable[int]) -> int:
     return sum(1 << i for i in ids)
 
 
-def _transpose(ids: Iterable[int], active: Iterable[int], n_rows: int) -> list[int]:
-    """Per row, the bit set of the ids whose ``active`` set holds that row."""
+def _transpose(active: Iterable[tuple[int, int]], n_rows: int) -> list[int]:
+    """Per row, the bit set of the ids of the ``(id, tight rows)`` pairs holding it."""
     cols = [0] * n_rows
-    for i, a in zip(ids, active):
+    for i, a in active:
         b = 1 << i
         while a:
             low = a & -a
@@ -101,36 +101,46 @@ class DDPair:
 
     Invariant: the represented cone is ``span(lineality) + cone(rays)``
     where ``rays`` are exactly the extreme rays modulo the lineality space
-    of the cone cut out by the processed rows, and ``active[i]`` is the
-    bit set of processed rows tight at ``rays[i]``.
+    of the cone cut out by the processed rows.
 
-    The same incidences are kept transposed for the adjacency test: ray
-    ``rays[i]`` has the integer id ``ids[i]``, ``alive`` is the bit set of
-    the ids in ``ids``, and ``cols[k] & alive`` is exactly the bit set of
-    the ids of the rays tight on ``rows[k]``.  Ids are never reused until
-    a renumbering rebuilds ``cols`` from ``active``, so a column may still
-    hold dead ids, which ``alive`` masks out.
+    The rays are keyed by an integer id: ``_rays[i]`` is ray ``i`` and
+    ``_active[i]`` the bit set of the processed rows tight at it, both in
+    ascending id order, which is creation order.  The same incidences are
+    kept transposed for the adjacency test: ``alive`` is the bit set of the
+    keys of ``_rays`` and ``cols[k] & alive`` is exactly the bit set of the
+    ids of the rays tight on ``rows[k]``.  Ids are never reused until
+    ``_renumber`` rebuilds ``_rays``, ``_active`` and ``cols`` densely, so a
+    column may still hold dead ids, which ``alive`` masks out.
     """
 
-    __slots__ = ("dimension", "rows", "rays", "active", "lineality", "debug",
-                 "ids", "cols", "alive", "next_id")
+    __slots__ = ("dimension", "rows", "_rays", "_active", "lineality", "debug",
+                 "cols", "alive", "next_id")
 
     def __init__(self, dimension: int, debug: bool = False):
         if dimension < 1:
             raise ValueError("cone dimension must be positive")
         self.dimension = dimension
         self.rows: list[IntVec] = []
-        self.rays: list[IntVec] = []
-        self.active: list[int] = []
+        self._rays: dict[int, IntVec] = {}
+        self._active: dict[int, int] = {}
         self.lineality: list[IntVec] = [
             tuple(1 if j == i else 0 for j in range(dimension))
             for i in range(dimension)
         ]
         self.debug = debug
-        self.ids: list[int] = []
         self.cols: list[int] = []
         self.alive = 0
         self.next_id = 0
+
+    @property
+    def rays(self) -> list[IntVec]:
+        """The extreme rays in id order: kept rays first, then new ones."""
+        return list(self._rays.values())
+
+    @property
+    def active(self) -> list[int]:
+        """The tight-row bit set of each ray of ``rays``, in the same order."""
+        return list(self._active.values())
 
     def insert(self, row: Sequence[NumberLike], equality: bool = False,
                ray_cap: int | None = DEFAULT_RAY_CAP) -> None:
@@ -146,60 +156,43 @@ class DDPair:
             self._consume_lineality(row, hit, lin_prods, equality)
         else:
             self._split(row, equality)
-        if self.next_id > (_DEAD_ID_FACTOR + 1) * len(self.rays):
+        if self.next_id > (_DEAD_ID_FACTOR + 1) * len(self._rays):
             self._renumber()
         if self.debug:
             self._check_columns()
-        if ray_cap is not None and len(self.rays) > ray_cap:
+        if ray_cap is not None and len(self._rays) > ray_cap:
             raise CapacityError(
-                f"intermediate ray count {len(self.rays)} exceeds cap {ray_cap}"
+                f"intermediate ray count {len(self._rays)} exceeds cap {ray_cap}"
             )
 
     def _split(self, row: IntVec, equality: bool) -> None:
         k = len(self.rows)
         bit = 1 << k
-        rays = self.rays
-        active = self.active
-        ids = self.ids
-        vals = [dot(row, r) for r in rays]
-        pos_i = [i for i, v in enumerate(vals) if v > 0]
-        neg_i = [i for i, v in enumerate(vals) if v < 0]
+        rays = self._rays
+        active = self._active
+        vals = {i: dot(row, r) for i, r in rays.items()}
+        pos = [i for i, v in vals.items() if v > 0]
+        neg = [i for i, v in vals.items() if v < 0]
+        zero = [i for i, v in vals.items() if not v]
         self.rows.append(row)
-        self.cols.append(_id_set(ids[i] for i, v in enumerate(vals) if v == 0))
+        self.cols.append(_id_set(zero))
+        new = self._combine_pairs(vals, pos, neg, bit) if pos and neg else []
 
-        if not neg_i and not (equality and pos_i):
-            # Implied constraint: only tightness bookkeeping changes.
-            for i, v in enumerate(vals):
-                if v == 0:
-                    active[i] |= bit
-            return
-
-        new_rays: list[IntVec] = []
-        new_active: list[int] = []
-        if pos_i and neg_i:
-            self._combine_pairs(vals, pos_i, neg_i, bit, new_rays, new_active)
-
-        keep = []
-        for i, v in enumerate(vals):
-            if v == 0:
-                keep.append(i)
-            elif v > 0 and not equality:
-                keep.append(i)
-        self.rays = [rays[i] for i in keep]
-        self.active = [active[i] | bit if vals[i] == 0 else active[i] for i in keep]
-        self.rays.extend(new_rays)
-        self.active.extend(new_active)
-
+        dropped = neg + pos if equality else neg
+        for i in dropped:
+            del rays[i], active[i]
+        for i in zero:
+            active[i] |= bit
         # Each new ray's id joins the columns of its tight rows, this one's
         # included; the dropped rays' ids leave ``alive``.
-        new_ids = range(self.next_id, self.next_id + len(new_rays))
-        joined = _transpose(new_ids, new_active, k + 1)
-        self.cols = [c | t for c, t in zip(self.cols, joined)]
-        dropped = neg_i + pos_i if equality else neg_i
-        self.alive = (self.alive & ~_id_set(ids[i] for i in dropped)) | _id_set(new_ids)
-        self.ids = [ids[i] for i in keep]
-        self.ids.extend(new_ids)
-        self.next_id = new_ids.stop
+        born = {}
+        for i, (ray, tight) in enumerate(new, self.next_id):
+            rays[i] = ray
+            born[i] = tight
+        active.update(born)
+        self.cols = [c | t for c, t in zip(self.cols, _transpose(born.items(), k + 1))]
+        self.alive = (self.alive & ~_id_set(dropped)) | _id_set(born)
+        self.next_id += len(new)
 
     def _consume_lineality(self, row: IntVec, hit: int,
                            lin_prods: list[int], equality: bool) -> None:
@@ -221,60 +214,56 @@ class DDPair:
 
         k = len(self.rows)
         bit = 1 << k
-        projected = []
-        for r in self.rays:
+        rays = self._rays
+        for i, r in rays.items():
             v = dot(row, r)
-            projected.append(primitive(s * a - v * b for a, b in zip(r, l0)) if v else r)
-        self.rays = projected
-        self.active = [a | bit for a in self.active]
+            if v:
+                rays[i] = primitive(s * a - v * b for a, b in zip(r, l0))
+        self._active = {i: a | bit for i, a in self._active.items()}
         self.cols.append(self.alive)  # every ray is tight on the new row
         if not equality:
-            self.rays.append(l0)
-            self.active.append(bit - 1)  # tight on every previous row, not this one
-            b = 1 << self.next_id
+            i = self.next_id
+            b = 1 << i
+            rays[i] = l0
+            self._active[i] = bit - 1  # tight on every previous row, not this one
             self.cols[:k] = [c | b for c in self.cols[:k]]
-            self.ids.append(self.next_id)
             self.alive |= b
             self.next_id += 1
         self.rows.append(row)
 
     def _renumber(self) -> None:
-        n = len(self.rays)
-        self.ids = list(range(n))
-        self.cols = _transpose(self.ids, self.active, len(self.rows))
-        self.alive = (1 << n) - 1
-        self.next_id = n
+        self._rays = dict(enumerate(self._rays.values()))
+        self._active = dict(enumerate(self._active.values()))
+        self.cols = _transpose(self._active.items(), len(self.rows))
+        self.next_id = len(self._rays)
+        self.alive = (1 << self.next_id) - 1
 
-    def _combine_pairs(self, vals: list[int], pos_i: list[int], neg_i: list[int],
-                       bit: int, new_rays: list[IntVec],
-                       new_active: list[int]) -> None:
+    def _combine_pairs(self, vals: dict[int, int], pos: list[int], neg: list[int],
+                       bit: int) -> list[tuple[IntVec, int]]:
         # A pair with enough common tight rows is adjacent iff no other ray
         # is tight on all of them: ANDing the live columns of the common
         # rows leaves exactly the pair's own two ids.  Those two are in
         # every such column, so the AND can stop once nothing else is left.
         # Only the partners that ``_partners`` finds for the rays of the
-        # smaller side are tested.  The adjacent pairs are combined in
-        # ``(pos, neg)`` order, so the new rays and their ids do not depend
-        # on which side drives.
-        rays = self.rays
-        active = self.active
-        ids = self.ids
+        # smaller side are tested.  Returns each new ray with its tight rows.
+        rays = self._rays
+        active = self._active
         cols = self.cols
         alive = self.alive
         debug = self.debug
         need = max(self.dimension - len(self.lineality) - 2, 0)
-        flip = len(neg_i) < len(pos_i)
-        drive, other = (neg_i, pos_i) if flip else (pos_i, neg_i)
-        index = {ids[i]: i for i in other}
-        adjacent_pairs = []
+        drive = neg if len(neg) < len(pos) else pos
+        new = []
         candidates = []
         for d, hit in self._partners(drive, need):
             a = active[d]
-            bd = 1 << ids[d]
+            rd = rays[d]
+            vd = abs(vals[d])
+            bd = 1 << d
             while hit:
                 bo = hit & -hit
                 hit ^= bo
-                o = index[bo.bit_length() - 1]
+                o = bo.bit_length() - 1
                 common = a & active[o]
                 own = bd | bo
                 tight = alive
@@ -286,33 +275,29 @@ class DDPair:
                 adjacent = tight == own
                 if debug:
                     self._check_adjacency(common, adjacent)
-                    candidates.append((o, d) if flip else (d, o))
+                    candidates.append((d, o))
                 if adjacent:
-                    adjacent_pairs.append((o, d, common) if flip else (d, o, common))
+                    # |v_d| r_o + |v_o| r_d, which is v_p r_m - v_m r_p for
+                    # the positive ray p and the negative ray m of the pair.
+                    vo = abs(vals[o])
+                    new.append((primitive(vd * x + vo * y for x, y in zip(rays[o], rd)),
+                                common | bit))
         if debug:
-            self._check_candidates(pos_i, neg_i, need, sorted(candidates))
-        adjacent_pairs.sort()
-        for ip, im, common in adjacent_pairs:
-            vp = vals[ip]
-            vm = vals[im]
-            new_rays.append(
-                primitive(vp * a - vm * b for a, b in zip(rays[im], rays[ip]))
-            )
-            new_active.append(common | bit)
+            self._check_candidates(pos, neg, need, candidates)
+        return new
 
     def _partners(self, drive: list[int], need: int) -> Iterator[tuple[int, int]]:
         """Count filter of a split whose new row's column is ``cols[-1]``.
 
-        For each ray index ``d`` of ``drive`` (one sign side), yields ``d``
+        For each ray id ``d`` of ``drive`` (one sign side), yields ``d``
         and the bit set of the ids of the rays on the other sign side that
         share at least ``need`` tight rows with it, skipping empty sets.
         """
-        ids = self.ids
-        active = self.active
+        active = self._active
         cols = self.cols
         # alive = drive + other side + zero rays, and cols[-1] holds the
         # zero rays' ids.
-        others = self.alive ^ cols[-1] ^ _id_set(ids[i] for i in drive)
+        others = self.alive ^ cols[-1] ^ _id_set(drive)
         if need == 0:
             for d in drive:
                 yield d, others
@@ -356,20 +341,20 @@ class DDPair:
                 "combinatorial and algebraic adjacency tests disagree"
             )
 
-    def _check_candidates(self, pos_i: list[int], neg_i: list[int], need: int,
+    def _check_candidates(self, pos: list[int], neg: list[int], need: int,
                           candidates: list[tuple[int, int]]) -> None:
-        active = self.active
-        expected = [(ip, im) for ip in pos_i for im in neg_i
-                    if (active[ip] & active[im]).bit_count() >= need]
-        if candidates != expected:
+        active = self._active
+        expected = [(p, m) for p in pos for m in neg
+                    if (active[p] & active[m]).bit_count() >= need]
+        if sorted(map(sorted, candidates)) != sorted(map(sorted, expected)):
             raise AssertionError("count filter disagrees with the pairwise count")
 
     def _check_columns(self) -> None:
-        alive = _id_set(self.ids)
-        if (len(self.ids) != len(self.rays) or len(set(self.ids)) != len(self.ids)
-                or alive != self.alive
+        ids = list(self._rays)
+        alive = _id_set(ids)
+        if (ids != list(self._active) or ids != sorted(ids) or alive != self.alive
                 or [c & alive for c in self.cols]
-                != _transpose(self.ids, self.active, len(self.rows))):
+                != _transpose(self._active.items(), len(self.rows))):
             raise AssertionError("incidence columns are not the transpose of active")
 
 

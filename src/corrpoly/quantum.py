@@ -408,6 +408,11 @@ def _tokenize_angle(text: str) -> list:
     return tokens
 
 
+#: Longest angle expression, in tokens.  It bounds the depth of the
+#: recursive descent, which grows with nested parentheses and unary signs.
+_MAX_TOKENS = 200
+
+
 class _AngleParser:
     """Recursive descent over +,-,*,/ producing an affine form in x and y."""
 
@@ -495,6 +500,8 @@ def parse_angle_expression(text: str) -> AngleExpression:
     tokens = _tokenize_angle(text)
     if not tokens:
         raise ParseError("empty angle expression")
+    if len(tokens) > _MAX_TOKENS:
+        raise ParseError(f"angle expression longer than {_MAX_TOKENS} tokens")
     const, cx, cy = _AngleParser(tokens).parse()
     return AngleExpression(const=const, cx=cx, cy=cy)
 

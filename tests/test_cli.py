@@ -283,6 +283,11 @@ def test_exit_code_parse_error(tmp_path, capsys):
     code, _, err = run(capsys, "enum", "--ine", str(bad), "-q")
     assert code == 2
     assert run(capsys, "enum", "--ine", str(tmp_path / "missing.ine"), "-q")[0] == 2
+    ine = tmp_path / "2_2.ine"
+    run(capsys, "hull", "-n", "2", "-m", "2", "-o", str(ine), "-q")
+    code, _, err = run(capsys, "violations", "--ine", str(ine), "--model",
+                       "singlet", "--angles=" + "-" * 3000 + "1,0;0,0")
+    assert code == 2 and "longer than" in err
 
 
 def test_exit_code_capacity(tmp_path, capsys, monkeypatch):

@@ -134,13 +134,13 @@ def test_pair_filter_matches_brute_count(monkeypatch):
 
     def checked(pair, drive, need):
         row = current["row"]
-        vals = [sum(a * b for a, b in zip(row, r)) for r in pair.rays]
+        vals = {i: sum(a * b for a, b in zip(row, r)) for i, r in pair._rays.items()}
         positive = vals[drive[0]] > 0
-        other = [i for i, v in enumerate(vals) if v and (v > 0) != positive]
-        active = pair.active
+        other = [i for i, v in vals.items() if v and (v > 0) != positive]
+        active = pair._active
         expected = {}
         for d in drive:
-            hit = sum(1 << pair.ids[o] for o in other
+            hit = sum(1 << o for o in other
                       if (active[d] & active[o]).bit_count() >= need)
             if hit:
                 expected[d] = hit
@@ -292,6 +292,18 @@ def test_hull_rational_coordinates():
     assert len(h.rows) == 3
 
 
+def test_hull_ignores_non_extreme_points(hull_2_2, config_2_2):
+    # The centroid and the midpoints come after the 0/1 vertices in lexmin
+    # order, so each is a row that no ray violates; debug=True checks the
+    # kernel state after each of them.
+    vertices = truth_table(config_2_2).vertices
+    centroid = tuple(Fraction(sum(c), len(vertices)) for c in zip(*vertices))
+    midpoints = tuple(tuple(Fraction(a + b, 2) for a, b in zip(u, v))
+                      for u, v in zip(vertices, vertices[1:]))
+    points = VRepresentation(8, vertices + (centroid,) + midpoints, config=config_2_2)
+    assert hull(points, debug=True) == hull_2_2
+
+
 # ------------------------------------------------------- enumerate_vertices
 
 SYSTEM_6x4 = HRepresentation(
@@ -370,6 +382,18 @@ def test_roundtrip_v_h_v_2_3(hull_2_3, config_2_3):
     assert len(back.vertices) == 64
     assert not back.rays
     assert peak < 2000  # lexmin order peaks at 9,371 rays here
+
+
+def test_enumerate_vertices_ignores_redundant_rows(hull_2_2, config_2_2):
+    # The sum of two facets and a loosened facet are implied by the facets
+    # inserted before them, so no ray violates them.
+    rows = hull_2_2.rows
+    redundant = (tuple(a + b for a, b in zip(rows[0], rows[1])),
+                 (rows[2][0] + 1,) + rows[2][1:])
+    hrep = HRepresentation(8, rows + redundant, hull_2_2.linearity, config_2_2)
+    v = enumerate_vertices(hrep, debug=True)
+    assert set(v.vertices) == set(truth_table(config_2_2).vertices)
+    assert len(v.vertices) == 16 and not v.rays
 
 
 def test_roundtrip_h_v_h():

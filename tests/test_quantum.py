@@ -385,6 +385,8 @@ def test_constant_angles_give_constant_curves(hull_2_2):
         ("2*pi/3", 2 * math.pi / 3),
         ("(1+2)/4", 0.75),
         ("pi/2 - pi/2", 0.0),
+        ("-" * 198 + "pi", math.pi),
+        ("(" * 99 + "-pi" + ")" * 99, -math.pi),
     ],
 )
 def test_angle_expression_constants(text, value):
@@ -403,7 +405,10 @@ def test_angle_expression_affine():
 
 
 def test_angle_expression_errors():
-    for bad in ("x*y", "x*x", "1/x", "2 +", "(1", "foo", "1//2", ""):
+    # Nesting too deep for a recursive descent is an error, not a crash.
+    too_long = ("(" * 300 + "x" + ")" * 300, "-" * 3000 + "1",
+                "(" * 100 + "x" + ")" * 100)
+    for bad in ("x*y", "x*x", "1/x", "2 +", "(1", "foo", "1//2", "", *too_long):
         with pytest.raises(ParseError):
             parse_angle_expression(bad)
 
