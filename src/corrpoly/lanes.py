@@ -1,0 +1,109 @@
+"""Integer vectors packed coordinate by coordinate.
+
+A row's dot product with every packed vector then takes a few big-int
+operations instead of one interpreted loop per vector, which is how the
+double description kernel classifies its rays against a new constraint.
+"""
+
+from __future__ import annotations
+
+import struct
+from itertools import chain
+from typing import Sequence
+
+#: ``struct`` code of each signed lane width it has.
+_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
+
+
+def _bits(values: Sequence[int]) -> int:
+    """The largest bit length of the absolute values, 0 if there are none."""
+    distinct = set(values)  # few distinct values in practice: cheaper to scan twice
+    return max(max(distinct, default=0), -min(distinct, default=0)).bit_length()
+
+
+def _to_lanes(values: Sequence[int], width: int) -> bytes:
+    """``values`` as two's complement lanes of ``width`` bytes, little-endian."""
+    code = _CODES.get(width)
+    if code:
+        return struct.pack(f"<{len(values)}{code}", *values)
+    return b"".join([x.to_bytes(width, "little", signed=True) for x in values])
+
+
+def _from_lanes(data: bytes, width: int) -> Sequence[int]:
+    """The values of the two's complement lanes of ``width`` bytes in ``data``."""
+    code = _CODES.get(width)
+    if code:
+        return struct.unpack(f"<{len(data) // width}{code}", data)
+    return [int.from_bytes(data[i:i + width], "little", signed=True)
+            for i in range(0, len(data), width)]
+
+
+class Lanes:
+    """The coordinates of integer vectors ``0, 1, 2, ...``, packed.
+
+    ``planes[j]`` holds coordinate ``j`` of vector ``i`` in lane ``i``, a
+    two's complement integer of ``width`` bytes, little-endian.  No lane's
+    value has more than ``coord_bits`` bits and ``coord_bits + 1 < 8 *
+    width``.  A row whose absolute values sum to ``s`` has exact dot
+    products with every lane while ``s.bit_length() + coord_bits < 8 *
+    width``; ``width`` starts at 1 and doubles, repacking every plane, before
+    a row or an appended vector would break either bound.  It never shrinks.
+    """
+
+    __slots__ = ("dimension", "planes", "width", "coord_bits")
+
+    def __init__(self, dimension: int):
+        self.dimension = dimension
+        self.width = 1
+        self.fill([])
+
+    def fill(self, vectors: Sequence[Sequence[int]]) -> None:
+        """Repack with ``vectors`` in lane order, one plane at a time.
+
+        Packing every coordinate at once would need a copy of all of them
+        and so raise the peak memory of a whole conversion.
+        """
+        self.planes = [bytearray() for _ in range(self.dimension)]
+        self.coord_bits = max(map(_bits, zip(*vectors)), default=0)
+        self._widen(self.coord_bits + 1)
+        for plane, column in zip(self.planes, zip(*vectors)):
+            plane += _to_lanes(column, self.width)
+
+    def append(self, vectors: Sequence[Sequence[int]]) -> None:
+        """Pack ``vectors`` into the next lanes."""
+        flat = list(chain.from_iterable(zip(*vectors)))  # plane by plane
+        self.coord_bits = max(self.coord_bits, _bits(flat))
+        self._widen(self.coord_bits + 1)
+        data = memoryview(_to_lanes(flat, self.width))
+        size = len(vectors) * self.width
+        for j, plane in enumerate(self.planes):
+            plane += data[j * size:(j + 1) * size]
+
+    def dot(self, row: Sequence[int]) -> Sequence[int]:
+        """The dot product of ``row`` with every vector, in lane order."""
+        self._widen(sum(map(abs, row)).bit_length() + self.coord_bits)
+        w = self.width
+        size = len(self.planes[0])
+        half = 1 << (8 * w - 1)
+        halves = int.from_bytes(half.to_bytes(w, "little") * (size // w), "little")
+        # Flipping the top bit of a two's complement lane turns its value c
+        # into c + half, in [0, 2 * half), so acc is the sum over i of
+        # (dot(row, vector i) + half * sum(row)) << 8 * w * i.  Adding
+        # (1 - sum(row)) * halves leaves dot + half in every term, which the
+        # width bound keeps within a lane, so no lane carries into the next;
+        # flipping the top bits back gives two's complement lanes.
+        acc = 0
+        for x, plane in zip(row, self.planes):
+            if x:
+                acc += x * (int.from_bytes(plane, "little") ^ halves)
+        acc = (acc + (1 - sum(row)) * halves) ^ halves
+        return _from_lanes(acc.to_bytes(size, "little"), w)
+
+    def _widen(self, bits: int) -> None:
+        """Double ``width`` until lanes hold ``bits``-bit values, then repack."""
+        old = self.width
+        while bits >= 8 * self.width:
+            self.width *= 2
+        if self.width != old:
+            self.planes = [bytearray(_to_lanes(_from_lanes(p, old), self.width))
+                           for p in self.planes]

@@ -19,6 +19,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import CapacityError, Configuration, NumberLike
+from .lanes import Lanes
 from .linalg import (
     IntVec,
     clear_to_int,
@@ -111,10 +112,17 @@ class DDPair:
     ids of the rays tight on ``rows[k]``.  Ids are never reused until
     ``_renumber`` rebuilds ``_rays``, ``_active`` and ``cols`` densely, so a
     column may still hold dead ids, which ``alive`` masks out.
+
+    ``lanes`` packs the coordinates of the rays, so that a new row is
+    evaluated on every ray with a few big-int operations: lane ``i`` is ray
+    ``i`` for every id below ``next_id``.  A dead id keeps its lane, which
+    ``_rays`` masks out, until ``_repack`` refills the lanes from ``_rays``
+    on renumbering and on consuming lineality; new rays' lanes are
+    appended.
     """
 
     __slots__ = ("dimension", "rows", "_rays", "_active", "lineality", "debug",
-                 "cols", "alive", "next_id")
+                 "cols", "alive", "next_id", "lanes")
 
     def __init__(self, dimension: int, debug: bool = False):
         if dimension < 1:
@@ -131,6 +139,7 @@ class DDPair:
         self.cols: list[int] = []
         self.alive = 0
         self.next_id = 0
+        self.lanes = Lanes(dimension)
 
     @property
     def rays(self) -> list[IntVec]:
@@ -144,6 +153,8 @@ class DDPair:
 
     def insert(self, row: Sequence[NumberLike], equality: bool = False,
                ray_cap: int | None = DEFAULT_RAY_CAP) -> None:
+        if ray_cap is not None and ray_cap < 0:
+            raise ValueError(f"ray cap must be non-negative, got {ray_cap}")
         row = clear_to_int(row)
         if len(row) != self.dimension:
             raise ValueError("constraint dimension mismatch")
@@ -170,10 +181,12 @@ class DDPair:
         bit = 1 << k
         rays = self._rays
         active = self._active
-        vals = {i: dot(row, r) for i, r in rays.items()}
-        pos = [i for i, v in vals.items() if v > 0]
-        neg = [i for i, v in vals.items() if v < 0]
-        zero = [i for i, v in vals.items() if not v]
+        vals = self.lanes.dot(row)
+        if self.debug:
+            self._check_values(row, vals)
+        pos = [i for i in rays if vals[i] > 0]
+        neg = [i for i in rays if vals[i] < 0]
+        zero = [i for i in rays if not vals[i]]
         self.rows.append(row)
         self.cols.append(_id_set(zero))
         new = self._combine_pairs(vals, pos, neg, bit) if pos and neg else []
@@ -193,6 +206,15 @@ class DDPair:
         self.cols = [c | t for c, t in zip(self.cols, _transpose(born.items(), k + 1))]
         self.alive = (self.alive & ~_id_set(dropped)) | _id_set(born)
         self.next_id += len(new)
+        if new:
+            self.lanes.append([ray for ray, _ in new])
+
+    def _repack(self) -> None:
+        """Refill ``lanes`` from ``_rays``, with zero lanes for dead ids."""
+        full = [(0,) * self.dimension] * self.next_id
+        for i, r in self._rays.items():
+            full[i] = r
+        self.lanes.fill(full)
 
     def _consume_lineality(self, row: IntVec, hit: int,
                            lin_prods: list[int], equality: bool) -> None:
@@ -230,6 +252,7 @@ class DDPair:
             self.alive |= b
             self.next_id += 1
         self.rows.append(row)
+        self._repack()
 
     def _renumber(self) -> None:
         self._rays = dict(enumerate(self._rays.values()))
@@ -237,8 +260,9 @@ class DDPair:
         self.cols = _transpose(self._active.items(), len(self.rows))
         self.next_id = len(self._rays)
         self.alive = (1 << self.next_id) - 1
+        self._repack()
 
-    def _combine_pairs(self, vals: dict[int, int], pos: list[int], neg: list[int],
+    def _combine_pairs(self, vals: Sequence[int], pos: list[int], neg: list[int],
                        bit: int) -> list[tuple[IntVec, int]]:
         # A pair with enough common tight rows is adjacent iff no other ray
         # is tight on all of them: ANDing the live columns of the common
@@ -349,6 +373,10 @@ class DDPair:
         if sorted(map(sorted, candidates)) != sorted(map(sorted, expected)):
             raise AssertionError("count filter disagrees with the pairwise count")
 
+    def _check_values(self, row: IntVec, vals: Sequence[int]) -> None:
+        if any(vals[i] != dot(row, r) for i, r in self._rays.items()):
+            raise AssertionError("packed lanes disagree with the plain dot product")
+
     def _check_columns(self) -> None:
         ids = list(self._rays)
         alive = _id_set(ids)
@@ -419,7 +447,7 @@ def hull(vrep: VRepresentation, order: str = HULL_ORDER, *,
     """
     if not vrep.vertices:
         raise ValueError("hull requires at least one vertex")
-    gens = [clear_to_int(g) for g in vrep.homogenized]
+    gens = vrep.integer_rows
     vertex_rows = gens[:len(vrep.vertices)]
     steps = [(g, False) for g in _order_rows(gens, order)]
     rays, (lin_reduced, lin_pivots) = _run(vrep.dimension + 1, steps,
@@ -523,8 +551,7 @@ def verify_facet(row: Sequence[NumberLike], vrep: VRepresentation) -> FacetRepor
     r = clear_to_int(row)
     valid = True
     tight = []
-    gens = [clear_to_int(g) for g in vrep.homogenized]
-    for g in gens:
+    for g in vrep.integer_rows:
         value = dot(r, g)
         if value < 0:
             valid = False

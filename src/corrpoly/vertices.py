@@ -13,7 +13,7 @@ from .core import (
     enumerate_events,
     event_count,
 )
-from .linalg import clear_to_int, integer_rank
+from .linalg import IntVec, clear_to_int, integer_rank
 
 #: Refuse to materialize truth tables larger than this unless overridden.
 DEFAULT_VERTEX_CAP = 2**24
@@ -51,9 +51,14 @@ class VRepresentation:
                 + tuple((0,) + tuple(r) for r in self.rays))
 
     @cached_property
+    def integer_rows(self) -> tuple[IntVec, ...]:
+        """The ``homogenized`` rows scaled to primitive integer vectors, computed once."""
+        return tuple(clear_to_int(g) for g in self.homogenized)
+
+    @cached_property
     def rank(self) -> int:
         """Rank of the ``homogenized`` rows, computed once per representation."""
-        return integer_rank([clear_to_int(g) for g in self.homogenized])
+        return integer_rank(self.integer_rows)
 
 
 def vertex_for_assignment(

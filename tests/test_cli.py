@@ -1,9 +1,11 @@
 import json
+import random
 
 import pytest
 
 from corrpoly import (
     Configuration,
+    VRepresentation,
     builtin_model,
     from_hrep,
     hull,
@@ -13,6 +15,7 @@ from corrpoly import (
     scan_violations,
     to_text,
     truth_table,
+    write_ext,
 )
 from corrpoly.cli import main
 
@@ -299,6 +302,34 @@ def test_exit_code_capacity(tmp_path, capsys, monkeypatch):
     assert run(capsys, "hull", "-n", "2", "-m", "2", "-q")[0] == 3
     monkeypatch.setenv("CORRPOLY_RAY_CAP", "1000000")
     assert run(capsys, "hull", "-n", "2", "-m", "2", "-q")[0] == 0
+
+
+def test_negative_ray_cap_is_a_usage_error(capsys, monkeypatch):
+    code, _, err = run(capsys, "hull", "-n", "2", "-m", "2", "--ray-cap", "-5", "-q")
+    assert code == 1 and "ray cap" in err and "capacity" not in err
+    monkeypatch.setenv("CORRPOLY_RAY_CAP", "-1")
+    code, _, err = run(capsys, "hull", "-n", "2", "-m", "2", "-q")
+    assert code == 1 and "ray cap" in err and "capacity" not in err
+
+
+def test_hull_enum_round_trip_of_wide_points(tmp_path, capsys):
+    # 70-bit coordinates must pass exactly through .ext, hull, .ine and
+    # enum.  The points lie on a shifted moment curve (t, t^2, t^3), so
+    # every one of them is a vertex.
+    rng = random.Random(7070)
+    shift = [rng.randrange(2**69, 2**70) for _ in range(3)]
+    points = tuple(sorted(
+        (t + shift[0], t**2 + shift[1], t**3 + shift[2])
+        for t in rng.sample(range(2**20), 9)
+    ))
+    assert max(abs(x) for p in points for x in p).bit_length() == 70
+    ext = write_ext(VRepresentation(3, points), tmp_path / "wide.ext")
+    ine = tmp_path / "wide.ine"
+    back = tmp_path / "back.ext"
+    assert run(capsys, "hull", "--ext", str(ext), "-o", str(ine), "-q")[0] == 0
+    assert run(capsys, "enum", "--ine", str(ine), "-o", str(back), "-q")[0] == 0
+    result = read_ext(back)
+    assert result.vertices == points and not result.rays
 
 
 def test_vertex_cap_flag(capsys):

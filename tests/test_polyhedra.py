@@ -15,6 +15,7 @@ from corrpoly import (
     truth_table,
     verify_facet,
 )
+from corrpoly import polyhedra
 from oracles import (
     brute_force_cone,
     brute_force_facets,
@@ -180,6 +181,49 @@ def test_pair_filter_matches_brute_count(monkeypatch):
                     "dead ids after renumbering"}
 
 
+def test_debug_cross_checks_packed_values():
+    # debug=True compares every packed value of a split with a plain dot
+    # product, so one corrupted lane must be caught on the next insert.
+    intact = DDPair(3, debug=True)
+    for row in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, -1, 0)):
+        intact.insert(row)  # the same inserts pass the check untouched
+    pair = DDPair(3, debug=True)
+    for row in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
+        pair.insert(row)
+    i = next(i for i, r in pair._rays.items() if r == (1, 0, 0))
+    pair.lanes.planes[0][i * pair.lanes.width] ^= 1  # low byte of its first coordinate
+    with pytest.raises(AssertionError, match="packed lanes"):
+        pair.insert((1, -1, 0))
+
+
+@pytest.mark.parametrize("bits", [3, 20, 40, 70])
+def test_packed_values_exact_on_wide_coordinates(bits, monkeypatch):
+    # The lanes of the packed coordinate planes widen with the coordinates
+    # (here from 2 to 128 bytes); debug=True compares every packed value
+    # with a plain dot product along the way.
+    pairs = []
+
+    class Recording(DDPair):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            pairs.append(self)
+
+    monkeypatch.setattr(polyhedra, "DDPair", Recording)
+    rng = random.Random(bits)
+    for trial in range(3):
+        points = sorted({tuple(rng.randint(-2**bits, 2**bits) for _ in range(3))
+                         for _ in range(7)})
+        h = hull(VRepresentation(3, tuple(points)), debug=True)
+        assert set(h.rows) == brute_force_facets(points)
+        v = enumerate_vertices(h, debug=True)
+        _, rays = brute_force_cone(h.rows, 4)
+        expected = {tuple(Fraction(x, r[0]) for x in r[1:]) for r in rays}
+        assert set(v.vertices) == expected and expected <= set(points)
+        assert not v.rays
+    # 3-bit points stay within the word-sized lanes, the others go beyond.
+    assert (max(p.lanes.width for p in pairs) > 8) == (bits >= 20)
+
+
 # --------------------------------------------------------------------- hull
 
 def test_urn_hull_exact_facets():
@@ -242,6 +286,19 @@ def test_hull_ray_cap():
     tt = truth_table(Configuration.uniform(2, 2))
     with pytest.raises(CapacityError):
         hull(tt, ray_cap=5)
+
+
+def test_negative_ray_cap_rejected():
+    tt = truth_table(Configuration.uniform(2, 2))
+    for cap in (-5, -1):
+        with pytest.raises(ValueError, match="ray cap") as err:
+            hull(tt, ray_cap=cap)
+        assert not isinstance(err.value, CapacityError)
+    with pytest.raises(ValueError, match="ray cap"):
+        enumerate_vertices(hull(tt), ray_cap=-1)
+    with pytest.raises(CapacityError):
+        hull(tt, ray_cap=0)
+    assert len(hull(tt, ray_cap=None).rows) == 24
 
 
 def test_hull_progress_reporting(config_2_2):
