@@ -181,6 +181,84 @@ def test_pair_filter_matches_brute_count(monkeypatch):
                     "dead ids after renumbering"}
 
 
+def test_witness_refutation_matches_full_and(monkeypatch):
+    # A cached witness ray may only refute a pair that is not adjacent: on
+    # every split the kernel's new rays must have exactly the tight sets
+    # that a plain full column AND over every candidate pair finds.  The
+    # columns read outside the count filter show that some ANDs were
+    # skipped: without the witnesses the kernel would read, per candidate,
+    # the columns of its common rows until only the pair is left.
+    original_combine = DDPair._combine_pairs
+    original_partners = DDPair._partners
+    candidates = []
+    reads = {"kernel": 0, "plain": 0}
+
+    class CountingColumns(list):
+        counting = True
+
+        def __getitem__(self, k):
+            reads["kernel"] += self.counting
+            return super().__getitem__(k)
+
+    def partners(pair, drive, need):
+        pair.cols.counting = False
+        got = list(original_partners(pair, drive, need))
+        pair.cols.counting = True
+        candidates.extend(got)
+        return iter(got)
+
+    def combine(pair, vals, pos, neg, bit):
+        candidates.clear()
+        cols = pair.cols
+        pair.cols = CountingColumns(cols)
+        try:
+            new = original_combine(pair, vals, pos, neg, bit)
+        finally:
+            pair.cols = cols
+        active = pair._active
+        expected = []
+        for d, hit in candidates:
+            for o in range(hit.bit_length()):
+                if not hit >> o & 1:
+                    continue
+                common = active[d] & active[o]
+                own = 1 << d | 1 << o
+                tight = pair.alive
+                for k in range(len(cols)):
+                    if common >> k & 1:
+                        reads["plain"] += tight != own
+                        tight &= cols[k]
+                if tight == own:
+                    expected.append(common | bit)
+        assert [t for _, t in new] == expected
+        return new
+
+    monkeypatch.setattr(DDPair, "_partners", partners)
+    monkeypatch.setattr(DDPair, "_combine_pairs", combine)
+    rng = random.Random(9090)
+    for trial in range(48):
+        dim = rng.randint(3, 6)
+        rows = [tuple(rng.randint(-3, 3) for _ in range(dim))
+                for _ in range(rng.randint(4, 12))]
+        rows = [r for r in rows if any(r)]
+        equalities = set(rng.sample(range(len(rows)), 1)) if trial % 4 == 0 else set()
+        pair = DDPair(dim)
+        for i, r in enumerate(rows):
+            pair.insert(r, equality=i in equalities)
+        implied = rows + [tuple(-x for x in rows[i]) for i in equalities]
+        assert cone_signature(pair) == brute_force_cone(implied, dim), rows
+    # Truth tables are highly degenerate; under shuffled insertion orders a
+    # cached witness also turns up later as a partner of its drive ray.
+    for settings, facets in (((2, 2), 24), ((2, 3), 48)):
+        vrep = truth_table(Configuration(settings))
+        for order in ("lexmin", "random:0"):
+            h = hull(vrep, order=order)
+            assert len(h.rows) == facets
+            v = enumerate_vertices(h, order=order)
+            assert v.vertices == tuple(sorted(vrep.vertices))
+    assert reads["kernel"] < reads["plain"]
+
+
 def test_debug_cross_checks_packed_values():
     # debug=True compares every packed value of a split with a plain dot
     # product, so one corrupted lane must be caught on the next insert.
