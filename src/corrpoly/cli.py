@@ -58,16 +58,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _add_config_flags(parser, required=False):
-    parser.add_argument("-n", "--particles", type=int, metavar="N",
-                        help="number of particles (with -m)")
-    parser.add_argument("-m", "--settings", type=int, metavar="M",
-                        help="measurement settings per particle (with -n)")
-    parser.add_argument("--config", metavar="M1,M2,...",
-                        help="per-particle setting counts, e.g. 2,3")
-    parser.set_defaults(config_required=required)
-
-
 def _resolve_config(args) -> Configuration | None:
     given_nm = args.particles is not None or args.settings is not None
     if args.config and given_nm:
@@ -311,96 +301,97 @@ def build_parser() -> _Parser:
                      description="correlation polytope toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("events", help="list canonical event labels")
-    _add_config_flags(p, required=True)
-    p.set_defaults(func=cmd_events)
+    # Flags shared by several commands, each declared once in a parent
+    # parser that the commands list.  A command with a layout takes it from
+    # -n/-m/--config when given; those that need one set config_required.
+    layout = argparse.ArgumentParser(add_help=False)
+    layout.add_argument("-n", "--particles", type=int, metavar="N",
+                        help="number of particles (with -m)")
+    layout.add_argument("-m", "--settings", type=int, metavar="M",
+                        help="measurement settings per particle (with -n)")
+    layout.add_argument("--config", metavar="M1,M2,...",
+                        help="per-particle setting counts, e.g. 2,3")
+    layout.set_defaults(config_required=False)
+    ine = argparse.ArgumentParser(add_help=False)
+    ine.add_argument("--ine", required=True, metavar="FILE",
+                     help="H-representation (.ine file)")
+    rows = argparse.ArgumentParser(add_help=False)
+    rows.add_argument("--rows", default=None, metavar="MIN:MAX|all",
+                      help="rows as numbered in the .ine file")
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("--model", required=True, choices=BUILTIN_MODELS)
+    model.add_argument("--angles", required=True, metavar="'0,2pi/3;0,pi'",
+                       help="per particle, comma-separated; particles split by ';'")
+    model.add_argument("--threshold", type=float, default=0.0)
+    dd = argparse.ArgumentParser(add_help=False)
+    dd.add_argument("--ray-cap", type=int, default=None,
+                    help="intermediate ray cap (or env CORRPOLY_RAY_CAP)")
+    dd.add_argument("-q", "--quiet", action="store_true",
+                    help="suppress progress output")
+    vertex_cap = argparse.ArgumentParser(add_help=False)
+    vertex_cap.add_argument("--vertex-cap", type=int, default=DEFAULT_VERTEX_CAP,
+                            help="largest truth table to build (default: %(default)s rows)")
+    as_json = argparse.ArgumentParser(add_help=False)
+    as_json.add_argument("--json", action="store_true", help="print JSON")
 
-    p = sub.add_parser("vertices", help="truth-table vertices (print or .ext)")
-    _add_config_flags(p, required=True)
+    p = sub.add_parser("events", help="list canonical event labels", parents=[layout])
+    p.set_defaults(func=cmd_events, config_required=True)
+
+    p = sub.add_parser("vertices", help="truth-table vertices (print or .ext)",
+                       parents=[layout, vertex_cap])
     p.add_argument("-o", "--output", metavar="FILE", help="write a .ext file")
-    p.add_argument("--vertex-cap", type=int, default=DEFAULT_VERTEX_CAP)
-    p.set_defaults(func=cmd_vertices)
+    p.set_defaults(func=cmd_vertices, config_required=True)
 
-    p = sub.add_parser("hull", help="facet enumeration (V- to H-representation)")
-    _add_config_flags(p)
+    p = sub.add_parser("hull", help="facet enumeration (V- to H-representation)",
+                       parents=[layout, dd, vertex_cap])
     p.add_argument("--ext", metavar="FILE", help="read vertices from a .ext file")
     p.add_argument("-o", "--output", metavar="FILE", help="write a .ine file")
     p.add_argument("--order", default=HULL_ORDER,
                    help=f"generator insertion order: {ORDERS} (default: %(default)s)")
-    p.add_argument("--ray-cap", type=int, default=None,
-                   help="intermediate ray cap (or env CORRPOLY_RAY_CAP)")
-    p.add_argument("--vertex-cap", type=int, default=DEFAULT_VERTEX_CAP)
-    p.add_argument("-q", "--quiet", action="store_true",
-                   help="suppress progress output")
     p.set_defaults(func=cmd_hull)
 
-    p = sub.add_parser("enum", help="vertex enumeration (H- to V-representation)")
-    p.add_argument("--ine", required=True, metavar="FILE")
+    p = sub.add_parser("enum", help="vertex enumeration (H- to V-representation)",
+                       parents=[ine, dd])
     p.add_argument("-o", "--output", metavar="FILE", help="write a .ext file")
     p.add_argument("--order", default=ENUM_ORDER,
                    help=f"constraint insertion order: {ORDERS} (default: %(default)s)")
-    p.add_argument("--ray-cap", type=int, default=None)
-    p.add_argument("-q", "--quiet", action="store_true")
     p.set_defaults(func=cmd_enum)
 
-    p = sub.add_parser("inequalities", help="print readable inequalities")
-    _add_config_flags(p)
-    p.add_argument("--ine", required=True, metavar="FILE")
-    p.add_argument("--rows", default=None, metavar="MIN:MAX|all")
+    p = sub.add_parser("inequalities", help="print readable inequalities",
+                       parents=[layout, ine, rows])
     p.set_defaults(func=cmd_inequalities)
 
-    p = sub.add_parser("violations", help="scan for quantum violations")
-    _add_config_flags(p)
-    p.add_argument("--ine", required=True, metavar="FILE")
-    p.add_argument("--model", required=True, choices=BUILTIN_MODELS)
-    p.add_argument("--angles", required=True,
-                   metavar="'0,2pi/3;0,pi'",
-                   help="per particle, comma-separated; particles split by ';'")
-    p.add_argument("--threshold", type=float, default=0.0)
-    p.add_argument("--rows", default=None, metavar="MIN:MAX|all")
+    p = sub.add_parser("violations", help="scan for quantum violations",
+                       parents=[layout, ine, model, rows, as_json])
     p.add_argument("--csv", metavar="FILE", help="also write a CSV report")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_violations)
 
-    p = sub.add_parser("plot", help="violation curves over one free variable x")
-    _add_config_flags(p)
-    p.add_argument("--ine", required=True, metavar="FILE")
-    p.add_argument("--model", required=True, choices=BUILTIN_MODELS)
-    p.add_argument("--angles", required=True)
+    p = sub.add_parser("plot", help="violation curves over one free variable x",
+                       parents=[layout, ine, model, rows])
     p.add_argument("--range", default="0:pi", metavar="LO:HI")
     p.add_argument("--samples", type=int, default=101)
-    p.add_argument("--threshold", type=float, default=0.0)
-    p.add_argument("--rows", default=None, metavar="MIN:MAX|all")
     p.add_argument("-o", "--output", required=True, metavar="CSV")
     p.add_argument("--svg", metavar="FILE")
     p.set_defaults(func=cmd_plot)
 
-    p = sub.add_parser("contour", help="violation grids over free variables x, y")
-    _add_config_flags(p)
-    p.add_argument("--ine", required=True, metavar="FILE")
-    p.add_argument("--model", required=True, choices=BUILTIN_MODELS)
-    p.add_argument("--angles", required=True)
+    p = sub.add_parser("contour", help="violation grids over free variables x, y",
+                       parents=[layout, ine, model, rows])
     p.add_argument("--range-x", default="0:pi", metavar="LO:HI")
     p.add_argument("--range-y", default="0:pi", metavar="LO:HI")
     p.add_argument("--samples", type=int, default=41)
-    p.add_argument("--threshold", type=float, default=0.0)
-    p.add_argument("--rows", default=None, metavar="MIN:MAX|all")
     p.add_argument("-o", "--output", required=True, metavar="PREFIX")
     p.add_argument("--svg", action="store_true", help="also write SVG per grid")
     p.set_defaults(func=cmd_contour)
 
-    p = sub.add_parser("verify", help="check an inequality against a configuration")
-    _add_config_flags(p, required=True)
+    p = sub.add_parser("verify", help="check an inequality against a configuration",
+                       parents=[layout, vertex_cap, as_json])
     p.add_argument("--ineq", required=True, metavar="'a1 - a1b1 + b1 <= 1'")
-    p.add_argument("--vertex-cap", type=int, default=DEFAULT_VERTEX_CAP)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_verify, config_required=True)
 
-    p = sub.add_parser("contains", help="exact membership test for a point")
-    p.add_argument("--ine", required=True, metavar="FILE")
+    p = sub.add_parser("contains", help="exact membership test for a point",
+                       parents=[ine, as_json])
     p.add_argument("--point", required=True, metavar="X1,X2,...",
                    help="exact coordinates, e.g. 3/5,18/25,8/25")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_contains)
 
     return parser

@@ -55,11 +55,6 @@ class Configuration:
     def particles(self) -> int:
         return len(self.settings)
 
-    @property
-    def propositions(self) -> int:
-        """Number of elementary propositions (one per particle/setting pair)."""
-        return sum(self.settings)
-
     def proposition_pairs(self) -> list[tuple[int, int]]:
         """(particle, setting) pairs in particle-major order."""
         return [(p, s) for p, m in enumerate(self.settings) for s in range(m)]
@@ -98,9 +93,6 @@ class EventLabel:
             f"{string.ascii_lowercase[p]}{s + 1}"
             for p, s in zip(self.particles, self.choices)
         )
-
-    def sort_key(self) -> tuple:
-        return (len(self.particles), self.particles, self.choices)
 
     def __str__(self) -> str:
         return self.label()

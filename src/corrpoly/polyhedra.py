@@ -168,12 +168,15 @@ class DDPair:
         if not any(row):
             return  # 0 >= 0 constrains nothing
 
+        vals = self.lanes.dot(row)
+        if self.debug:
+            self._check_values(row, vals)
         lin_prods = [dot(row, l) for l in self.lineality]
         hit = next((i for i, p in enumerate(lin_prods) if p), None)
         if hit is not None:
-            self._consume_lineality(row, hit, lin_prods, equality)
+            self._consume_lineality(row, vals, hit, lin_prods, equality)
         else:
-            self._split(row, equality)
+            self._split(row, vals, equality)
         if self.next_id > (_DEAD_ID_FACTOR + 1) * len(self._rays):
             self._renumber()
         if self.debug:
@@ -183,13 +186,10 @@ class DDPair:
                 f"intermediate ray count {len(self._rays)} exceeds cap {ray_cap}"
             )
 
-    def _split(self, row: IntVec, equality: bool) -> None:
+    def _split(self, row: IntVec, vals: Sequence[int], equality: bool) -> None:
         bit = 1 << len(self.rows)
         rays = self._rays
         active = self._active
-        vals = self.lanes.dot(row)
-        if self.debug:
-            self._check_values(row, vals)
         pos = [i for i in rays if vals[i] > 0]
         neg = [i for i in rays if vals[i] < 0]
         zero = [i for i in rays if not vals[i]]
@@ -222,7 +222,7 @@ class DDPair:
             full[i] = r
         self.lanes.fill(full)
 
-    def _consume_lineality(self, row: IntVec, hit: int,
+    def _consume_lineality(self, row: IntVec, vals: Sequence[int], hit: int,
                            lin_prods: list[int], equality: bool) -> None:
         # The constraint sees the lineality space: one basis direction moves
         # to the pointed part (or disappears for an equality) and everything
@@ -244,7 +244,7 @@ class DDPair:
         bit = 1 << k
         rays = self._rays
         for i, r in rays.items():
-            v = dot(row, r)
+            v = vals[i]
             if v:
                 rays[i] = primitive(s * a - v * b for a, b in zip(r, l0))
         self._active = {i: a | bit for i, a in self._active.items()}
@@ -363,8 +363,6 @@ class DDPair:
         start = [others if (2 ** w - need) >> j & 1 else 0 for j in range(w)]
         for d in drive:
             a = active[d]
-            if a.bit_count() < need:
-                continue
             planes = start.copy()
             live = others
             hit = 0

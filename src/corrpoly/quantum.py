@@ -8,6 +8,7 @@ violation, so amounts such as 1/8 or 1/4 come out crisply.
 
 from __future__ import annotations
 
+import ast
 import math
 import re
 from dataclasses import dataclass
@@ -101,9 +102,6 @@ class ProbabilityModel:
         self.name = name
         self.functions = dict(functions)
         self.default = default
-
-    def supports_arity(self, arity: int) -> bool:
-        return arity in self.functions or self.default is not None
 
     def probability(self, angles: Sequence[float]) -> float:
         fn = self.functions.get(len(angles), self.default)
@@ -380,130 +378,89 @@ def sample_violation_grid(
     ]
 
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+(?:\.\d*)?|\.\d+)|(?P<name>pi|x|y)|(?P<op>[+\-*/()]))"
-)
+_TOKEN_RE = re.compile(r"\s*(?:(\d+(?:\.\d*)?|\.\d+)|(pi|x|y|[+\-*/()]))\s*")
+
+#: Longest angle expression, in tokens, implied ``*`` included.  It bounds
+#: the nesting of parentheses and unary signs, and so the recursion of
+#: ``_affine``, well below the limits of Python's parser.
+_MAX_TOKENS = 200
+
+#: ``(const, cx, cy)`` of each name an angle expression may use.
+_NAMES = {"pi": (math.pi, 0.0, 0.0), "x": (0.0, 1.0, 0.0), "y": (0.0, 0.0, 1.0)}
 
 
-def _tokenize_angle(text: str) -> list:
-    tokens: list = []
+def parse_angle_expression(text: str) -> AngleExpression:
+    """Parse one angle term, e.g. ``-pi/3 + x`` or ``2pi/3``.
+
+    The tokens are numbers, ``pi``, ``x``, ``y``, ``+ - * / ( )``, with
+    whitespace around any of them; ``2pi``, ``0.5x`` and ``(x)2`` mean
+    multiplication.  Python's parser builds the tree of the tokens.  Each
+    number reaches it as the index of its ``float`` value, so ``02`` is 2.0
+    although Python's literals reject it.
+    """
+    numbers: list[float] = []
+    tokens: list[str] = []
     pos = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
             raise ParseError(f"bad angle expression near {text[pos:]!r}")
-        if m.group("num") is not None:
-            # "2pi" and "0.5x" mean multiplication
-            if tokens and tokens[-1] == ")":
-                tokens.append("*")
-            tokens.append(float(m.group("num")))
-            nxt = _TOKEN_RE.match(text, m.end())
-            if nxt is not None and nxt.group("name"):
-                tokens.append("*")
-        elif m.group("name"):
-            tokens.append(m.group("name"))
+        num, sym = m.groups()
+        if tokens and (num and tokens[-1] == ")"
+                       or sym in _NAMES and tokens[-1].isdigit()):
+            tokens.append("*")
+        if num:
+            tokens.append(str(len(numbers)))
+            numbers.append(float(num))
         else:
-            tokens.append(m.group("op"))
+            tokens.append(sym)
         pos = m.end()
-    return tokens
-
-
-#: Longest angle expression, in tokens.  It bounds the depth of the
-#: recursive descent, which grows with nested parentheses and unary signs.
-_MAX_TOKENS = 200
-
-
-class _AngleParser:
-    """Recursive descent over +,-,*,/ producing an affine form in x and y."""
-
-    def __init__(self, tokens: list):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def next(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
-    def parse(self) -> tuple[float, float, float]:
-        value = self.expr()
-        if self.peek() is not None:
-            raise ParseError(f"unexpected token {self.peek()!r} in angle expression")
-        return value
-
-    def expr(self):
-        value = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.next()
-            rhs = self.term()
-            value = tuple(
-                a + b if op == "+" else a - b for a, b in zip(value, rhs)
-            )
-        return value
-
-    def term(self):
-        value = self.unary()
-        while self.peek() in ("*", "/"):
-            op = self.next()
-            rhs = self.unary()
-            if op == "*":
-                if not _is_const(value) and not _is_const(rhs):
-                    raise ParseError("angle expressions must stay affine in x, y")
-                scale, affine = (value[0], rhs) if _is_const(value) else (rhs[0], value)
-                value = tuple(scale * a for a in affine)
-            else:
-                if not _is_const(rhs):
-                    raise ParseError("only constant denominators are allowed")
-                if rhs[0] == 0:
-                    raise ParseError("division by zero in angle expression")
-                value = tuple(a / rhs[0] for a in value)
-        return value
-
-    def unary(self):
-        if self.peek() == "-":
-            self.next()
-            return tuple(-a for a in self.unary())
-        if self.peek() == "+":
-            self.next()
-            return self.unary()
-        return self.primary()
-
-    def primary(self):
-        tok = self.next()
-        if tok is None:
-            raise ParseError("truncated angle expression")
-        if isinstance(tok, float):
-            return (tok, 0.0, 0.0)
-        if tok == "pi":
-            return (math.pi, 0.0, 0.0)
-        if tok == "x":
-            return (0.0, 1.0, 0.0)
-        if tok == "y":
-            return (0.0, 0.0, 1.0)
-        if tok == "(":
-            value = self.expr()
-            if self.next() != ")":
-                raise ParseError("unbalanced parentheses in angle expression")
-            return value
-        raise ParseError(f"unexpected token {tok!r} in angle expression")
-
-
-def _is_const(value: tuple[float, float, float]) -> bool:
-    return value[1] == 0.0 and value[2] == 0.0
-
-
-def parse_angle_expression(text: str) -> AngleExpression:
-    """Parse one angle term, e.g. ``-pi/3 + x`` or ``2pi/3``."""
-    tokens = _tokenize_angle(text)
     if not tokens:
         raise ParseError("empty angle expression")
     if len(tokens) > _MAX_TOKENS:
         raise ParseError(f"angle expression longer than {_MAX_TOKENS} tokens")
-    const, cx, cy = _AngleParser(tokens).parse()
-    return AngleExpression(const=const, cx=cx, cy=cy)
+    try:
+        tree = ast.parse(" ".join(tokens), mode="eval")
+    except SyntaxError:
+        raise ParseError(f"bad angle expression {text!r}") from None
+    return AngleExpression(*_affine(tree.body, numbers))
+
+
+def _affine(node: ast.expr, numbers: list[float]) -> tuple[float, float, float]:
+    """Fold a tree of numbers, names, signs and ``+ - * /`` into ``(const, cx, cy)``."""
+    match node:
+        case ast.Constant(value=k):
+            return (numbers[k], 0.0, 0.0)
+        case ast.Name(id=name):
+            return _NAMES[name]
+        case ast.UnaryOp(op=ast.UAdd()):
+            return _affine(node.operand, numbers)
+        case ast.UnaryOp(op=ast.USub()):
+            c, x, y = _affine(node.operand, numbers)
+            return (-c, -x, -y)
+        case ast.BinOp(op=ast.Add() | ast.Sub() | ast.Mult() | ast.Div() as op):
+            lhs, rhs = _affine(node.left, numbers), _affine(node.right, numbers)
+            (c, x, y), (c2, x2, y2) = lhs, rhs
+            if isinstance(op, ast.Add):
+                return (c + c2, x + x2, y + y2)
+            if isinstance(op, ast.Sub):
+                return (c - c2, x - x2, y - y2)
+            if isinstance(op, ast.Mult):
+                if _is_const(lhs):
+                    return (c * c2, c * x2, c * y2)
+                if _is_const(rhs):
+                    return (c2 * c, c2 * x, c2 * y)
+                raise ParseError("angle expressions must stay affine in x, y")
+            if not _is_const(rhs):
+                raise ParseError("only constant denominators are allowed")
+            if c2 == 0:
+                raise ParseError("division by zero in angle expression")
+            return (c / c2, x / c2, y / c2)
+    raise ParseError(f"unexpected {type(node).__name__} in angle expression")
+
+
+def _is_const(value: tuple[float, float, float]) -> bool:
+    return value[1] == 0.0 and value[2] == 0.0
 
 
 def parse_angles(text: str, config: Configuration) -> AngleAssignment:

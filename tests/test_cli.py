@@ -184,6 +184,12 @@ def test_violations_threshold_filters(tmp_path, capsys):
         "--json",
     )
     assert len(json.loads(out)["violations"]) == 12
+    # whitespace around the angle expressions, trailing included, changes nothing
+    assert run(
+        capsys, "violations", "--ine", str(ine),
+        "--model", "singlet", "--angles", "0,2pi/3,4pi/3 ; 0, 2pi/3, 4pi/3 ",
+        "--json",
+    ) == (0, out, "")
     code, out, _ = run(
         capsys, "violations", "--ine", str(ine),
         "--model", "singlet", "--angles=0,2pi/3,4pi/3;0,2pi/3,4pi/3",

@@ -67,7 +67,7 @@ def test_model_outputs_stay_probabilities():
     for _ in range(12500):
         for m in models:
             for k in (1, 2, 3):
-                if not m.supports_arity(k):
+                if k not in m.functions and m.default is None:
                     continue
                 angles = tuple(rng.uniform(-10, 10) for _ in range(k))
                 p = m.probability(angles)
@@ -387,6 +387,11 @@ def test_constant_angles_give_constant_curves(hull_2_2):
         ("pi/2 - pi/2", 0.0),
         ("-" * 198 + "pi", math.pi),
         ("(" * 99 + "-pi" + ")" * 99, -math.pi),
+        ("2 pi", 2 * math.pi),
+        ("02", 2.0),  # a number is what float() reads, not a Python literal
+        (".5pi", 0.5 * math.pi),
+        (" 2pi / 3 ", 2 * math.pi / 3),  # whitespace around every token
+        ("\t-pi\n", -math.pi),
     ],
 )
 def test_angle_expression_constants(text, value):
@@ -402,13 +407,20 @@ def test_angle_expression_affine():
     assert expr.cx == 2.0
     expr = parse_angle_expression("x/2 + 3y")
     assert (expr.cx, expr.cy) == (0.5, 3.0)
+    # implied products after a closing parenthesis and before a name
+    for text, cx in (("(x)2", 2.0), ("(x) 2", 2.0), ("2.x", 2.0), ("+x", 1.0),
+                     ("- -x", 1.0), ("x/2/2", 0.25), ("x - (1 - -x)2", -1.0)):
+        expr = parse_angle_expression(text)
+        assert (expr.cx, expr.cy) == (cx, 0.0), text
 
 
 def test_angle_expression_errors():
     # Nesting too deep for a recursive descent is an error, not a crash.
     too_long = ("(" * 300 + "x" + ")" * 300, "-" * 3000 + "1",
                 "(" * 100 + "x" + ")" * 100)
-    for bad in ("x*y", "x*x", "1/x", "2 +", "(1", "foo", "1//2", "", *too_long):
+    for bad in ("x*y", "x*x", "1/x", "2 +", "(1", "foo", "1//2", "", *too_long,
+                "2(x)", "x(2)", "(x)(y)", "()", "1e5", "2**3", "1_0", "0x1f",
+                "pi2", "x/0", "x/(1-1)", "1 2", " ", "x,y"):
         with pytest.raises(ParseError):
             parse_angle_expression(bad)
 
@@ -416,6 +428,7 @@ def test_angle_expression_errors():
 def test_parse_angles_shape_checks():
     assignment = parse_angles("0,2pi/3,4pi/3;0,2pi/3,4pi/3", C23)
     assert assignment.evaluated()[0][2] == pytest.approx(4 * math.pi / 3)
+    assert parse_angles(" 0, 2pi/3 ,4pi/3 ;0,2pi/3,4pi/3 ", C23) == assignment
     with pytest.raises(ParseError):
         parse_angles("0,1;0", C22)
     with pytest.raises(ParseError):

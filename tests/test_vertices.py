@@ -68,7 +68,7 @@ def test_truth_table_2_3_row_order_and_extremes():
 def test_rows_distinct_and_projection_bijective():
     for config in (Configuration.uniform(2, 2), Configuration((2, 1, 2))):
         vrep = truth_table(config)
-        k = config.propositions
+        k = sum(config.settings)
         assert len(vrep.vertices) == 2**k
         singles = {row[:k] for row in vrep.vertices}
         assert len(singles) == 2**k  # single-event block enumerates all bits
