@@ -233,19 +233,43 @@ def _violated(selected: list[tuple[int, Inequality]],
     would, so floats are bit-identical (``0 + -0.0`` is ``0.0``) and exact
     vectors give exact values.
 
-    A first pass keeps the rows whose largest sum minus ``rhs`` exceeds the
-    cut (subtracting a constant is monotone, so these are the same rows);
-    only those rows get their ``values`` built.  A NaN threshold would
-    compare false against every value and hide all violations, so it is
-    rejected.
+    Before that, each row gets an upper bound ``B`` on its sums at every
+    vector, read from the columns' extremes alone: ``c * p_e`` is largest
+    at the largest ``p_e`` for ``c > 0`` and at the smallest for ``c < 0``,
+    so ``B`` adds ``c * max(p_e)`` or ``c * min(p_e)`` in event order.  A
+    row with ``B - rhs <= cut`` cannot be kept (subtracting ``rhs`` is
+    monotone too) and is never summed; any other row is summed once and
+    kept if its largest value exceeds the cut.  So the kept rows and their
+    values are exactly those of summing every row.
+
+    ``B`` bounds every sum because exact sums grow with each term, and so
+    do floats added one rounding at a time, each rounding being monotone.
+    CPython 3.12+ compensates the rounding of a float ``sum``, and no such
+    argument covers that.  So when any probability is a float, the
+    extremes are widened by ``pad = n * 2**-48`` (n events), which adds
+    ``pad * sum(|c|)`` to ``B``: with every ``p`` in [0, 1], any way of
+    summing n float terms is off the exact sum by less than
+    ``2 * n * 2**-53 * sum(|c|)``, far below the pad.
+
+    A NaN threshold would compare false against every value and hide all
+    violations, so it is rejected.
     """
     if math.isnan(threshold):
         raise ValueError("threshold must be a number, not NaN")
     cut = threshold + VIOLATION_EPS
     columns = list(zip(*[vec.values for vec in vectors]))
     scaled = [{1: col} for col in columns]  # scaled[e][c] is c * p_e
+    floats = any(isinstance(p, float) for col in columns for p in col)
+    pad = len(columns) * 2.0**-48 if floats else 0
+    lows = [min(col) - pad for col in columns]
+    highs = [max(col) + pad for col in columns]
 
-    def sums(ineq: Inequality):
+    kept = []
+    for row, ineq in selected:
+        bound = sum([c * (hi if c > 0 else lo) for c, lo, hi
+                     in zip(ineq.coefficients, lows, highs) if c])
+        if bound - ineq.rhs <= cut:
+            continue
         terms = []
         for k, c in enumerate(ineq.coefficients):
             if c:
@@ -253,12 +277,10 @@ def _violated(selected: list[tuple[int, Inequality]],
                 if col is None:
                     col = scaled[k][c] = [c * p for p in columns[k]]
                 terms.append(col)
-        return map(sum, zip(*terms))
-
-    kept = [(row, ineq) for row, ineq in selected
-            if max(sums(ineq)) - ineq.rhs > cut]
-    return [(row, ineq, tuple([s - ineq.rhs for s in sums(ineq)]))
-            for row, ineq in kept]
+        sums = list(map(sum, zip(*terms)))
+        if max(sums) - ineq.rhs > cut:
+            kept.append((row, ineq, tuple([s - ineq.rhs for s in sums])))
+    return kept
 
 
 def scan_probability_vector(
@@ -378,7 +400,7 @@ def sample_violation_grid(
     ]
 
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+(?:\.\d*)?|\.\d+)|(pi|x|y|[+\-*/()]))\s*")
+_TOKEN_RE = re.compile(r"\s*(?:([0-9]+(?:\.[0-9]*)?|\.[0-9]+)|(pi|x|y|[+\-*/()]))\s*")
 
 #: Longest angle expression, in tokens, implied ``*`` included.  It bounds
 #: the nesting of parentheses and unary signs, and so the recursion of
@@ -394,9 +416,11 @@ def parse_angle_expression(text: str) -> AngleExpression:
 
     The tokens are numbers, ``pi``, ``x``, ``y``, ``+ - * / ( )``, with
     whitespace around any of them; ``2pi``, ``0.5x`` and ``(x)2`` mean
-    multiplication.  Python's parser builds the tree of the tokens.  Each
-    number reaches it as the index of its ``float`` value, so ``02`` is 2.0
-    although Python's literals reject it.
+    multiplication.  Numbers are ASCII decimals.  Python's parser builds
+    the tree of the tokens.  Each number reaches it as the index of its
+    ``float`` value, so ``02`` is 2.0 although Python's literals reject it.
+    A number, or a coefficient of the result, that is not finite (too large
+    for a float, or ``inf - inf``) is an error.
     """
     numbers: list[float] = []
     tokens: list[str] = []
@@ -423,7 +447,10 @@ def parse_angle_expression(text: str) -> AngleExpression:
         tree = ast.parse(" ".join(tokens), mode="eval")
     except SyntaxError:
         raise ParseError(f"bad angle expression {text!r}") from None
-    return AngleExpression(*_affine(tree.body, numbers))
+    value = _affine(tree.body, numbers)
+    if not all(map(math.isfinite, (*numbers, *value))):
+        raise ParseError(f"angle expression {text!r} is not finite")
+    return AngleExpression(*value)
 
 
 def _affine(node: ast.expr, numbers: list[float]) -> tuple[float, float, float]:

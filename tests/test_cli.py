@@ -297,6 +297,9 @@ def test_exit_code_parse_error(tmp_path, capsys):
     code, _, err = run(capsys, "violations", "--ine", str(ine), "--model",
                        "singlet", "--angles=" + "-" * 3000 + "1,0;0,0")
     assert code == 2 and "longer than" in err
+    code, _, err = run(capsys, "violations", "--ine", str(ine), "--model",
+                       "singlet", "--angles=" + "9" * 400 + ",0;0,0")
+    assert code == 2 and "not finite" in err
 
 
 def test_exit_code_capacity(tmp_path, capsys, monkeypatch):

@@ -21,7 +21,7 @@ from corrpoly import (
     to_text,
 )
 from corrpoly.core import ParseError
-from corrpoly.quantum import parse_angle_expression
+from corrpoly.quantum import VIOLATION_EPS, parse_angle_expression
 
 C22 = Configuration.uniform(2, 2)
 C23 = Configuration.uniform(2, 3)
@@ -318,6 +318,38 @@ def event_order_value(ineq, vec):
     return sum(c * p for c, p in zip(ineq.coefficients, vec) if c) - ineq.rhs
 
 
+def edge_thresholds(top):
+    """``(drop, keep)``: the lowest threshold at which a row whose largest
+    value is ``top`` is not reported (``top > drop + VIOLATION_EPS`` is
+    false) and the next float below it, at which the row is reported."""
+    t = top - VIOLATION_EPS
+    up = top > t + VIOLATION_EPS  # t keeps the row: walk up to the first drop
+    while (top > t + VIOLATION_EPS) == up:
+        t = math.nextafter(t, math.inf if up else -math.inf)
+    return (t, math.nextafter(t, -math.inf)) if up else (math.nextafter(t, math.inf), t)
+
+
+def assert_edges(sample, rows, vectors, floor=-math.inf):
+    """Group the rows by their largest value over ``vectors`` under the
+    event-order oracle.  ``sample(group, t)`` gives ``(inequality, values)``
+    pairs: none at the group's drop threshold, and at its keep threshold
+    every row of the group with exactly the oracle's values (``repr`` tells
+    -0.0 from 0.0 and a ``Fraction`` from a float)."""
+    groups = {}
+    for ineq in rows:
+        values = [event_order_value(ineq, v) for v in vectors]
+        groups.setdefault(max(values), []).append((ineq, list(map(repr, values))))
+    for top, group in groups.items():
+        drop, keep = edge_thresholds(top)
+        if keep < floor:
+            continue
+        ineqs = [ineq for ineq, _ in group]
+        assert sample(ineqs, drop) == [], top
+        got = [(ineq, list(map(repr, values))) for ineq, values in sample(ineqs, keep)]
+        assert got == group, top
+    return groups
+
+
 def test_grid_and_curve_bit_identical_to_event_order_loop(hull_2_3):
     model = builtin_model("singlet")
     angles = parse_angles("x,0,2pi/3;0,y,4pi/3", C23)
@@ -331,6 +363,22 @@ def test_grid_and_curve_bit_identical_to_event_order_loop(hull_2_3):
         # float.hex tells -0.0 from 0.0, which == would not
         assert [v.hex() for v in grid.values] == [e.hex() for e in expected]
 
+    # On both sides of each row's maximum, the rows reported are exactly
+    # those the oracle keeps, with its values, although most rows are
+    # skipped unsummed; most rows have negative coefficients.
+    rows = from_hrep(hull_2_3, C23)
+    assert sum(min(q.coefficients) < 0 for q in rows) > 600
+    for name in ("singlet", "uniform"):
+        model = builtin_model(name)
+        vectors = [probability_vector(model, angles, x=x, y=y)
+                   for y in grids[0].ys for x in grids[0].xs]
+        tops = assert_edges(
+            lambda ineqs, t: [(g.inequality, g.values) for g in sample_violation_grid(
+                ineqs, model, angles=angles, samples_x=9, samples_y=7, threshold=t)],
+            rows, vectors)
+        assert len(tops) > {"singlet": 200, "uniform": 2}[name]  # distinct maxima
+
+    model = builtin_model("singlet")
     angles = parse_angles("x,0,2pi/3;0,2pi/3,4pi/3", C23)
     curves = sample_violation_curve(hull_2_3, model, angles=angles,
                                     samples=17, threshold=-100.0)
@@ -339,6 +387,20 @@ def test_grid_and_curve_bit_identical_to_event_order_loop(hull_2_3):
     for curve in curves:
         expected = [event_order_value(curve.inequality, v) for v in vectors]
         assert [v.hex() for v in curve.values] == [e.hex() for e in expected]
+    assert_edges(
+        lambda ineqs, t: [(c.inequality, c.values) for c in sample_violation_curve(
+            ineqs, model, angles=angles, samples=17, threshold=t)],
+        rows, vectors)
+
+    # One vector, floats and exact; scans take only nonnegative thresholds.
+    floats = probability_vector(model, parse_angles("0,2pi/3,4pi/3;0,2pi/3,4pi/3", C23))
+    exact = ProbabilityVector(tuple(Fraction(round(8 * p), 8) for p in floats), C23)
+    for vec in (floats, exact):
+        tops = assert_edges(
+            lambda ineqs, t: [(r.inequality, [r.amount])
+                              for r in scan_probability_vector(ineqs, vec, threshold=t)],
+            rows, [vec], floor=0.0)
+        assert sum(len(tops[top]) for top in tops if top > 0) == 12
 
 
 def test_exact_vector_gives_exact_amounts(hull_2_3):
@@ -418,9 +480,13 @@ def test_angle_expression_errors():
     # Nesting too deep for a recursive descent is an error, not a crash.
     too_long = ("(" * 300 + "x" + ")" * 300, "-" * 3000 + "1",
                 "(" * 100 + "x" + ")" * 100)
+    # Beyond the float range: inf, inf from a product, inf * x, inf - inf.
+    big, half = "9" * 400, "9" * 200
+    not_finite = (big, f"{half}*{half}", f"{big}x", f"{big}-{big}")
     for bad in ("x*y", "x*x", "1/x", "2 +", "(1", "foo", "1//2", "", *too_long,
                 "2(x)", "x(2)", "(x)(y)", "()", "1e5", "2**3", "1_0", "0x1f",
-                "pi2", "x/0", "x/(1-1)", "1 2", " ", "x,y"):
+                "pi2", "x/0", "x/(1-1)", "1 2", " ", "x,y", *not_finite,
+                "\u0663", "\uff13"):  # ARABIC-INDIC and FULLWIDTH digit three
         with pytest.raises(ParseError):
             parse_angle_expression(bad)
 
