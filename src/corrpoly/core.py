@@ -169,9 +169,13 @@ def parse_number(token: str) -> NumberLike:
     """Parse an exact numeric token: integer, ``p/q`` or decimal.
 
     Decimal tokens (cdd's ``real`` number type) are snapped to the nearest
-    rational with denominator at most ``MAX_DENOMINATOR``.
+    rational with denominator at most ``MAX_DENOMINATOR``.  Digits are
+    ASCII and ``_`` is no separator, as in cdd, although Python's ``int``
+    and ``Fraction`` accept both.
     """
     token = token.strip()
+    if not token.isascii() or "_" in token:
+        raise ParseError(f"bad numeric token {token!r}")
     try:
         if "/" in token:
             value = Fraction(token)

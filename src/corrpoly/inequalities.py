@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import chain
 
 from .core import (
     Configuration,
@@ -40,9 +42,7 @@ class Inequality:
             )
         if not any(self.coefficients):
             raise ValueError("inequality needs at least one nonzero coefficient")
-        g = 0
-        for value in self.coefficients + (self.rhs,):
-            g = math.gcd(g, value)
+        g = math.gcd(*self.coefficients, self.rhs)
         if g > 1:
             object.__setattr__(
                 self, "coefficients", tuple(c // g for c in self.coefficients)
@@ -61,18 +61,13 @@ class Inequality:
         return to_text(self)
 
 
-def from_hrow(row, config: Configuration) -> Inequality:
-    """Turn one exact constraint row into a canonical inequality."""
-    cleared = clear_to_int(row)
-    return Inequality(
-        coefficients=tuple(-a for a in cleared[1:]),
-        rhs=cleared[0],
-        config=config,
-    )
-
-
 def from_hrep(hrep: HRepresentation, config: Configuration | None = None) -> list[Inequality]:
-    """All non-linearity rows of an H-representation, order preserved."""
+    """All non-linearity rows of an H-representation, order preserved.
+
+    Integer rows go to ``Inequality`` as they are, which divides out their
+    gcd; only when an entry is not an int are the rows cleared of
+    denominators first.
+    """
     config = config or hrep.config
     if config is None:
         raise ValueError("no configuration attached; pass one explicitly")
@@ -81,7 +76,16 @@ def from_hrep(hrep: HRepresentation, config: Configuration | None = None) -> lis
             f"configuration has {event_count(config)} events but the "
             f"H-representation has dimension {hrep.dimension}"
         )
-    return [from_hrow(hrep.rows[i], config) for i in hrep.inequality_indices]
+    rows = [hrep.rows[i] for i in hrep.inequality_indices]
+    if set(map(type, chain.from_iterable(rows))) != {int}:
+        rows = [clear_to_int(row) for row in rows]
+    return [Inequality(tuple([-a for a in row[1:]]), row[0], config) for row in rows]
+
+
+@lru_cache(maxsize=32)
+def _labels(config: Configuration) -> tuple[str, ...]:
+    """The rendered event labels of a layout, in canonical order."""
+    return tuple(ev.label() for ev in enumerate_events(config))
 
 
 def to_text(ineq: Inequality) -> str:
@@ -89,9 +93,8 @@ def to_text(ineq: Inequality) -> str:
 
     Unit coefficients are elided; terms are sorted by event label.
     """
-    events = enumerate_events(ineq.config)
     terms = sorted(
-        (ev.label(), c) for ev, c in zip(events, ineq.coefficients) if c
+        (label, c) for label, c in zip(_labels(ineq.config), ineq.coefficients) if c
     )
     parts: list[str] = []
     for label, c in terms:

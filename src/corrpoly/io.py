@@ -55,7 +55,11 @@ class PolyhedraFile:
 
 
 def _render_rows(rows: Iterable[Sequence[NumberLike]]) -> list[str]:
-    return [" ".join(format_number(x) for x in row) for row in rows]
+    return [
+        " ".join(map(str, row)) if set(map(type, row)) == {int}
+        else " ".join(map(format_number, row))
+        for row in rows
+    ]
 
 
 def _numbertype_for(rows: Iterable[Sequence[NumberLike]]) -> str:
@@ -77,6 +81,22 @@ def format_polyhedra_file(pf: PolyhedraFile) -> str:
     lines.append("end")
     lines.extend(pf.options)
     return "\n".join(lines) + "\n"
+
+
+def _parse_row(line: str, tokens: list[str]) -> tuple[NumberLike, ...]:
+    """The numbers of one data row; ``tokens`` is ``line.split()``.
+
+    A line of ASCII integers is read by ``int`` alone.  Anything else
+    (``p/q``, decimals, bad tokens) goes token by token through
+    ``parse_number``, which also rejects what ``int`` would accept beyond
+    cdd's spellings: ``_`` separators and non-ASCII digits.
+    """
+    if line.isascii() and "_" not in line:
+        try:
+            return tuple(map(int, tokens))
+        except ValueError:
+            pass
+    return tuple(parse_number(t) for t in tokens)
 
 
 def parse_polyhedra_file(text: str, source: str = "<string>") -> PolyhedraFile:
@@ -126,14 +146,15 @@ def parse_polyhedra_file(text: str, source: str = "<string>") -> PolyhedraFile:
 
     rows = []
     for _ in range(m):
-        tokens = next_line().split()
+        line = next_line()
+        tokens = line.split()
         if tokens == ["end"]:
             raise ParseError(f"{source}: expected {m} data rows")
         if len(tokens) != n:
             raise ParseError(
                 f"{source}: row has {len(tokens)} entries, expected {n}"
             )
-        rows.append(tuple(parse_number(t) for t in tokens))
+        rows.append(_parse_row(line, tokens))
     if next_line() != "end":
         raise ParseError(f"{source}: expected 'end' after {m} data rows")
 

@@ -93,7 +93,9 @@ class ProbabilityModel:
 
     ``functions`` provides one callable per arity; ``default`` (if given)
     covers every other arity.  Callers may register arbitrary callables;
-    outputs must stay within [0, 1].
+    outputs must stay within [0, 1], up to a rounding slack that is clamped
+    away.  A value in [0, 1] comes back as the law gave it, so exact laws
+    keep ``Fraction`` values.
     """
 
     def __init__(self, name: str,
@@ -114,7 +116,7 @@ class ProbabilityModel:
             raise ValueError(
                 f"model {self.name!r} produced probability {p} outside [0, 1]"
             )
-        return min(1.0, max(0.0, p))
+        return p if 0 <= p <= 1 else min(1.0, max(0.0, p))
 
     def __repr__(self) -> str:
         return f"ProbabilityModel({self.name!r})"

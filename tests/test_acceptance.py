@@ -230,12 +230,14 @@ def test_criterion_4_three_particle_facet_check():
 
 
 @pytest.mark.extended
-def test_criterion_4_three_particle_full_hull():
+def test_criterion_4_three_particle_full_hull(tmp_path):
     start = time.perf_counter()
     h = hull(truth_table(C32))
     elapsed = time.perf_counter() - start
     assert len(h.rows) == 53856
     assert not h.linearity
+    # the .ine reader and writer on a file ~80x the largest tier-1 input
+    assert read_ine(write_ine(h, tmp_path / "3_2")).rows == h.rows
     verdict("criterion 4 (3x2 full hull)", f"53856 facets, {elapsed:.0f}s")
 
 

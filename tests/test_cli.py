@@ -300,6 +300,11 @@ def test_exit_code_parse_error(tmp_path, capsys):
     code, _, err = run(capsys, "violations", "--ine", str(ine), "--model",
                        "singlet", "--angles=" + "9" * 400 + ",0;0,0")
     assert code == 2 and "not finite" in err
+    underscored = tmp_path / "underscored.ine"
+    underscored.write_text(ine.read_text().replace(" 1 ", " 1_0 ", 1))
+    code, _, err = run(capsys, "violations", "--ine", str(underscored),
+                       "--model", "singlet", "--angles", "0,1;0,1")
+    assert code == 2 and "'1_0'" in err
 
 
 def test_exit_code_capacity(tmp_path, capsys, monkeypatch):

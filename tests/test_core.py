@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from corrpoly import Configuration, EventLabel, enumerate_events, event_count
-from corrpoly.core import ProbabilityVector, format_number, parse_number
+from corrpoly.core import ParseError, ProbabilityVector, format_number, parse_number
 
 
 def labels(config):
@@ -136,6 +136,13 @@ def test_probability_vector_validation(config_2_2):
 )
 def test_parse_number(token, value):
     assert parse_number(token) == value
+
+
+@pytest.mark.parametrize("token", ["1_0", "1_0/3", "0.5_0", "\u0663", "\uff11\uff12", "1\u0663"])
+def test_parse_number_rejects_spellings_cdd_does_not_write(token):
+    # Python's int and Fraction read underscores and non-ASCII digits
+    with pytest.raises(ParseError, match="bad numeric token"):
+        parse_number(token)
 
 
 def test_format_number_round_trip():

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -14,6 +15,7 @@ from corrpoly import (
     truth_table,
 )
 from corrpoly.core import ParseError, event_count
+from corrpoly.linalg import clear_to_int
 
 URN = Configuration((1, 1))
 
@@ -100,6 +102,25 @@ def test_canonicalization_gcd_and_scaling():
     assert Inequality((2, 4, -6), 8, c) == Inequality((1, 2, -3), 4, c)
     with pytest.raises(ValueError):
         Inequality((0, 0, 0), 1, c)
+
+
+def test_from_hrep_integer_fraction_and_mixed_rows(hull_2_2, config_2_2):
+    # integer rows skip clear_to_int; the result must be the same
+    def cleared(row):
+        row = clear_to_int(row)
+        return Inequality(tuple(-a for a in row[1:]), row[0], config_2_2)
+
+    facets = from_hrep(hull_2_2)
+    scaled = tuple(tuple(3 * v for v in row) for row in hull_2_2.rows)
+    halved = tuple(tuple(Fraction(v, 2) for v in row) for row in hull_2_2.rows)
+    mixed = tuple(tuple(Fraction(v, 2) if i % 2 else v for i, v in enumerate(row))
+                  for row in scaled)
+    for rows in (scaled, halved, mixed, scaled[:5] + halved[5:]):
+        hrep = HRepresentation(hull_2_2.dimension, rows, config=config_2_2)
+        got = from_hrep(hrep)
+        assert got == [cleared(row) for row in rows]
+        assert all(type(c) is int for q in got for c in q.coefficients + (q.rhs,))
+    assert from_hrep(HRepresentation(hull_2_2.dimension, scaled, config=config_2_2)) == facets
 
 
 def test_round_trip_random_inequalities():

@@ -24,7 +24,7 @@ from corrpoly import (
     write_ext,
     write_ine,
 )
-from corrpoly.core import ParseError
+from corrpoly.core import ParseError, parse_number
 from corrpoly.io import (
     grid_svg,
     parse_polyhedra_file,
@@ -227,6 +227,38 @@ def test_parse_errors():
                 from corrpoly.io import hrep_from_file
 
                 hrep_from_file(parse_polyhedra_file(text))
+
+
+# Tokens of every spelling cdd writes, plus edge cases of Python's int.
+NUMBER_CORPUS = [
+    "+3", "-0", "007", "0", "-12", "1/2", "-3/6", "4/2", "0.5", "-2.50",
+    "1e3", "1E-2", "2.000E+00", "9" * 300, "-" + "7" * 300,
+    "1" + "0" * 299 + "/3",
+]
+
+
+@pytest.mark.parametrize("numbertype", ["integer", "rational", "real"])
+def test_data_rows_match_per_token_parse(numbertype):
+    rng = random.Random(7)
+    ints = [t for t in NUMBER_CORPUS if all(c.isdigit() or c in "+-" for c in t)]
+    lines = [" ".join(rng.choice(ints) for _ in range(4)) for _ in range(20)]
+    lines += [" ".join(rng.choice(NUMBER_CORPUS) for _ in range(4)) for _ in range(40)]
+    lines += ["\t".join(ints[:4]), "  1   2\t 3 4  "]
+    text = "H-representation\nbegin\n%d 4 %s\n%s\nend\n" % (
+        len(lines), numbertype, "\n".join(lines))
+    rows = parse_polyhedra_file(text).rows
+    expected = [tuple(parse_number(t) for t in line.split()) for line in lines]
+    assert list(rows) == expected
+    assert [list(map(type, r)) for r in rows] == [list(map(type, r)) for r in expected]
+
+
+@pytest.mark.parametrize("token", ["1_0", "1_0/3", "\u0663", "\uff11\uff12"])
+def test_data_rows_reject_spellings_cdd_does_not_write(token):
+    # all-integer lines take the int() fast path, which must not accept these
+    for row in (f"1 {token}", f"{token} 1"):
+        text = f"H-representation\nbegin\n1 2 integer\n{row}\nend\n"
+        with pytest.raises(ParseError, match="bad numeric token"):
+            parse_polyhedra_file(text)
 
 
 def test_wrong_kind_rejected():

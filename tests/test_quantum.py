@@ -7,6 +7,8 @@ import pytest
 from corrpoly import (
     AngleAssignment,
     Configuration,
+    HRepresentation,
+    ProbabilityModel,
     ProbabilityVector,
     builtin_model,
     contains,
@@ -413,6 +415,28 @@ def test_exact_vector_gives_exact_amounts(hull_2_3):
     reports = scan_probability_vector(hull_2_3, exact)
     assert all(type(r.amount) is Fraction for r in reports)
     assert sorted(r.amount for r in reports) == [Fraction(1, 8)] * 6 + [Fraction(1, 4)] * 6
+
+
+def test_exact_law_keeps_fractions_at_zero_and_one():
+    # singles 1, pairs 0: both ends of [0, 1], where a float clamp would bite
+    law = ProbabilityModel("exact", {}, default=lambda a: Fraction(len(a) % 2))
+    vec = probability_vector(law, parse_angles("0,1;0,1", C22))
+    assert vec.values == (1,) * 4 + (0,) * 4
+    assert all(type(p) is Fraction for p in vec.values)
+
+
+def test_scaled_rows_give_the_same_reports(hull_2_3):
+    # a row times 3 is the same inequality, read without clear_to_int
+    scaled = HRepresentation(hull_2_3.dimension,
+                             tuple(tuple(3 * v for v in row) for row in hull_2_3.rows),
+                             config=hull_2_3.config)
+    model = builtin_model("singlet")
+    for text in ("0,2pi/3,4pi/3;0,2pi/3,4pi/3", "0.3,1.9,4;2.2,0.1,5.5"):
+        angles = parse_angles(text, C23)
+        want = scan_violations(hull_2_3, model, angles=angles)
+        got = scan_violations(scaled, model, angles=angles)
+        assert want and [(r.row, r.inequality, r.amount) for r in got] == [
+            (r.row, r.inequality, r.amount) for r in want]
 
 
 def test_negative_zero_terms_sum_to_positive_zero():
