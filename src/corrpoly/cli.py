@@ -269,8 +269,9 @@ def cmd_contour(args) -> int:
 
 def cmd_verify(args) -> int:
     config = _resolve_config(args)
-    ineq = parse_text(args.ineq, config)
+    # The cap check comes first: parsing builds every event label.
     vrep = truth_table(config, max_rows=args.vertex_cap)
+    ineq = parse_text(args.ineq, config)
     report = verify_facet(ineq.to_hrow(), vrep)
     if args.json:
         print(json.dumps({

@@ -29,6 +29,11 @@ class CapacityError(CorrPolyError):
     """A configurable size guard was exceeded (vertex or ray cap)."""
 
 
+def _check_particles(particles: int) -> None:
+    if particles > len(string.ascii_lowercase):
+        raise ValueError("at most 26 particles supported (letter labels)")
+
+
 @dataclass(frozen=True)
 class Configuration:
     """Measurement layout: one entry per particle giving its setting count.
@@ -44,11 +49,11 @@ class Configuration:
             raise ValueError("configuration needs at least one particle")
         if any(m < 1 for m in self.settings):
             raise ValueError("every particle needs at least one setting")
-        if len(self.settings) > len(string.ascii_lowercase):
-            raise ValueError("at most 26 particles supported (letter labels)")
+        _check_particles(len(self.settings))
 
     @classmethod
     def uniform(cls, particles: int, measurements: int) -> "Configuration":
+        _check_particles(particles)  # before a huge count builds its tuple
         return cls((measurements,) * particles)
 
     @property

@@ -38,36 +38,32 @@ _KONFIG_RE = re.compile(
 
 @dataclass(frozen=True)
 class PolyhedraFile:
-    """Raw parsed .ext/.ine contents, before interpretation."""
+    """Raw parsed .ext/.ine contents, before interpretation.
+
+    The size line's number type is checked but not kept; the writer
+    decides it from the values.
+    """
 
     kind: str  # "V" or "H"
     rows: tuple[tuple[NumberLike, ...], ...]
-    numbertype: str
+    columns: int
     linearity: tuple[int, ...] = ()  # 0-based row indices
     options: tuple[str, ...] = ()
-    columns: int | None = None  # only needed when rows is empty
-
-    @property
-    def n_columns(self) -> int:
-        if self.rows:
-            return len(self.rows[0])
-        return self.columns or 0
 
 
-def _render_rows(rows: Iterable[Sequence[NumberLike]]) -> list[str]:
-    return [
-        " ".join(map(str, row)) if set(map(type, row)) == {int}
-        else " ".join(map(format_number, row))
-        for row in rows
-    ]
-
-
-def _numbertype_for(rows: Iterable[Sequence[NumberLike]]) -> str:
+def _render_rows(rows: Iterable[Sequence[NumberLike]]) -> tuple[str, list[str]]:
+    """The cdd number type of ``rows`` and their data lines, in one pass."""
+    numbertype = "integer"
+    lines = []
     for row in rows:
-        for x in row:
-            if getattr(x, "denominator", 1) != 1:
-                return "rational"
-    return "integer"
+        if set(map(type, row)) == {int}:
+            lines.append(" ".join(map(str, row)))
+        else:
+            line = " ".join(map(format_number, row))
+            if "/" in line:
+                numbertype = "rational"
+            lines.append(line)
+    return numbertype, lines
 
 
 def format_polyhedra_file(pf: PolyhedraFile) -> str:
@@ -76,8 +72,9 @@ def format_polyhedra_file(pf: PolyhedraFile) -> str:
         indices = " ".join(str(i + 1) for i in sorted(pf.linearity))
         lines.append(f"linearity {len(pf.linearity)} {indices}")
     lines.append("begin")
-    lines.append(f"{len(pf.rows)} {pf.n_columns} {pf.numbertype}")
-    lines.extend(_render_rows(pf.rows))
+    numbertype, data = _render_rows(pf.rows)
+    lines.append(f"{len(pf.rows)} {pf.columns} {numbertype}")
+    lines.extend(data)
     lines.append("end")
     lines.extend(pf.options)
     return "\n".join(lines) + "\n"
@@ -165,21 +162,25 @@ def parse_polyhedra_file(text: str, source: str = "<string>") -> PolyhedraFile:
         if i >= m:
             raise ParseError(f"{source}: linearity index {i + 1} out of range")
     return PolyhedraFile(
-        kind=kind, rows=tuple(rows), numbertype=size[2],
+        kind=kind, rows=tuple(rows),
         linearity=linearity, options=options, columns=n,
     )
 
 
-def _read_config(options: Sequence[str], dimension: int) -> Configuration | None:
+def _read_config(options: Sequence[str], dimension: int,
+                 source: str) -> Configuration | None:
     """The layout of the first Konfiguration line, if it has ``dimension`` events."""
     for line in options:
         m = _KONFIG_RE.match(line)
-        if m and m.group("counts"):
-            config = Configuration(tuple(int(t) for t in m.group("counts").split(",")))
-        elif m:
-            config = Configuration.uniform(int(m.group(1)), int(m.group(2)))
-        else:
+        if not m:
             continue
+        try:
+            if m.group("counts"):
+                config = Configuration(tuple(map(int, m.group("counts").split(","))))
+            else:
+                config = Configuration.uniform(int(m.group(1)), int(m.group(2)))
+        except ValueError as exc:
+            raise ParseError(f"{source}: bad {line!r}: {exc}") from None
         return config if event_count(config) == dimension else None
     return None
 
@@ -201,11 +202,9 @@ def _ensure_suffix(path, suffix: str) -> Path:
 
 
 def vrep_to_file(vrep: VRepresentation) -> PolyhedraFile:
-    rows = vrep.homogenized
     return PolyhedraFile(
         kind="V",
-        rows=rows,
-        numbertype=_numbertype_for(rows),
+        rows=vrep.homogenized,
         options=_config_lines(vrep.config),
         columns=vrep.dimension + 1,
     )
@@ -227,10 +226,10 @@ def vrep_from_file(pf: PolyhedraFile, source: str = "<string>") -> VRepresentati
             raise ParseError(
                 f"{source}: generator rows must start with 0 or 1, got {row[0]}"
             )
-    dimension = max(pf.n_columns - 1, 0)
+    dimension = max(pf.columns - 1, 0)
     return VRepresentation(
         dimension=dimension, vertices=tuple(vertices), rays=tuple(rays),
-        config=_read_config(pf.options, dimension),
+        config=_read_config(pf.options, dimension, source),
     )
 
 
@@ -238,7 +237,6 @@ def hrep_to_file(hrep: HRepresentation) -> PolyhedraFile:
     return PolyhedraFile(
         kind="H",
         rows=hrep.rows,
-        numbertype=_numbertype_for(hrep.rows),
         linearity=tuple(sorted(hrep.linearity)),
         options=_config_lines(hrep.config),
         columns=hrep.dimension + 1,
@@ -248,12 +246,12 @@ def hrep_to_file(hrep: HRepresentation) -> PolyhedraFile:
 def hrep_from_file(pf: PolyhedraFile, source: str = "<string>") -> HRepresentation:
     if pf.kind != "H":
         raise ParseError(f"{source}: expected an H-representation")
-    dimension = max(pf.n_columns - 1, 0)
+    dimension = max(pf.columns - 1, 0)
     return HRepresentation(
         dimension=dimension,
         rows=pf.rows,
         linearity=frozenset(pf.linearity),
-        config=_read_config(pf.options, dimension),
+        config=_read_config(pf.options, dimension, source),
     )
 
 

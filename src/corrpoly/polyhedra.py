@@ -116,16 +116,16 @@ class DDPair:
     ascending id order, which is creation order.  The same incidences are
     kept transposed for the adjacency test: ``alive`` is the bit set of the
     keys of ``_rays`` and ``cols[k] & alive`` is exactly the bit set of the
-    ids of the rays tight on ``rows[k]``.  Ids are never reused until
-    ``_renumber`` rebuilds ``_rays``, ``_active`` and ``cols`` densely, so a
-    column may still hold dead ids, which ``alive`` masks out.
+    ids of the rays tight on ``rows[k]``.  ``lanes`` packs the coordinates
+    of the rays, so that a new row is evaluated on every ray with a few
+    big-int operations: lane ``i`` is ray ``i`` for every id below
+    ``next_id``.
 
-    ``lanes`` packs the coordinates of the rays, so that a new row is
-    evaluated on every ray with a few big-int operations: lane ``i`` is ray
-    ``i`` for every id below ``next_id``.  A dead id keeps its lane, which
-    ``_rays`` masks out, until ``_repack`` refills the lanes from ``_rays``
-    on renumbering and on consuming lineality; new rays' lanes are
-    appended.
+    A split drops rays and appends new ones with fresh ids and lanes, so a
+    column and a lane may still hold dead ids, which ``alive`` and
+    ``_rays`` mask out.  ``_reset`` numbers the rays densely and rebuilds
+    all of this state from them; it runs on every lineality step and once
+    dead ids outnumber live ones.
     """
 
     __slots__ = ("dimension", "rows", "_rays", "_active", "lineality", "debug",
@@ -136,17 +136,13 @@ class DDPair:
             raise ValueError("cone dimension must be positive")
         self.dimension = dimension
         self.rows: list[IntVec] = []
-        self._rays: dict[int, IntVec] = {}
-        self._active: dict[int, int] = {}
         self.lineality: list[IntVec] = [
             tuple(1 if j == i else 0 for j in range(dimension))
             for i in range(dimension)
         ]
         self.debug = debug
-        self.cols: list[int] = []
-        self.alive = 0
-        self.next_id = 0
         self.lanes = Lanes(dimension)
+        self._reset([], [])
 
     @property
     def rays(self) -> list[IntVec]:
@@ -178,7 +174,7 @@ class DDPair:
         else:
             self._split(row, vals, equality)
         if self.next_id > (_DEAD_ID_FACTOR + 1) * len(self._rays):
-            self._renumber()
+            self._reset(self.rays, self.active)
         if self.debug:
             self._check_columns()
         if ray_cap is not None and len(self._rays) > ray_cap:
@@ -215,13 +211,6 @@ class DDPair:
         if new:
             self.lanes.append([ray for ray, _ in new])
 
-    def _repack(self) -> None:
-        """Refill ``lanes`` from ``_rays``, with zero lanes for dead ids."""
-        full = [(0,) * self.dimension] * self.next_id
-        for i, r in self._rays.items():
-            full[i] = r
-        self.lanes.fill(full)
-
     def _consume_lineality(self, row: IntVec, vals: Sequence[int], hit: int,
                            lin_prods: list[int], equality: bool) -> None:
         # The constraint sees the lineality space: one basis direction moves
@@ -240,33 +229,24 @@ class DDPair:
             new_lin.append(primitive(s * a - p * b for a, b in zip(l, l0)) if p else l)
         self.lineality = new_lin
 
-        k = len(self.rows)
-        bit = 1 << k
-        rays = self._rays
-        for i, r in rays.items():
-            v = vals[i]
-            if v:
-                rays[i] = primitive(s * a - v * b for a, b in zip(r, l0))
-        self._active = {i: a | bit for i, a in self._active.items()}
-        self.cols.append(self.alive)  # every ray is tight on the new row
+        bit = 1 << len(self.rows)
+        rays = [primitive(s * a - vals[i] * b for a, b in zip(r, l0)) if vals[i] else r
+                for i, r in self._rays.items()]
+        active = [a | bit for a in self._active.values()]  # all tight on the new row
         if not equality:
-            i = self.next_id
-            b = 1 << i
-            rays[i] = l0
-            self._active[i] = bit - 1  # tight on every previous row, not this one
-            self.cols[:k] = [c | b for c in self.cols[:k]]
-            self.alive |= b
-            self.next_id += 1
+            rays.append(l0)
+            active.append(bit - 1)  # tight on every previous row, not this one
         self.rows.append(row)
-        self._repack()
+        self._reset(rays, active)
 
-    def _renumber(self) -> None:
-        self._rays = dict(enumerate(self._rays.values()))
-        self._active = dict(enumerate(self._active.values()))
+    def _reset(self, rays: list[IntVec], active: list[int]) -> None:
+        """Give ``rays`` (tight rows ``active``) ids 0..n-1; rebuild the rest."""
+        self._rays = dict(enumerate(rays))
+        self._active = dict(enumerate(active))
         self.cols = _transpose(self._active.items(), [0] * len(self.rows))
-        self.next_id = len(self._rays)
+        self.next_id = len(rays)
         self.alive = (1 << self.next_id) - 1
-        self._repack()
+        self.lanes.fill(rays)
 
     def _combine_pairs(self, vals: Sequence[int], pos: list[int], neg: list[int],
                        bit: int) -> list[tuple[IntVec, int]]:

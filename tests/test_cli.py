@@ -265,6 +265,22 @@ def test_verify_cli(capsys):
     assert payload == {"valid": True, "tight_count": 3, "is_facet": True}
 
 
+def test_verify_checks_the_vertex_cap_before_building_events(capsys):
+    # 12x12 has 13**12 - 1 events; the truth table cap must reject the
+    # layout before the inequality parser builds their labels.
+    code, _, err = run(capsys, "verify", "-n", "12", "-m", "12", "--ineq", "a1 <= 1")
+    assert code == 3
+    assert "cap" in err
+
+
+def test_bad_konfiguration_exits_with_parse_error(tmp_path, capsys):
+    ine = tmp_path / "bad.ine"
+    ine.write_text("H-representation\nbegin\n1 2 integer\n1 0\nend\nKonfiguration 0 3\n")
+    code, _, err = run(capsys, "contains", "--ine", str(ine), "--point", "0")
+    assert code == 2
+    assert str(ine) in err
+
+
 def test_contains_cli(tmp_path, capsys):
     ine = tmp_path / "urn.ine"
     run(capsys, "hull", "-n", "2", "-m", "1", "-o", str(ine), "-q")

@@ -84,6 +84,9 @@ def test_invalid_configurations():
         Configuration(())
     with pytest.raises(ValueError):
         Configuration((2, 0))
+    # Rejected before the 10**12-long settings tuple is built.
+    with pytest.raises(ValueError, match="26 particles"):
+        Configuration.uniform(10**12, 2)
 
 
 def test_event_label_validation():

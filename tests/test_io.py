@@ -169,6 +169,19 @@ def test_konfiguration_option_round_trip(tmp_path, hull_2_3):
         assert back.rows == hrep.rows
 
 
+@pytest.mark.parametrize("line", [
+    "Konfiguration 0 3", "Konfiguration 2 0", "Konfiguration 30 1",
+    "Konfiguration 0,2", "Konfiguration 1000000000000 2",
+])
+@pytest.mark.parametrize("suffix", [".ine", ".ext"])
+def test_bad_konfiguration_is_a_parse_error_naming_the_file(tmp_path, line, suffix):
+    kind, read = ("H", read_ine) if suffix == ".ine" else ("V", read_ext)
+    path = tmp_path / f"layout{suffix}"
+    path.write_text(f"{kind}-representation\nbegin\n1 2 integer\n1 0\nend\n{line}\n")
+    with pytest.raises(ParseError, match="layout"):
+        read(path)
+
+
 def test_real_numbertype_snaps_to_rationals():
     text = (
         "V-representation\n"
@@ -190,6 +203,10 @@ def test_rational_numbertype_chosen_when_needed(tmp_path):
     body = write_ext(vrep, tmp_path / "r").read_text()
     assert "2 3 rational" in body
     assert "1 1/2 0" in body
+    # Fractions with denominator 1 are integers, mixed into int rows or not.
+    vrep = VRepresentation(2, ((Fraction(4, 2), 0), (1, Fraction(-3))))
+    body = write_ext(vrep, tmp_path / "i").read_text()
+    assert body.splitlines()[2:5] == ["2 3 integer", "1 2 0", "1 1 -3"]
 
 
 def test_linearity_round_trip(tmp_path):

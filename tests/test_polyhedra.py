@@ -103,7 +103,8 @@ def test_random_cones_match_brute_force():
 
 def test_random_polytope_cones_renumber_ray_ids():
     # Long insertion runs into a pointed cone retire many rays, so dead ids
-    # come to outnumber live ones and get renumbered along the way;
+    # come to outnumber live ones and get renumbered along the way (counted
+    # only on splits: a lineality step renumbers every time);
     # debug=True checks the incidence columns against `active` after every
     # insert.
     rng = random.Random(2718)
@@ -115,12 +116,25 @@ def test_random_polytope_cones_renumber_ray_ids():
         ]
         pair = DDPair(4, debug=True)
         for r in rows:
-            before = pair.next_id
+            before = pair.next_id, len(pair.lineality)
             pair.insert(r)
-            renumbered += pair.next_id < before
+            renumbered += (pair.next_id < before[0]
+                           and len(pair.lineality) == before[1])
         assert pair.rays
         assert cone_signature(pair) == brute_force_cone(rows, 4), rows
     assert renumbered
+
+
+def test_lineality_step_numbers_ray_ids_densely():
+    pair = DDPair(4, debug=True)
+    for row in [(1, 0, 0, 0), (0, 1, 0, 0), (1, -1, 0, 0)]:
+        pair.insert(row)
+    # The last split dropped ray e2 (id 1) and added e1 + e2 (id 2), below
+    # the dead-id threshold, so id 1 stays dead until the next rebuild.
+    assert (pair.next_id, len(pair.rays)) == (3, 2)
+    pair.insert((0, 0, 1, 0))  # consumes the lineality direction e3
+    assert pair.rays == [(1, 0, 0, 0), (1, 1, 0, 0), (0, 0, 1, 0)]
+    assert (pair.next_id, pair.alive) == (3, 0b111)
 
 
 def test_pair_filter_matches_brute_count(monkeypatch):
