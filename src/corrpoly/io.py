@@ -1,17 +1,17 @@
 """Polyhedra file formats (.ext/.ine) plus CSV and SVG report emission.
 
-The .ext/.ine layouts follow the cdd ecosystem: a kind header, ``begin``,
-a ``rows columns numbertype`` size line, whitespace-separated data rows and
-``end``.  Comment lines starting with ``*`` are ignored on input; trailing
-option lines are carried through verbatim.  Output is byte-stable: LF line
+The .ext/.ine layouts follow the cdd ecosystem: a kind header, an optional
+``linearity`` line, ``begin``, a ``rows columns numbertype`` size line,
+whitespace-separated data rows and ``end``.  Comment lines starting with
+``*`` are ignored on input.  Of the option lines after ``end`` only the
+``Konfiguration`` line, this package's record of the layout, is read and
+written; cdd's own options are skipped.  Output is byte-stable: LF line
 endings, canonical number rendering.
 """
 
 from __future__ import annotations
 
 import csv
-import re
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -29,26 +29,6 @@ from .quantum import CurveSamples, GridSamples, ViolationReport
 from .vertices import VRepresentation
 
 _NUMBER_TYPES = ("integer", "rational", "real")
-# "Konfiguration N M" for N particles with M settings each, or
-# "Konfiguration M1,M2,..." with per-particle setting counts.
-_KONFIG_RE = re.compile(
-    r"^Konfiguration\s+(?:(\d+)\s+(\d+)|(?P<counts>\d+(?:,\d+)+))\s*$"
-)
-
-
-@dataclass(frozen=True)
-class PolyhedraFile:
-    """Raw parsed .ext/.ine contents, before interpretation.
-
-    The size line's number type is checked but not kept; the writer
-    decides it from the values.
-    """
-
-    kind: str  # "V" or "H"
-    rows: tuple[tuple[NumberLike, ...], ...]
-    columns: int
-    linearity: tuple[int, ...] = ()  # 0-based row indices
-    options: tuple[str, ...] = ()
 
 
 def _render_rows(rows: Iterable[Sequence[NumberLike]]) -> tuple[str, list[str]]:
@@ -66,18 +46,32 @@ def _render_rows(rows: Iterable[Sequence[NumberLike]]) -> tuple[str, list[str]]:
     return numbertype, lines
 
 
-def format_polyhedra_file(pf: PolyhedraFile) -> str:
-    lines = [f"{pf.kind}-representation"]
-    if pf.linearity:
-        indices = " ".join(str(i + 1) for i in sorted(pf.linearity))
-        lines.append(f"linearity {len(pf.linearity)} {indices}")
-    lines.append("begin")
-    numbertype, data = _render_rows(pf.rows)
-    lines.append(f"{len(pf.rows)} {pf.columns} {numbertype}")
-    lines.extend(data)
-    lines.append("end")
-    lines.extend(pf.options)
+def format_polyhedra_file(rep: HRepresentation | VRepresentation) -> str:
+    """The cdd text of ``rep``, the inverse of ``parse_polyhedra_file``.
+
+    An ``HRepresentation`` is written from ``rows`` with its ``linearity``
+    line, a ``VRepresentation`` from ``homogenized``; the layout, if any,
+    follows ``end`` as a ``Konfiguration`` line.
+    """
+    if isinstance(rep, HRepresentation):
+        kind, rows, linearity = "H", rep.rows, sorted(rep.linearity)
+    else:
+        kind, rows, linearity = "V", rep.homogenized, []
+    lines = [f"{kind}-representation"]
+    if linearity:
+        indices = " ".join(str(i + 1) for i in linearity)
+        lines.append(f"linearity {len(linearity)} {indices}")
+    numbertype, data = _render_rows(rows)
+    lines += ["begin", f"{len(rows)} {rep.dimension + 1} {numbertype}", *data, "end"]
+    lines += _config_lines(rep.config)
     return "\n".join(lines) + "\n"
+
+
+def _count(token: str, line: str, source: str) -> int:
+    """A non-negative count in a header or option line, in ASCII digits only."""
+    if not (token.isascii() and token.isdigit()):
+        raise ParseError(f"{source}: bad count {token!r} in {line!r}")
+    return int(token)
 
 
 def _parse_row(line: str, tokens: list[str]) -> tuple[NumberLike, ...]:
@@ -96,7 +90,17 @@ def _parse_row(line: str, tokens: list[str]) -> tuple[NumberLike, ...]:
     return tuple(parse_number(t) for t in tokens)
 
 
-def parse_polyhedra_file(text: str, source: str = "<string>") -> PolyhedraFile:
+def parse_polyhedra_file(
+    text: str, source: str = "<string>"
+) -> HRepresentation | VRepresentation:
+    """The representation that cdd text describes; ``format_polyhedra_file`` inverts it.
+
+    The header decides the type: ``H-representation`` gives an
+    ``HRepresentation``, ``V-representation`` a ``VRepresentation`` whose
+    rows starting with 1 are vertices and with 0 rays.  The first
+    ``Konfiguration`` line after ``end`` sets ``config`` when its event
+    count is the dimension.  Malformed text raises ``ParseError``.
+    """
     lines = [ln.strip() for ln in text.splitlines()]
     pos = 0
 
@@ -110,36 +114,27 @@ def parse_polyhedra_file(text: str, source: str = "<string>") -> PolyhedraFile:
         raise ParseError(f"{source}: unexpected end of file")
 
     header = next_line()
-    if header == "V-representation":
-        kind = "V"
-    elif header == "H-representation":
-        kind = "H"
-    else:
+    if header not in ("H-representation", "V-representation"):
         raise ParseError(f"{source}: malformed header {header!r}")
 
-    linearity: tuple[int, ...] = ()
+    linearity: frozenset[int] = frozenset()
     line = next_line()
     if line.startswith("linearity"):
-        tokens = line.split()
-        try:
-            count = int(tokens[1])
-            indices = [int(t) for t in tokens[2:]]
-        except (IndexError, ValueError):
+        if header[0] == "V":
+            raise ParseError(f"{source}: linearity rows are not supported in .ext input")
+        numbers = [_count(t, line, source) for t in line.split()[1:]]
+        if not numbers or numbers[0] != len(numbers) - 1 or 0 in numbers[1:]:
             raise ParseError(f"{source}: malformed linearity line {line!r}")
-        if len(indices) != count or any(i < 1 for i in indices):
-            raise ParseError(f"{source}: malformed linearity line {line!r}")
-        linearity = tuple(i - 1 for i in indices)
+        linearity = frozenset(i - 1 for i in numbers[1:])
         line = next_line()
     if line != "begin":
         raise ParseError(f"{source}: expected 'begin', found {line!r}")
 
-    size = next_line().split()
+    line = next_line()
+    size = line.split()
     if len(size) != 3 or size[2] not in _NUMBER_TYPES:
-        raise ParseError(f"{source}: malformed size line {' '.join(size)!r}")
-    try:
-        m, n = int(size[0]), int(size[1])
-    except ValueError:
-        raise ParseError(f"{source}: malformed size line {' '.join(size)!r}")
+        raise ParseError(f"{source}: malformed size line {line!r}")
+    m, n = _count(size[0], line, source), _count(size[1], line, source)
 
     rows = []
     for _ in range(m):
@@ -154,31 +149,43 @@ def parse_polyhedra_file(text: str, source: str = "<string>") -> PolyhedraFile:
         rows.append(_parse_row(line, tokens))
     if next_line() != "end":
         raise ParseError(f"{source}: expected 'end' after {m} data rows")
+    if linearity and max(linearity) >= m:
+        raise ParseError(f"{source}: linearity index {max(linearity) + 1} out of range")
 
-    options = tuple(
-        ln for ln in lines[pos:] if ln and not ln.startswith("*")
-    )
-    for i in linearity:
-        if i >= m:
-            raise ParseError(f"{source}: linearity index {i + 1} out of range")
-    return PolyhedraFile(
-        kind=kind, rows=tuple(rows),
-        linearity=linearity, options=options, columns=n,
-    )
+    dimension = max(n - 1, 0)
+    config = _read_config(lines[pos:], dimension, source)
+    if header[0] == "H":
+        try:
+            return HRepresentation(dimension, tuple(rows), linearity, config)
+        except ValueError as exc:  # an all-zero row
+            raise ParseError(f"{source}: {exc}") from None
+    vertices, rays = [], []
+    for row in rows:
+        if row[0] not in (0, 1):
+            raise ParseError(
+                f"{source}: generator rows must start with 0 or 1, got {row[0]}"
+            )
+        (vertices if row[0] == 1 else rays).append(row[1:])
+    return VRepresentation(dimension, tuple(vertices), tuple(rays), config)
 
 
 def _read_config(options: Sequence[str], dimension: int,
                  source: str) -> Configuration | None:
-    """The layout of the first Konfiguration line, if it has ``dimension`` events."""
+    """The layout of the first ``Konfiguration N M`` (N particles with M settings
+    each) or ``Konfiguration M1,M2,...`` line, if it has ``dimension`` events."""
     for line in options:
-        m = _KONFIG_RE.match(line)
-        if not m:
+        fields = line.split()
+        if fields[:1] != ["Konfiguration"]:
             continue
         try:
-            if m.group("counts"):
-                config = Configuration(tuple(map(int, m.group("counts").split(","))))
+            if len(fields) == 3:
+                config = Configuration.uniform(*(_count(f, line, source) for f in fields[1:]))
+            elif len(fields) == 2 and "," in fields[1]:
+                config = Configuration(
+                    tuple(_count(f, line, source) for f in fields[1].split(","))
+                )
             else:
-                config = Configuration.uniform(int(m.group(1)), int(m.group(2)))
+                raise ValueError("expected 'N M' or 'M1,M2,...'")
         except ValueError as exc:
             raise ParseError(f"{source}: bad {line!r}: {exc}") from None
         return config if event_count(config) == dimension else None
@@ -194,89 +201,38 @@ def _config_lines(config: Configuration | None) -> tuple[str, ...]:
     return (f"Konfiguration {config.particles} {config.settings[0]}",)
 
 
-def _ensure_suffix(path, suffix: str) -> Path:
+def _read(path, kind: type) -> HRepresentation | VRepresentation:
+    path = Path(path)
+    rep = parse_polyhedra_file(path.read_text(), str(path))
+    if not isinstance(rep, kind):
+        raise ParseError(f"{path}: header is not {kind.__name__[0]}-representation")
+    return rep
+
+
+def _write(rep: HRepresentation | VRepresentation, path, suffix: str) -> Path:
     path = Path(path)
     if path.suffix != suffix:
         path = path.with_name(path.name + suffix)
+    path.write_text(format_polyhedra_file(rep), newline="\n")
     return path
-
-
-def vrep_to_file(vrep: VRepresentation) -> PolyhedraFile:
-    return PolyhedraFile(
-        kind="V",
-        rows=vrep.homogenized,
-        options=_config_lines(vrep.config),
-        columns=vrep.dimension + 1,
-    )
-
-
-def vrep_from_file(pf: PolyhedraFile, source: str = "<string>") -> VRepresentation:
-    if pf.kind != "V":
-        raise ParseError(f"{source}: expected a V-representation")
-    if pf.linearity:
-        raise ParseError(f"{source}: linearity rows are not supported in .ext input")
-    vertices = []
-    rays = []
-    for row in pf.rows:
-        if row[0] == 1:
-            vertices.append(row[1:])
-        elif row[0] == 0:
-            rays.append(row[1:])
-        else:
-            raise ParseError(
-                f"{source}: generator rows must start with 0 or 1, got {row[0]}"
-            )
-    dimension = max(pf.columns - 1, 0)
-    return VRepresentation(
-        dimension=dimension, vertices=tuple(vertices), rays=tuple(rays),
-        config=_read_config(pf.options, dimension, source),
-    )
-
-
-def hrep_to_file(hrep: HRepresentation) -> PolyhedraFile:
-    return PolyhedraFile(
-        kind="H",
-        rows=hrep.rows,
-        linearity=tuple(sorted(hrep.linearity)),
-        options=_config_lines(hrep.config),
-        columns=hrep.dimension + 1,
-    )
-
-
-def hrep_from_file(pf: PolyhedraFile, source: str = "<string>") -> HRepresentation:
-    if pf.kind != "H":
-        raise ParseError(f"{source}: expected an H-representation")
-    dimension = max(pf.columns - 1, 0)
-    return HRepresentation(
-        dimension=dimension,
-        rows=pf.rows,
-        linearity=frozenset(pf.linearity),
-        config=_read_config(pf.options, dimension, source),
-    )
 
 
 def write_ext(vrep: VRepresentation, path) -> Path:
     """Write a V-representation; the ``.ext`` suffix is appended if absent."""
-    path = _ensure_suffix(path, ".ext")
-    path.write_text(format_polyhedra_file(vrep_to_file(vrep)), newline="\n")
-    return path
+    return _write(vrep, path, ".ext")
 
 
 def read_ext(path) -> VRepresentation:
-    path = Path(path)
-    return vrep_from_file(parse_polyhedra_file(path.read_text(), str(path)), str(path))
+    return _read(path, VRepresentation)
 
 
 def write_ine(hrep: HRepresentation, path) -> Path:
     """Write an H-representation; the ``.ine`` suffix is appended if absent."""
-    path = _ensure_suffix(path, ".ine")
-    path.write_text(format_polyhedra_file(hrep_to_file(hrep)), newline="\n")
-    return path
+    return _write(hrep, path, ".ine")
 
 
 def read_ine(path) -> HRepresentation:
-    path = Path(path)
-    return hrep_from_file(parse_polyhedra_file(path.read_text(), str(path)), str(path))
+    return _read(path, HRepresentation)
 
 
 def write_violation_csv(reports: Sequence[ViolationReport], path) -> Path:

@@ -321,6 +321,12 @@ def test_exit_code_parse_error(tmp_path, capsys):
     code, _, err = run(capsys, "violations", "--ine", str(underscored),
                        "--model", "singlet", "--angles", "0,1;0,1")
     assert code == 2 and "'1_0'" in err
+    zero_row = tmp_path / "zero_row.ine"
+    zero_row.write_text("H-representation\nbegin\n2 3 integer\n0 0 0\n1 -1 0\nend\n")
+    for argv in (("enum", "--ine", str(zero_row), "-q"),
+                 ("contains", "--ine", str(zero_row), "--point", "0,0")):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "zero_row.ine" in err and "all-zero" in err
 
 
 def test_exit_code_capacity(tmp_path, capsys, monkeypatch):

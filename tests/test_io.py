@@ -73,16 +73,9 @@ def test_minimal_v_fragment_parses():
         "1 1 1 1\n"
         "end\n"
     )
-    pf = parse_polyhedra_file(text)
-    assert pf.kind == "V" and len(pf.rows) == 3
-    vrep = read_ext_from_text(text)
+    vrep = parse_polyhedra_file(text)
+    assert isinstance(vrep, VRepresentation) and vrep.dimension == 3
     assert vrep.vertices == ((1, 0, 0), (0, 1, 0), (1, 1, 1))
-
-
-def read_ext_from_text(text):
-    from corrpoly.io import vrep_from_file
-
-    return vrep_from_file(parse_polyhedra_file(text))
 
 
 def test_six_constraint_fragment_enumerates(tmp_path):
@@ -129,9 +122,8 @@ def test_solver_log_output_parses():
         "end\n"
         "hull\n"
     )
-    pf = parse_polyhedra_file(text)
-    assert pf.options == ("hull",)
-    vrep = read_ext_from_text(text)
+    vrep = parse_polyhedra_file(text)
+    assert vrep.config is None  # cdd's own options are skipped
     assert set(vrep.vertices) == {(2, 1, 1), (1, 1, 1), (1, 2, 1), (2, 2, 1)}
     assert vrep.rays == ((0, 0, 1),)
 
@@ -148,10 +140,11 @@ def test_comments_and_options_handling(tmp_path):
         "adjacency\n"
         "* trailing comment\n"
         "minindex\n"
+        "Konfiguration 1 1\n"
     )
-    pf = parse_polyhedra_file(text)
-    assert pf.options == ("adjacency", "minindex")
-    assert pf.rows == ((1, -1),)
+    hrep = parse_polyhedra_file(text)
+    assert hrep.config == Configuration.uniform(1, 1)
+    assert hrep.rows == ((1, -1),)
 
 
 def test_konfiguration_option_round_trip(tmp_path, hull_2_3):
@@ -172,6 +165,7 @@ def test_konfiguration_option_round_trip(tmp_path, hull_2_3):
 @pytest.mark.parametrize("line", [
     "Konfiguration 0 3", "Konfiguration 2 0", "Konfiguration 30 1",
     "Konfiguration 0,2", "Konfiguration 1000000000000 2",
+    "Konfiguration \u0661 \u0661", "Konfiguration 1_0 1",
 ])
 @pytest.mark.parametrize("suffix", [".ine", ".ext"])
 def test_bad_konfiguration_is_a_parse_error_naming_the_file(tmp_path, line, suffix):
@@ -191,7 +185,7 @@ def test_real_numbertype_snaps_to_rationals():
         "1 -1.5 2.0E+00\n"
         "end\n"
     )
-    vrep = read_ext_from_text(text)
+    vrep = parse_polyhedra_file(text)
     assert vrep.vertices == (
         (Fraction(1, 2), Fraction(1, 4)),
         (Fraction(-3, 2), 2),
@@ -235,15 +229,18 @@ def test_parse_errors():
         "V-representation\nbegin\n1 2 integer\n2 0\nend\n",    # bad row tag
         "V-representation\nlinearity 1 1\nbegin\n1 2 integer\n0 1\nend\n",
         "H-representation\nlinearity 1 9\nbegin\n1 2 integer\n1 0\nend\n",
+        "H-representation\nbegin\n2 3 integer\n0 0 0\n1 -1 0\nend\n",  # zero row
+        "H-representation\nbegin\n-5 3 integer\nend\n",      # negative count
+        "H-representation\nbegin\n1_0 2 integer\n" + "1 0\n" * 10 + "end\n",
+        "H-representation\nbegin\n\u0661 2 integer\n1 0\nend\n",
+        "H-representation\nlinearity 0_1 1\nbegin\n1 2 integer\n1 0\nend\n",
     ]
     for text in cases:
         with pytest.raises(ParseError):
-            if text.startswith("V") or text.startswith("begin"):
-                read_ext_from_text(text)
-            else:
-                from corrpoly.io import hrep_from_file
-
-                hrep_from_file(parse_polyhedra_file(text))
+            parse_polyhedra_file(text)
+    # a size line of zero rows is the empty system, not an error
+    empty = parse_polyhedra_file("H-representation\nbegin\n0 3 integer\nend\n")
+    assert empty == HRepresentation(2, ())
 
 
 # Tokens of every spelling cdd writes, plus edge cases of Python's int.
@@ -278,10 +275,12 @@ def test_data_rows_reject_spellings_cdd_does_not_write(token):
             parse_polyhedra_file(text)
 
 
-def test_wrong_kind_rejected():
-    text = "H-representation\nbegin\n1 2 integer\n1 0\nend\n"
-    with pytest.raises(ParseError):
-        read_ext_from_text(text)
+def test_wrong_kind_rejected(tmp_path):
+    for kind, read in (("H", read_ext), ("V", read_ine)):
+        path = tmp_path / f"{kind}_text"
+        path.write_text(f"{kind}-representation\nbegin\n1 2 integer\n1 0\nend\n")
+        with pytest.raises(ParseError, match=f"{kind}_text"):
+            read(path)
 
 
 def random_vrep(rng):
