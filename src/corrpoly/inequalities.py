@@ -12,7 +12,6 @@ import math
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain
 
 from .core import (
     Configuration,
@@ -61,12 +60,17 @@ class Inequality:
         return to_text(self)
 
 
-def from_hrep(hrep: HRepresentation, config: Configuration | None = None) -> list[Inequality]:
-    """All non-linearity rows of an H-representation, order preserved.
+def inequality_rows(
+    hrep: HRepresentation, config: Configuration | None = None
+) -> list[tuple[tuple[int, ...], int]]:
+    """``(coefficients, rhs)`` of every non-linearity row, order preserved.
 
-    Integer rows go to ``Inequality`` as they are, which divides out their
-    gcd; only when an entry is not an int are the rows cleared of
-    denominators first.
+    A row ``(b, a)`` gives ``c = -a`` and ``rhs = b``, both divided by the
+    row's gcd: the fields of its ``Inequality``, without building one.  A
+    row with an entry that is not an int, which ``math.gcd`` rejects, is
+    cleared of denominators first.  The layout is ``config`` or else the
+    H-representation's own; it and each row are checked as ``Inequality``
+    checks them.
     """
     config = config or hrep.config
     if config is None:
@@ -76,10 +80,27 @@ def from_hrep(hrep: HRepresentation, config: Configuration | None = None) -> lis
             f"configuration has {event_count(config)} events but the "
             f"H-representation has dimension {hrep.dimension}"
         )
-    rows = [hrep.rows[i] for i in hrep.inequality_indices]
-    if set(map(type, chain.from_iterable(rows))) != {int}:
-        rows = [clear_to_int(row) for row in rows]
-    return [Inequality(tuple([-a for a in row[1:]]), row[0], config) for row in rows]
+    rows = hrep.rows
+    out = []
+    for i in hrep.inequality_indices:
+        row = rows[i]
+        try:
+            g = math.gcd(*row)
+        except TypeError:  # a Fraction or other non-int entry
+            row, g = clear_to_int(row), 1
+        if g != 1:
+            row = [a // g for a in row]
+        coefficients = tuple([-a for a in row[1:]])
+        if not any(coefficients):
+            raise ValueError("inequality needs at least one nonzero coefficient")
+        out.append((coefficients, row[0]))
+    return out
+
+
+def from_hrep(hrep: HRepresentation, config: Configuration | None = None) -> list[Inequality]:
+    """``inequality_rows`` as ``Inequality`` objects."""
+    config = config or hrep.config
+    return [Inequality(c, rhs, config) for c, rhs in inequality_rows(hrep, config)]
 
 
 @lru_cache(maxsize=32)

@@ -137,7 +137,7 @@ def parse_polyhedra_file(
     m, n = _count(size[0], line, source), _count(size[1], line, source)
 
     rows = []
-    for _ in range(m):
+    for k in range(1, m + 1):
         line = next_line()
         tokens = line.split()
         if tokens == ["end"]:
@@ -146,7 +146,10 @@ def parse_polyhedra_file(
             raise ParseError(
                 f"{source}: row has {len(tokens)} entries, expected {n}"
             )
-        rows.append(_parse_row(line, tokens))
+        try:
+            rows.append(_parse_row(line, tokens))
+        except ParseError as exc:
+            raise ParseError(f"{source}: data row {k}: {exc}") from None
     if next_line() != "end":
         raise ParseError(f"{source}: expected 'end' after {m} data rows")
     if linearity and max(linearity) >= m:

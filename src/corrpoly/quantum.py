@@ -15,8 +15,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
-from .core import Configuration, ParseError, ProbabilityVector, enumerate_events
-from .inequalities import Inequality, from_hrep, to_text
+from .core import Configuration, ParseError, ProbabilityVector, enumerate_events, event_count
+# from_hrep is not called here, but perfbench/tracer.py patches it by this
+# module's name, so it stays imported.
+from .inequalities import Inequality, from_hrep, inequality_rows, to_text  # noqa: F401
 from .polyhedra import HRepresentation
 
 #: Absolute guard for float violation comparisons.
@@ -192,23 +194,33 @@ class ViolationReport:
         return f"row {self.row}: {to_text(self.inequality)}   [{self.amount}]"
 
 
-def select_inequalities(
+def _select_rows(
     source: HRepresentation | Sequence[Inequality],
-    config: Configuration | None = None,
-    rows: tuple[int, int] | None = None,
-) -> list[tuple[int, Inequality]]:
-    """The (1-based row, inequality) pairs within ``rows``.
+    config: Configuration | None,
+    rows: tuple[int, int] | None,
+) -> list[tuple[int, tuple[int, ...], int]]:
+    """The ``(1-based row, coefficients, rhs)`` triples within ``rows``.
 
     An H-representation's rows are numbered as in its file, equalities
-    included, and read in the layout ``config`` or else its own.  A range
-    outside ``1..total`` or reversed is an error.
+    included, and read in the layout ``config`` or else its own, by
+    ``inequality_rows``.  An inequality list must be in the layout
+    ``config`` when one is given.  A range outside ``1..total`` or reversed
+    is an error.
     """
     if isinstance(source, HRepresentation):
-        indexed = list(zip((i + 1 for i in source.inequality_indices),
-                           from_hrep(source, config)))
+        indexed = [(i + 1, c, rhs) for i, (c, rhs) in
+                   zip(source.inequality_indices, inequality_rows(source, config))]
         total = len(source.rows)
     else:
-        indexed = list(enumerate(source, 1))
+        indexed = []
+        for i, q in enumerate(source, 1):
+            if config is not None and q.config != config:
+                raise ValueError(
+                    f"inequality {i} is over the layout {q.config} "
+                    f"({event_count(q.config)} events), the probabilities "
+                    f"over {config} ({event_count(config)} events)"
+                )
+            indexed.append((i, q.coefficients, q.rhs))
         if not indexed:
             raise ValueError("empty inequality list")
         total = len(indexed)
@@ -216,15 +228,37 @@ def select_inequalities(
         lo, hi = rows
         if lo < 1 or hi > total or lo > hi:
             raise ValueError(f"row range {lo}:{hi} out of bounds (1..{total})")
-        indexed = [(i, q) for i, q in indexed if lo <= i <= hi]
+        indexed = [t for t in indexed if lo <= t[0] <= hi]
     return indexed
 
 
-def _violated(selected: list[tuple[int, Inequality]],
+def select_inequalities(
+    source: HRepresentation | Sequence[Inequality],
+    config: Configuration | None = None,
+    rows: tuple[int, int] | None = None,
+) -> list[tuple[int, Inequality]]:
+    """The (1-based row, inequality) pairs within ``rows``, for listing.
+
+    Rows are chosen and checked as the scans choose them (``_select_rows``),
+    but every chosen row becomes an ``Inequality``: an H-representation's
+    in the layout ``config`` or else its own, a list's as given.
+    """
+    selected = _select_rows(source, config, rows)
+    if not isinstance(source, HRepresentation):
+        return [(row, source[row - 1]) for row, _, _ in selected]
+    config = config or source.config
+    return [(row, Inequality(c, rhs, config)) for row, c, rhs in selected]
+
+
+def _violated(selected: list[tuple[int, tuple[int, ...], int]],
+              config: Configuration,
               vectors: Sequence[ProbabilityVector],
               threshold: float) -> list[tuple[int, Inequality, tuple]]:
     """``(row, inequality, values)`` for the rows whose largest value of
     ``sum(c_e p_e) - rhs`` over ``vectors`` exceeds the threshold.
+
+    ``selected`` holds ``_select_rows`` triples; only a kept row becomes an
+    ``Inequality``, in the layout ``config``.
 
     The vectors are transposed into one column per event, ``p_e`` over all
     vectors, and each scaled column ``c * p_e`` is built once and shared by
@@ -267,21 +301,22 @@ def _violated(selected: list[tuple[int, Inequality]],
     highs = [max(col) + pad for col in columns]
 
     kept = []
-    for row, ineq in selected:
+    for row, coefficients, rhs in selected:
         bound = sum([c * (hi if c > 0 else lo) for c, lo, hi
-                     in zip(ineq.coefficients, lows, highs) if c])
-        if bound - ineq.rhs <= cut:
+                     in zip(coefficients, lows, highs) if c])
+        if bound - rhs <= cut:
             continue
         terms = []
-        for k, c in enumerate(ineq.coefficients):
+        for k, c in enumerate(coefficients):
             if c:
                 col = scaled[k].get(c)
                 if col is None:
                     col = scaled[k][c] = [c * p for p in columns[k]]
                 terms.append(col)
         sums = list(map(sum, zip(*terms)))
-        if max(sums) - ineq.rhs > cut:
-            kept.append((row, ineq, tuple([s - ineq.rhs for s in sums])))
+        if max(sums) - rhs > cut:
+            kept.append((row, Inequality(coefficients, rhs, config),
+                         tuple([s - rhs for s in sums])))
     return kept
 
 
@@ -294,9 +329,10 @@ def scan_probability_vector(
     """Violation scan against a precomputed (possibly exact) vector."""
     if threshold < 0:
         raise ValueError("threshold must be nonnegative")
-    selected = select_inequalities(source, probabilities.config, rows)
+    config = probabilities.config
+    kept = _violated(_select_rows(source, config, rows), config, [probabilities], threshold)
     reports = [ViolationReport(row=row, inequality=ineq, amount=values[0])
-               for row, ineq, values in _violated(selected, [probabilities], threshold)]
+               for row, ineq, values in kept]
     reports.sort(key=lambda r: (-r.amount, r.row))
     return reports
 
@@ -369,12 +405,12 @@ def sample_violation_curve(
     """
     if "y" in angles.free_variables:
         raise ValueError("curve sampling allows only the free variable x")
-    selected = select_inequalities(source, angles.config, rows)
+    selected = _select_rows(source, angles.config, rows)
     xs = _linspace(*x_range, samples)
     vectors = [probability_vector(model, angles, x=x) for x in xs]
     return [
         CurveSamples(row=row, inequality=ineq, xs=xs, values=values)
-        for row, ineq, values in _violated(selected, vectors, threshold)
+        for row, ineq, values in _violated(selected, angles.config, vectors, threshold)
     ]
 
 
@@ -390,7 +426,7 @@ def sample_violation_grid(
     threshold: float = 0.0,
 ) -> list[GridSamples]:
     """Two-variable analogue of ``sample_violation_curve``."""
-    selected = select_inequalities(source, angles.config, rows)
+    selected = _select_rows(source, angles.config, rows)
     xs = _linspace(*x_range, samples_x)
     ys = _linspace(*y_range, samples_y)
     vectors = [
@@ -398,7 +434,7 @@ def sample_violation_grid(
     ]
     return [
         GridSamples(row=row, inequality=ineq, xs=xs, ys=ys, values=values)
-        for row, ineq, values in _violated(selected, vectors, threshold)
+        for row, ineq, values in _violated(selected, angles.config, vectors, threshold)
     ]
 
 

@@ -320,7 +320,12 @@ def test_exit_code_parse_error(tmp_path, capsys):
     underscored.write_text(ine.read_text().replace(" 1 ", " 1_0 ", 1))
     code, _, err = run(capsys, "violations", "--ine", str(underscored),
                        "--model", "singlet", "--angles", "0,1;0,1")
-    assert code == 2 and "'1_0'" in err
+    assert code == 2 and "'1_0'" in err and "underscored.ine: data row" in err
+    tok = tmp_path / "tok.ine"
+    for token in ("1_0", "1/0"):
+        tok.write_text(f"H-representation\nbegin\n2 3 integer\n1 -1 0\n1 {token} 0\nend\n")
+        code, _, err = run(capsys, "contains", "--ine", str(tok), "--point", "0,0")
+        assert code == 2 and f"tok.ine: data row 2: bad numeric token '{token}'" in err
     zero_row = tmp_path / "zero_row.ine"
     zero_row.write_text("H-representation\nbegin\n2 3 integer\n0 0 0\n1 -1 0\nend\n")
     for argv in (("enum", "--ine", str(zero_row), "-q"),

@@ -15,6 +15,7 @@ from corrpoly import (
     truth_table,
 )
 from corrpoly.core import ParseError, event_count
+from corrpoly.inequalities import inequality_rows
 from corrpoly.linalg import clear_to_int
 
 URN = Configuration((1, 1))
@@ -121,6 +122,19 @@ def test_from_hrep_integer_fraction_and_mixed_rows(hull_2_2, config_2_2):
         assert got == [cleared(row) for row in rows]
         assert all(type(c) is int for q in got for c in q.coefficients + (q.rhs,))
     assert from_hrep(HRepresentation(hull_2_2.dimension, scaled, config=config_2_2)) == facets
+
+
+def test_constant_row_is_rejected():
+    # a row with every coefficient zero is no inequality over the events
+    config = Configuration((2,))
+    for row in ((1, 0, 0), (Fraction(1, 2), 0, 0), (-3, 0, 0)):
+        hrep = HRepresentation(2, ((0, 1, 0), row), config=config)
+        for read in (from_hrep, inequality_rows):
+            with pytest.raises(ValueError, match="^inequality needs at least one "
+                                                 "nonzero coefficient$"):
+                read(hrep)
+    with pytest.raises(ValueError, match="no configuration attached"):
+        inequality_rows(HRepresentation(2, ((0, 1, 0),)))
 
 
 def test_round_trip_random_inequalities():

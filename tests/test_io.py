@@ -275,6 +275,17 @@ def test_data_rows_reject_spellings_cdd_does_not_write(token):
             parse_polyhedra_file(text)
 
 
+@pytest.mark.parametrize("token", ["1_0", "1/0"])
+@pytest.mark.parametrize("read,kind", [(read_ine, "H"), (read_ext, "V")])
+def test_bad_number_names_the_file_and_data_row(tmp_path, read, kind, token):
+    path = tmp_path / f"bad_{kind}.txt"
+    path.write_text(f"{kind}-representation\n* a comment\nbegin\n"
+                    f"2 3 rational\n1 0 1\n1 {token} 0\nend\n")
+    with pytest.raises(ParseError, match=f"bad_{kind}.txt: data row 2: "
+                                         f"bad numeric token '{token}'"):
+        read(path)
+
+
 def test_wrong_kind_rejected(tmp_path):
     for kind, read in (("H", read_ext), ("V", read_ine)):
         path = tmp_path / f"{kind}_text"

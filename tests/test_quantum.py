@@ -8,6 +8,7 @@ from corrpoly import (
     AngleAssignment,
     Configuration,
     HRepresentation,
+    Inequality,
     ProbabilityModel,
     ProbabilityVector,
     builtin_model,
@@ -437,6 +438,119 @@ def test_scaled_rows_give_the_same_reports(hull_2_3):
         got = scan_violations(scaled, model, angles=angles)
         assert want and [(r.row, r.inequality, r.amount) for r in got] == [
             (r.row, r.inequality, r.amount) for r in want]
+
+
+SYMMETRIC_2_3 = "0,2pi/3,4pi/3;0,2pi/3,4pi/3"
+
+
+def test_scans_read_rows_without_from_hrep(hull_2_3, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("from_hrep called on a scan path")
+
+    monkeypatch.setattr("corrpoly.quantum.from_hrep", refuse)
+    monkeypatch.setattr("corrpoly.inequalities.from_hrep", refuse)
+    built = []
+    post_init = Inequality.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Inequality, "__post_init__", counting)
+    model = builtin_model("singlet")
+    reports = scan_violations(hull_2_3, model, angles=parse_angles(SYMMETRIC_2_3, C23))
+    assert len(reports) == 12 and len(built) == 12
+    assert [r.inequality for r in sorted(reports, key=lambda r: r.row)] == built
+    curves = sample_violation_curve(hull_2_3, model, samples=5,
+                                    angles=parse_angles("x,2pi/3,4pi/3;0,2pi/3,4pi/3", C23))
+    grids = sample_violation_grid(hull_2_3, model, samples_x=4, samples_y=3,
+                                  angles=parse_angles("x,0,2pi/3;0,y,4pi/3", C23))
+    assert curves and grids and len(built) == 12 + len(curves) + len(grids)
+
+
+def numbered_inequalities(source):
+    """``(row, inequality)`` pairs of a source, the H-representation's by ``from_hrep``."""
+    if isinstance(source, HRepresentation):
+        return list(zip((i + 1 for i in source.inequality_indices), from_hrep(source, C23)))
+    return list(enumerate(source, 1))
+
+
+def oracle_reports(numbered, vec, rows=None, threshold=0.0):
+    """``(row, inequality, amount.hex())`` of an event-order loop, sorted as scans sort."""
+    found = []
+    for row, q in numbered:
+        if rows is None or rows[0] <= row <= rows[1]:
+            value = event_order_value(q, vec.values)
+            if value > threshold + VIOLATION_EPS:
+                found.append((row, q, value))
+    found.sort(key=lambda t: (-t[2], t[0]))
+    return [(row, q, value.hex()) for row, q, value in found]
+
+
+def test_row_triples_match_event_order_loop(hull_2_3):
+    rows = hull_2_3.rows
+    tripled = tuple(tuple(3 * v for v in row) for row in rows)
+    halved = tuple(tuple(Fraction(v, 2) for v in row) for row in rows)
+    mixed = tuple(tuple(Fraction(v, 2) if i % 3 else v for i, v in enumerate(row))
+                  for row in tripled)
+    sources = [HRepresentation(hull_2_3.dimension, r, config=C23)
+               for r in (rows, tripled, halved, mixed, tripled[:300] + halved[300:])]
+    # linearity rows are skipped but keep their numbers
+    sources.append(HRepresentation(hull_2_3.dimension, rows,
+                                   frozenset({0, 5, 17, 400}), config=C23))
+    sources.append(from_hrep(hull_2_3))
+    numbered = [numbered_inequalities(source) for source in sources]
+    model = builtin_model("singlet")
+    rng = random.Random(1601)
+    settings = [SYMMETRIC_2_3] + [
+        ";".join(",".join(repr(rng.uniform(0, 2 * math.pi)) for _ in range(3))
+                 for _ in range(2))
+        for _ in range(2)
+    ]
+    seen = 0
+    for text in settings:
+        angles = parse_angles(text, C23)
+        vec = probability_vector(model, angles)
+        for source, pairs in zip(sources, numbered):
+            for rows_range in (None, (100, 600)):
+                want = oracle_reports(pairs, vec, rows_range)
+                got = [(r.row, r.inequality, r.amount.hex()) for r in scan_violations(
+                    source, model, angles=angles, rows=rows_range)]
+                assert got == want
+                seen += len(got)
+        # a negative threshold keeps rows that only the bound could skip
+        for source, pairs in list(zip(sources, numbered))[::3]:
+            got = [(r.row, r.inequality, r.amount.hex())
+                   for r in scan_probability_vector(source, vec)]
+            assert got == oracle_reports(pairs, vec)
+            curves = sample_violation_curve(source, model, angles=angles, samples=2,
+                                            x_range=(0.0, 1.0), threshold=-0.25)
+            want = sorted(oracle_reports(pairs, vec, threshold=-0.25), key=lambda t: t[0])
+            assert [(c.row, c.inequality, c.values[0].hex()) for c in curves] == want
+    assert seen > 100
+
+
+def test_inequality_list_from_another_layout_is_rejected(hull_2_2, hull_2_3):
+    facets_2_2 = from_hrep(hull_2_2)
+    model = builtin_model("singlet")
+    vec = probability_vector(model, parse_angles(SYMMETRIC_2_3, C23))
+    match = r"layout 2,2 \(8 events\).* 3,3 \(15 events\)"
+    with pytest.raises(ValueError, match=match):
+        scan_probability_vector(facets_2_2, vec)
+    with pytest.raises(ValueError, match=match):
+        scan_violations(facets_2_2, model, angles=parse_angles(SYMMETRIC_2_3, C23))
+    with pytest.raises(ValueError, match=match):
+        sample_violation_curve(facets_2_2, model, samples=3,
+                               angles=parse_angles("x,2pi/3,4pi/3;0,2pi/3,4pi/3", C23))
+    with pytest.raises(ValueError, match=match):
+        sample_violation_grid(facets_2_2, model, samples_x=3, samples_y=3,
+                              angles=parse_angles("x,0,2pi/3;0,y,4pi/3", C23))
+    # one stray row in an otherwise matching list is found too
+    mixed = from_hrep(hull_2_3)[:5] + facets_2_2[:1]
+    with pytest.raises(ValueError, match="inequality 6 is over the layout 2,2"):
+        scan_probability_vector(mixed, vec)
+    with pytest.raises(ValueError, match="15 events but the H-representation has dimension 8"):
+        scan_probability_vector(hull_2_2, vec)
 
 
 def test_negative_zero_terms_sum_to_positive_zero():
