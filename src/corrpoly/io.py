@@ -270,14 +270,15 @@ def write_grid_csv(grid: GridSamples, path) -> Path:
     """Long form ``x,y,f`` rows, x fastest.
 
     The bytes are those of ``csv.writer`` with ``"\n"`` line ends, which
-    writes a float as its ``repr``, the same text as ``str``.
+    writes a float as its ``repr`` and any other value, such as a
+    ``Fraction``, as its ``str``: ``str`` of a float is its ``repr``.
     """
     path = Path(path)
-    xs = [f"{x}," for x in grid.xs]
-    prefixes = [x + y for y in [f"{y}," for y in grid.ys] for x in xs]
-    with open(path, "w", newline="") as fh:
-        fh.write("x,y,f\n")
-        fh.write("".join([f"{p}{v}\n" for p, v in zip(prefixes, grid.values)]))
+    parts = [""] * (3 * len(grid.values))
+    parts[::3] = [f"\n{x}," for x in grid.xs] * len(grid.ys)
+    parts[1::3] = [y for y in [f"{y}," for y in grid.ys] for _ in grid.xs]
+    parts[2::3] = map(str, grid.values)
+    path.write_text("x,y,f" + "".join(parts) + "\n", newline="")
     return path
 
 
@@ -361,32 +362,27 @@ def grid_svg(grid: GridSamples) -> str:
     width = 2 * margin + cell * nx
     height = 2 * margin + cell * ny
     f_max = max(grid.values)
-    if f_max > 0:
-        levels = [round(255 * (1 - f / f_max)) if f > 0 else 255
-                  for f in grid.values]
-    else:
-        levels = [255] * len(grid.values)
-    fills = [f'{v:02x}{v:02x}{v:02x}"/>' for v in range(256)]
-    heads = [f'<rect x="{margin + ix * cell}" y="' for ix in range(nx)]
+    levels = [round(255 * (1 - f / f_max)) if f > 0 and f_max > 0 else 255
+              for f in grid.values]
+    # One join interleaves per cell: the x head, the y part, the fill.
+    fills = [f'{v:02x}{v:02x}{v:02x}"/>\n' for v in range(256)]
     tail = f'" width="{cell}" height="{cell}" fill="#'
-    out = _svg_header(width, height)
-    for iy in range(ny):
-        # y axis points up: last sample row sits at the top
-        y_tail = f"{margin + (ny - 1 - iy) * cell}{tail}"
-        out += [head + y_tail + fills[level]
-                for head, level in zip(heads, levels[iy * nx:(iy + 1) * nx])]
-    out.append(
-        f'<rect x="{margin}" y="{margin}" width="{cell * nx}" '
-        f'height="{cell * ny}" fill="none" stroke="black"/>'
-    )
-    out.append(
+    cells = [""] * (3 * nx * ny)
+    cells[::3] = [f'<rect x="{margin + ix * cell}" y="' for ix in range(nx)] * ny
+    # y axis points up: last sample row sits at the top
+    cells[1::3] = [y for y in [f"{margin + (ny - 1 - iy) * cell}{tail}"
+                               for iy in range(ny)] for _ in range(nx)]
+    cells[2::3] = map(fills.__getitem__, levels)
+    return "\n".join(_svg_header(width, height) + [
+        "".join(cells)
+        + f'<rect x="{margin}" y="{margin}" width="{cell * nx}" '
+        f'height="{cell * ny}" fill="none" stroke="black"/>',
         f'<text x="{margin}" y="{height - margin + 16}" font-size="11">'
         f"x: {min(grid.xs):.4g} .. {max(grid.xs):.4g}, "
         f"y: {min(grid.ys):.4g} .. {max(grid.ys):.4g}, "
-        f"max violation {f_max:.6g}</text>"
-    )
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+        f"max violation {float(f_max):.6g}</text>",
+        "</svg>\n",
+    ])
 
 
 def render_svg(data, path) -> Path:

@@ -35,12 +35,7 @@ class AngleExpression:
 
     @property
     def free_variables(self) -> frozenset:
-        out = set()
-        if self.cx:
-            out.add("x")
-        if self.cy:
-            out.add("y")
-        return frozenset(out)
+        return frozenset(v for v, c in (("x", self.cx), ("y", self.cy)) if c)
 
     @property
     def is_constant(self) -> bool:
@@ -71,16 +66,7 @@ class AngleAssignment:
 
     @property
     def free_variables(self) -> frozenset:
-        out: set = set()
-        for row in self.angles:
-            for expr in row:
-                out |= expr.free_variables
-        return frozenset(out)
-
-    def evaluated(self, x: float = 0.0, y: float = 0.0) -> tuple[tuple[float, ...], ...]:
-        return tuple(
-            tuple(expr.evaluate(x, y) for expr in row) for row in self.angles
-        )
+        return frozenset().union(*[e.free_variables for row in self.angles for e in row])
 
     @classmethod
     def constant(cls, config: Configuration,
@@ -98,6 +84,11 @@ class ProbabilityModel:
     outputs must stay within [0, 1], up to a rounding slack that is clamped
     away.  A value in [0, 1] comes back as the law gave it, so exact laws
     keep ``Fraction`` values.
+
+    A law is a function of its angle tuple: one evaluation (a vector, scan,
+    curve or grid) calls it once per distinct tuple, compared by ``==`` (so
+    ``0.0`` and ``-0.0`` are one angle), and reuses the value wherever the
+    tuple recurs.  An error the law raises propagates.
     """
 
     def __init__(self, name: str,
@@ -159,20 +150,33 @@ def builtin_model(name: str) -> ProbabilityModel:
 def probability_vector(model: ProbabilityModel, angles: AngleAssignment,
                        x: float | None = None,
                        y: float | None = None) -> ProbabilityVector:
-    """Evaluate the model on every canonical event of the angles' layout.
-
-    ``angles`` must be concrete unless the free variables are bound through
-    ``x``/``y``.
-    """
+    """The model on every canonical event; ``x``/``y`` bind free variables."""
     free = angles.free_variables
     if "x" in free and x is None:
         raise ValueError("angle assignment has a free variable x; pass x=")
     if "y" in free and y is None:
         raise ValueError("angle assignment has a free variable y; pass y=")
-    concrete = angles.evaluated(x or 0.0, y or 0.0)
-    values = tuple(model.probability(tuple(concrete[p][s] for p, s in slots))
-                   for slots in _event_slots(angles.config))
-    return ProbabilityVector(values, angles.config)
+    columns = _event_columns(model, angles, [(x or 0.0, y or 0.0)])
+    return ProbabilityVector(tuple([col[0] for col in columns]), angles.config)
+
+
+def _event_columns(model: ProbabilityModel, angles: AngleAssignment,
+                   points: Sequence[tuple[float, float]]) -> list[list]:
+    """``p_e`` at each ``(x, y)`` point, one column per canonical event.
+
+    Angles are ``AngleExpression.evaluate``'s ``const + cx*x + cy*y``.  The
+    model is called once per distinct angle tuple, events in order and
+    points in order within an event, through a memo local to this call.
+    """
+    slots = [[[e.const + e.cx * x + e.cy * y for x, y in points] for e in row]
+             for row in angles.angles]
+    memo: dict = {}
+    columns = []
+    for event in _event_slots(angles.config):
+        keys = list(zip(*[slots[p][s] for p, s in event]))
+        memo.update({k: model.probability(k) for k in dict.fromkeys(keys) if k not in memo})
+        columns.append(list(map(memo.__getitem__, keys)))
+    return columns
 
 
 @lru_cache(maxsize=32)
@@ -252,25 +256,26 @@ def select_inequalities(
 
 def _violated(selected: list[tuple[int, tuple[int, ...], int]],
               config: Configuration,
-              vectors: Sequence[ProbabilityVector],
+              columns: Sequence[Sequence],
               threshold: float) -> list[tuple[int, Inequality, tuple]]:
     """``(row, inequality, values)`` for the rows whose largest value of
-    ``sum(c_e p_e) - rhs`` over ``vectors`` exceeds the threshold.
+    ``sum(c_e p_e) - rhs`` over the points exceeds the threshold.
 
-    ``selected`` holds ``_select_rows`` triples; only a kept row becomes an
-    ``Inequality``, in the layout ``config``.
+    ``columns`` holds one column per event, ``p_e`` at every point, as
+    ``_event_columns`` gives them.  ``selected`` holds ``_select_rows``
+    triples; only a kept row becomes an ``Inequality``, in the layout
+    ``config``.
 
-    The vectors are transposed into one column per event, ``p_e`` over all
-    vectors, and each scaled column ``c * p_e`` is built once and shared by
-    every row with coefficient ``c`` on event ``e`` (``1 * p_e`` is the
-    column itself).  A row is then summed over all vectors at once, with
-    ``sum`` over the zipped columns: per vector this adds the same terms
+    Each scaled column ``c * p_e`` is built once and shared by every row
+    with coefficient ``c`` on event ``e`` (``1 * p_e`` is the column
+    itself).  A row is then summed at all points at once, with ``sum``
+    over its zipped scaled columns: per point this adds the same terms
     ``c_e p_e`` in event order, starting from the int 0, as a plain loop
     would, so floats are bit-identical (``0 + -0.0`` is ``0.0``) and exact
-    vectors give exact values.
+    columns give exact values.
 
     Before that, each row gets an upper bound ``B`` on its sums at every
-    vector, read from the columns' extremes alone: ``c * p_e`` is largest
+    point, read from the columns' extremes alone: ``c * p_e`` is largest
     at the largest ``p_e`` for ``c > 0`` and at the smallest for ``c < 0``,
     so ``B`` adds ``c * max(p_e)`` or ``c * min(p_e)`` in event order.  A
     row with ``B - rhs <= cut`` cannot be kept (subtracting ``rhs`` is
@@ -293,7 +298,6 @@ def _violated(selected: list[tuple[int, tuple[int, ...], int]],
     if math.isnan(threshold):
         raise ValueError("threshold must be a number, not NaN")
     cut = threshold + VIOLATION_EPS
-    columns = list(zip(*[vec.values for vec in vectors]))
     scaled = [{1: col} for col in columns]  # scaled[e][c] is c * p_e
     floats = any(isinstance(p, float) for col in columns for p in col)
     pad = len(columns) * 2.0**-48 if floats else 0
@@ -330,7 +334,8 @@ def scan_probability_vector(
     if threshold < 0:
         raise ValueError("threshold must be nonnegative")
     config = probabilities.config
-    kept = _violated(_select_rows(source, config, rows), config, [probabilities], threshold)
+    columns = [[p] for p in probabilities.values]
+    kept = _violated(_select_rows(source, config, rows), config, columns, threshold)
     reports = [ViolationReport(row=row, inequality=ineq, amount=values[0])
                for row, ineq, values in kept]
     reports.sort(key=lambda r: (-r.amount, r.row))
@@ -407,10 +412,10 @@ def sample_violation_curve(
         raise ValueError("curve sampling allows only the free variable x")
     selected = _select_rows(source, angles.config, rows)
     xs = _linspace(*x_range, samples)
-    vectors = [probability_vector(model, angles, x=x) for x in xs]
+    columns = _event_columns(model, angles, [(x, 0.0) for x in xs])
     return [
         CurveSamples(row=row, inequality=ineq, xs=xs, values=values)
-        for row, ineq, values in _violated(selected, angles.config, vectors, threshold)
+        for row, ineq, values in _violated(selected, angles.config, columns, threshold)
     ]
 
 
@@ -429,12 +434,10 @@ def sample_violation_grid(
     selected = _select_rows(source, angles.config, rows)
     xs = _linspace(*x_range, samples_x)
     ys = _linspace(*y_range, samples_y)
-    vectors = [
-        probability_vector(model, angles, x=x, y=y) for y in ys for x in xs
-    ]
+    columns = _event_columns(model, angles, [(x, y) for y in ys for x in xs])
     return [
         GridSamples(row=row, inequality=ineq, xs=xs, ys=ys, values=values)
-        for row, ineq, values in _violated(selected, angles.config, vectors, threshold)
+        for row, ineq, values in _violated(selected, angles.config, columns, threshold)
     ]
 
 

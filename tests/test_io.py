@@ -10,6 +10,7 @@ import pytest
 from corrpoly import (
     Configuration,
     HRepresentation,
+    ProbabilityModel,
     VRepresentation,
     builtin_model,
     hull,
@@ -418,26 +419,28 @@ def test_grid_csv_cell_count(tmp_path, hull_2_2):
     assert len(lines) == 1 + 7 * 5
 
 
-def test_grid_csv_matches_csv_writer(tmp_path, hull_2_2):
-    config = Configuration.uniform(2, 2)
-    grid = sample_violation_grid(
-        hull_2_2,
-        builtin_model("singlet"),
-        angles=parse_angles("x,0;0,y", config),
-        samples_x=7,
-        samples_y=5,
-    )[0]
-    odd = (-0.0, 1e-300, 1 / 3, 1.5e16, float("inf"), Fraction(1, 3), 0, -2.5)
-    for values in (grid.values, odd * 4 + (0.1, 0.2, 0.3)):
-        sample = dataclasses.replace(grid, values=values)
-        with open(tmp_path / "oracle.csv", "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["x", "y", "f"])
-            for iy, y in enumerate(sample.ys):
-                for ix, x in enumerate(sample.xs):
-                    writer.writerow([x, y, sample.values[iy * len(sample.xs) + ix]])
-        got = write_grid_csv(sample, tmp_path / "grid.csv").read_bytes()
-        assert got == (tmp_path / "oracle.csv").read_bytes()
+def test_grid_csv_matches_csv_writer(tmp_path, hull_2_2, hull_2_3):
+    for hrep, angles, nx, ny in ((hull_2_2, "x,0;0,y", 7, 5),
+                                 (hull_2_3, "x,0,2pi/3;0,y,4pi/3", 41, 41)):
+        grid = sample_violation_grid(
+            hrep,
+            builtin_model("singlet"),
+            angles=parse_angles(angles, hrep.config),
+            samples_x=nx,
+            samples_y=ny,
+        )[0]
+        odd = (-0.0, 1e-300, 1 / 3, 1.5e16, float("inf"), Fraction(1, 3), 0, -2.5)
+        odd = (odd + (0.1, 0.2, 0.3)) * (nx * ny // 11 + 1)
+        for values in (grid.values, odd[:nx * ny]):
+            sample = dataclasses.replace(grid, values=values)
+            with open(tmp_path / "oracle.csv", "w", newline="") as fh:
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(["x", "y", "f"])
+                for iy, y in enumerate(sample.ys):
+                    for ix, x in enumerate(sample.xs):
+                        writer.writerow([x, y, sample.values[iy * len(sample.xs) + ix]])
+            got = write_grid_csv(sample, tmp_path / "grid.csv").read_bytes()
+            assert got == (tmp_path / "oracle.csv").read_bytes()
 
 
 @pytest.mark.parametrize("layout,angles,samples,row,digest", [
@@ -461,6 +464,50 @@ def test_grid_svg_bytes_pinned(hull_2_2, hull_2_3, layout, angles, samples, row,
     # a grid with no violation renders every cell white
     calm = grid_svg(dataclasses.replace(grid, values=tuple(-abs(v) for v in grid.values)))
     assert calm.count('fill="#ffffff"') == samples * samples
+
+
+def test_exact_grid_renders_and_writes_fractions(tmp_path, hull_2_2):
+    # singlet rounded to eighths: every grid value is a Fraction, which
+    # Python before 3.12 cannot format with "g"
+    singlet = builtin_model("singlet")
+    eighths = ProbabilityModel(
+        "eighths", {}, default=lambda a: Fraction(round(8 * singlet.probability(a)), 8))
+    grids = sample_violation_grid(
+        hull_2_2, eighths, angles=parse_angles("x,0;0,y", Configuration.uniform(2, 2)),
+        samples_x=9, samples_y=9,
+    )
+    assert grids and all(type(v) is Fraction for g in grids for v in g.values)
+    for grid in grids:
+        svg = render_svg(grid, tmp_path / "exact.svg").read_text()
+        assert f"max violation {float(max(grid.values)):.6g}</text>" in svg
+        assert "max violation 0.125</text>" in svg
+        assert svg.count("<rect") == 2 + 81
+        lines = write_grid_csv(grid, tmp_path / "exact.csv").read_text().splitlines()
+        assert [line.split(",")[2] for line in lines[1:]] == list(map(str, grid.values))
+        assert "1/8" in {line.split(",")[2] for line in lines[1:]}
+
+
+def test_contour_files_bytes_pinned(tmp_path, hull_2_3):
+    # The 94 CSV and 94 SVG files of the 2x3 41x41 singlet contour, in
+    # report order, with their names.  CPython 3.12+ compensates the
+    # rounding of a float sum, which moves the last bits of some values.
+    compensated = sum([1.0, 1e100, 1.0, -1e100]) == 2.0
+    grids = sample_violation_grid(
+        hull_2_3,
+        builtin_model("singlet"),
+        angles=parse_angles("x,0,2pi/3;0,y,4pi/3", Configuration.uniform(2, 3)),
+        samples_x=41,
+        samples_y=41,
+    )
+    assert len(grids) == 94
+    sha = hashlib.sha256()
+    for grid in grids:
+        for path in (write_grid_csv(grid, tmp_path / f"c_row{grid.row}.csv"),
+                     render_svg(grid, tmp_path / f"c_row{grid.row}.svg")):
+            sha.update(path.name.encode() + b"\n" + path.read_bytes())
+    assert sha.hexdigest() == (
+        "5ea0fd2b7fbf7b7859f7c68ff1d1c83eda8e2c54fb12faabbd613a748451e58a" if compensated
+        else "72b3e722b33a48d05e443310114ee33a698097aa23825c796cb7e30f3ba79f76")
 
 
 def test_svg_outputs(tmp_path, hull_2_2):

@@ -13,6 +13,7 @@ from corrpoly import (
     ProbabilityVector,
     builtin_model,
     contains,
+    enumerate_events,
     from_hrep,
     parse_angles,
     parse_text,
@@ -406,6 +407,61 @@ def test_grid_and_curve_bit_identical_to_event_order_loop(hull_2_3):
         assert sum(len(tops[top]) for top in tops if top > 0) == 12
 
 
+def test_model_called_once_per_distinct_angle_tuple(hull_2_3):
+    angles = parse_angles("x,0,2pi/3;0,y,4pi/3", C23)
+    singlet = builtin_model("singlet")
+    calls = []
+
+    def law(a):
+        calls.append(a)
+        return singlet.probability(a)
+
+    grid = dict(angles=angles, samples_x=41, samples_y=41)
+    got = sample_violation_grid(hull_2_3, ProbabilityModel("counting", {}, default=law), **grid)
+    want = sample_violation_grid(hull_2_3, singlet, **grid)
+    assert [(g.row, g.values) for g in got] == [(g.row, g.values) for g in want]
+    xs, ys = got[0].xs, got[0].ys
+    assert xs == ys
+    tuples = {
+        tuple(angles.angles[p][s].evaluate(x, y) for p, s in zip(ev.particles, ev.choices))
+        for ev in enumerate_events(C23) for y in ys for x in xs
+    }
+    assert len(calls) == len(set(calls)) == len(tuples)
+    assert set(calls) == tuples
+    # Singles: the 41 grid values (0 among them), 2pi/3 and 4pi/3.  Pairs:
+    # (x, y), (x, 4pi/3), (2pi/3, y) and (2pi/3, 4pi/3); the other five
+    # pairs, such as (x, 0) and (0, 4pi/3), repeat tuples of those four.
+    assert len(tuples) == (41 + 2) + (41 * 41 + 41 + 41 + 1)  # against 15 * 41 * 41
+
+
+class Refused(Exception):
+    pass
+
+
+def refusing(bad):
+    """Singles 1/2 and pairs 1/4, but an error at any angle equal to ``bad``."""
+    def law(a):
+        if bad in a:
+            raise Refused(a)
+        return 0.5 ** len(a)
+    return ProbabilityModel("refusing", {}, default=law)
+
+
+def test_law_errors_propagate_from_every_evaluation(hull_2_3):
+    step = math.pi / 40  # a 41-point grid over [0, pi]
+    with pytest.raises(Refused):
+        sample_violation_grid(hull_2_3, refusing(7 * step),
+                              angles=parse_angles("x,0,2pi/3;0,y,4pi/3", C23))
+    with pytest.raises(Refused):
+        sample_violation_curve(hull_2_3, refusing(math.pi / 16 * 5), samples=17,
+                               angles=parse_angles("x,0,2pi/3;0,2pi/3,4pi/3", C23))
+    with pytest.raises(Refused):
+        scan_violations(hull_2_3, refusing(2.5), angles=parse_angles("0,1,2;0,2.5,3", C23))
+    # the same laws away from the refused angle
+    assert sample_violation_grid(hull_2_3, refusing(-1.0),
+                                 angles=parse_angles("x,0,2pi/3;0,y,4pi/3", C23)) == []
+
+
 def test_exact_vector_gives_exact_amounts(hull_2_3):
     # singlet at the symmetric setting: pairs 0 on equal settings, else 3/8
     floats = probability_vector(
@@ -631,7 +687,7 @@ def test_angle_expression_errors():
 
 def test_parse_angles_shape_checks():
     assignment = parse_angles("0,2pi/3,4pi/3;0,2pi/3,4pi/3", C23)
-    assert assignment.evaluated()[0][2] == pytest.approx(4 * math.pi / 3)
+    assert assignment.angles[0][2].evaluate() == pytest.approx(4 * math.pi / 3)
     assert parse_angles(" 0, 2pi/3 ,4pi/3 ;0,2pi/3,4pi/3 ", C23) == assignment
     with pytest.raises(ParseError):
         parse_angles("0,1;0", C22)
