@@ -21,7 +21,7 @@ from .core import (
     enumerate_events,
     parse_number,
 )
-from .inequalities import parse_text, to_text
+from .inequalities import Inequality, numbered_rows, parse_text, to_text
 from .polyhedra import (
     DEFAULT_RAY_CAP,
     ENUM_ORDER,
@@ -41,7 +41,6 @@ from .quantum import (
     sample_violation_curve,
     sample_violation_grid,
     scan_violations,
-    select_inequalities,
 )
 from .vertices import DEFAULT_VERTEX_CAP, truth_table
 
@@ -113,18 +112,10 @@ def _const_angle(text: str) -> float:
     return expr.const
 
 
-def _progress():
-    state = {"last": -1}
-
-    def report(done: int, total: int, rays: int) -> None:
-        step = max(1, total // 10)
-        if done % step == 0 or done == total:
-            if done != state["last"]:
-                state["last"] = done
-                print(f"  {done}/{total} constraints, {rays} rays",
-                      file=sys.stderr)
-
-    return report
+def _progress(done: int, total: int, rays: int) -> None:
+    step = max(1, total // 10)
+    if done % step == 0 or done == total:
+        print(f"  {done}/{total} constraints, {rays} rays", file=sys.stderr)
 
 
 def _load_hrep(args) -> HRepresentation:
@@ -174,7 +165,7 @@ def cmd_hull(args) -> int:
         if config is None:
             raise ValueError("give either --ext FILE or a configuration")
         vrep = truth_table(config, max_rows=args.vertex_cap)
-    progress = None if args.quiet else _progress()
+    progress = None if args.quiet else _progress
     hrep = hull(vrep, order=args.order, ray_cap=_ray_cap(args), progress=progress)
     facets = len(hrep.inequality_indices)
     if args.output:
@@ -187,7 +178,7 @@ def cmd_hull(args) -> int:
 
 def cmd_enum(args) -> int:
     hrep = cpio.read_ine(args.ine)
-    progress = None if args.quiet else _progress()
+    progress = None if args.quiet else _progress
     vrep = enumerate_vertices(hrep, order=args.order, ray_cap=_ray_cap(args),
                               progress=progress)
     if vrep.is_empty:
@@ -201,8 +192,9 @@ def cmd_enum(args) -> int:
 
 
 def cmd_inequalities(args) -> int:
-    for _, ineq in select_inequalities(_load_hrep(args), rows=_parse_rows(args.rows)):
-        print(to_text(ineq))
+    hrep = _load_hrep(args)
+    for _, c, rhs in numbered_rows(hrep, rows=_parse_rows(args.rows)):
+        print(to_text(Inequality(c, rhs, hrep.config)))
     return EXIT_OK
 
 

@@ -12,6 +12,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Sequence
 
 from .core import (
     Configuration,
@@ -60,47 +61,80 @@ class Inequality:
         return to_text(self)
 
 
-def inequality_rows(
-    hrep: HRepresentation, config: Configuration | None = None
-) -> list[tuple[tuple[int, ...], int]]:
-    """``(coefficients, rhs)`` of every non-linearity row, order preserved.
+def numbered_rows(
+    source: HRepresentation | Sequence[Inequality],
+    config: Configuration | None = None,
+    rows: tuple[int, int] | None = None,
+) -> list[tuple[int, tuple[int, ...], int]]:
+    """``(1-based row, coefficients, rhs)`` of each inequality within ``rows``.
 
-    A row ``(b, a)`` gives ``c = -a`` and ``rhs = b``, both divided by the
-    row's gcd: the fields of its ``Inequality``, without building one.  A
-    row with an entry that is not an int, which ``math.gcd`` rejects, is
-    cleared of denominators first.  The layout is ``config`` or else the
-    H-representation's own; it and each row are checked as ``Inequality``
-    checks them.
+    An H-representation's rows are numbered as in its file, equalities
+    included (they are skipped); a row ``(b, a)`` gives ``c = -a`` and
+    ``rhs = b``, divided by the row's gcd: the fields of its ``Inequality``,
+    without building one.  A row with an entry that is not an int, which
+    ``math.gcd`` rejects, is cleared of denominators first.  A list's
+    inequalities are numbered from 1 and read as they are.
+
+    A source's own layout wins; ``config`` only fills in a missing one, and
+    a source over another layout is an error.  ``dataclasses.replace(hrep,
+    config=...)`` relabels an H-representation.  A range outside
+    ``1..total`` or reversed is an error.
     """
-    config = config or hrep.config
-    if config is None:
-        raise ValueError("no configuration attached; pass one explicitly")
-    if event_count(config) != hrep.dimension:
+    if isinstance(source, HRepresentation):
+        layout = config or source.config
+        if layout is None:
+            raise ValueError("no configuration attached; pass one explicitly")
+        if event_count(layout) != source.dimension:
+            raise ValueError(
+                f"configuration has {event_count(layout)} events but the "
+                f"H-representation has dimension {source.dimension}"
+            )
+        _check_layout("the H-representation", source.config, config)
+        numbered = []
+        for i in source.inequality_indices:
+            row = source.rows[i]
+            try:
+                g = math.gcd(*row)
+            except TypeError:  # a Fraction or other non-int entry
+                row, g = clear_to_int(row), 1
+            if g != 1:
+                row = [a // g for a in row]
+            coefficients = tuple([-a for a in row[1:]])
+            if not any(coefficients):
+                raise ValueError("inequality needs at least one nonzero coefficient")
+            numbered.append((i + 1, coefficients, row[0]))
+        total = len(source.rows)
+    else:
+        numbered = []
+        for i, q in enumerate(source, 1):
+            _check_layout(f"inequality {i}", q.config, config)
+            numbered.append((i, q.coefficients, q.rhs))
+        if not numbered:
+            raise ValueError("empty inequality list")
+        total = len(numbered)
+    if rows is not None:
+        lo, hi = rows
+        if lo < 1 or hi > total or lo > hi:
+            raise ValueError(f"row range {lo}:{hi} out of bounds (1..{total})")
+        numbered = [t for t in numbered if lo <= t[0] <= hi]
+    return numbered
+
+
+def _check_layout(name: str, own: Configuration | None,
+                  config: Configuration | None) -> None:
+    """Reject a source whose own layout is not ``config``, when both are known."""
+    if own is not None and config is not None and own != config:
         raise ValueError(
-            f"configuration has {event_count(config)} events but the "
-            f"H-representation has dimension {hrep.dimension}"
+            f"{name} is over the layout {own} ({event_count(own)} events), "
+            f"not {config} ({event_count(config)} events)"
         )
-    rows = hrep.rows
-    out = []
-    for i in hrep.inequality_indices:
-        row = rows[i]
-        try:
-            g = math.gcd(*row)
-        except TypeError:  # a Fraction or other non-int entry
-            row, g = clear_to_int(row), 1
-        if g != 1:
-            row = [a // g for a in row]
-        coefficients = tuple([-a for a in row[1:]])
-        if not any(coefficients):
-            raise ValueError("inequality needs at least one nonzero coefficient")
-        out.append((coefficients, row[0]))
-    return out
 
 
 def from_hrep(hrep: HRepresentation, config: Configuration | None = None) -> list[Inequality]:
-    """``inequality_rows`` as ``Inequality`` objects."""
-    config = config or hrep.config
-    return [Inequality(c, rhs, config) for c, rhs in inequality_rows(hrep, config)]
+    """Every inequality row as an ``Inequality``, read by ``numbered_rows``."""
+    numbered = numbered_rows(hrep, config)
+    config = hrep.config or config
+    return [Inequality(c, rhs, config) for _, c, rhs in numbered]
 
 
 @lru_cache(maxsize=32)
@@ -130,24 +164,26 @@ def to_text(ineq: Inequality) -> str:
 
 
 _TERM_RE = re.compile(
-    r"\s*(?P<sign>[+-])?\s*(?P<coeff>\d+)?\s*(?P<label>(?:[a-z]\d+)+)"
+    r"\s*(?P<sign>[+-])?\s*(?P<coeff>[0-9]+)?\s*(?P<label>(?:[a-z][0-9]+)+)"
 )
+_RHS_RE = re.compile(r"\s*[+-]?[0-9]+\s*")
 
 
 def parse_text(text: str, config: Configuration) -> Inequality:
     """Inverse of ``to_text`` (whitespace and term order are free).
 
     Accepts ASCII ``<=`` plus the unicode relation and minus signs; terms
-    look like ``3 a1b2``, ``-a1`` or ``+2 b1``.
+    look like ``3 a1b2``, ``-a1`` or ``+2 b1``.  Numbers are ASCII digits
+    only: ``1_0`` or a non-ASCII digit is an error, not the number ``int``
+    would read.
     """
     normalized = text.replace("≤", "<=").replace("−", "-")
     if "<=" not in normalized:
         raise ParseError(f"missing relation '<=' in {text!r}")
     lhs, _, rhs_text = normalized.partition("<=")
-    try:
-        rhs = int(rhs_text.strip())
-    except ValueError:
+    if not _RHS_RE.fullmatch(rhs_text):
         raise ParseError(f"right-hand side {rhs_text.strip()!r} is not an integer")
+    rhs = int(rhs_text)
     index = label_index(config)
     coefficients = [0] * event_count(config)
     pos = 0

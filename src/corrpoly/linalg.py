@@ -24,14 +24,8 @@ def dot(u: Sequence[int], v: Sequence[int]) -> int:
 def primitive(vec: Iterable[int]) -> IntVec:
     """Divide an integer vector by the gcd of its entries (sign preserved)."""
     vec = tuple(vec)
-    g = 0
-    for x in vec:
-        g = math.gcd(g, x)
-        if g == 1:
-            return vec
-    if g <= 1:
-        return vec
-    return tuple(x // g for x in vec)
+    g = math.gcd(*vec)
+    return vec if g <= 1 else tuple(x // g for x in vec)
 
 
 def clear_to_int(vec: Iterable[NumberLike]) -> IntVec:

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
-from .core import Configuration, ParseError, ProbabilityVector, enumerate_events, event_count
+from .core import Configuration, ParseError, ProbabilityVector, enumerate_events
 # from_hrep is not called here, but perfbench/tracer.py patches it by this
 # module's name, so it stays imported.
-from .inequalities import Inequality, from_hrep, inequality_rows, to_text  # noqa: F401
+from .inequalities import Inequality, from_hrep, numbered_rows, to_text  # noqa: F401
 from .polyhedra import HRepresentation
 
 #: Absolute guard for float violation comparisons.
@@ -198,62 +198,6 @@ class ViolationReport:
         return f"row {self.row}: {to_text(self.inequality)}   [{self.amount}]"
 
 
-def _select_rows(
-    source: HRepresentation | Sequence[Inequality],
-    config: Configuration | None,
-    rows: tuple[int, int] | None,
-) -> list[tuple[int, tuple[int, ...], int]]:
-    """The ``(1-based row, coefficients, rhs)`` triples within ``rows``.
-
-    An H-representation's rows are numbered as in its file, equalities
-    included, and read in the layout ``config`` or else its own, by
-    ``inequality_rows``.  An inequality list must be in the layout
-    ``config`` when one is given.  A range outside ``1..total`` or reversed
-    is an error.
-    """
-    if isinstance(source, HRepresentation):
-        indexed = [(i + 1, c, rhs) for i, (c, rhs) in
-                   zip(source.inequality_indices, inequality_rows(source, config))]
-        total = len(source.rows)
-    else:
-        indexed = []
-        for i, q in enumerate(source, 1):
-            if config is not None and q.config != config:
-                raise ValueError(
-                    f"inequality {i} is over the layout {q.config} "
-                    f"({event_count(q.config)} events), the probabilities "
-                    f"over {config} ({event_count(config)} events)"
-                )
-            indexed.append((i, q.coefficients, q.rhs))
-        if not indexed:
-            raise ValueError("empty inequality list")
-        total = len(indexed)
-    if rows is not None:
-        lo, hi = rows
-        if lo < 1 or hi > total or lo > hi:
-            raise ValueError(f"row range {lo}:{hi} out of bounds (1..{total})")
-        indexed = [t for t in indexed if lo <= t[0] <= hi]
-    return indexed
-
-
-def select_inequalities(
-    source: HRepresentation | Sequence[Inequality],
-    config: Configuration | None = None,
-    rows: tuple[int, int] | None = None,
-) -> list[tuple[int, Inequality]]:
-    """The (1-based row, inequality) pairs within ``rows``, for listing.
-
-    Rows are chosen and checked as the scans choose them (``_select_rows``),
-    but every chosen row becomes an ``Inequality``: an H-representation's
-    in the layout ``config`` or else its own, a list's as given.
-    """
-    selected = _select_rows(source, config, rows)
-    if not isinstance(source, HRepresentation):
-        return [(row, source[row - 1]) for row, _, _ in selected]
-    config = config or source.config
-    return [(row, Inequality(c, rhs, config)) for row, c, rhs in selected]
-
-
 def _violated(selected: list[tuple[int, tuple[int, ...], int]],
               config: Configuration,
               columns: Sequence[Sequence],
@@ -262,7 +206,7 @@ def _violated(selected: list[tuple[int, tuple[int, ...], int]],
     ``sum(c_e p_e) - rhs`` over the points exceeds the threshold.
 
     ``columns`` holds one column per event, ``p_e`` at every point, as
-    ``_event_columns`` gives them.  ``selected`` holds ``_select_rows``
+    ``_event_columns`` gives them.  ``selected`` holds ``numbered_rows``
     triples; only a kept row becomes an ``Inequality``, in the layout
     ``config``.
 
@@ -335,7 +279,7 @@ def scan_probability_vector(
         raise ValueError("threshold must be nonnegative")
     config = probabilities.config
     columns = [[p] for p in probabilities.values]
-    kept = _violated(_select_rows(source, config, rows), config, columns, threshold)
+    kept = _violated(numbered_rows(source, config, rows), config, columns, threshold)
     reports = [ViolationReport(row=row, inequality=ineq, amount=values[0])
                for row, ineq, values in kept]
     reports.sort(key=lambda r: (-r.amount, r.row))
@@ -353,8 +297,9 @@ def scan_violations(
 
     For each selected row the discrepancy ``sum(c_e p_e) - rhs`` is
     computed; rows exceeding ``threshold`` (default 0) are reported, sorted
-    by descending amount, then row number.  Probabilities and inequalities
-    take the layout of ``angles``.
+    by descending amount, then row number.  Probabilities take the layout
+    of ``angles``; the source must be over it, or have none (see
+    ``numbered_rows``).
     """
     vec = probability_vector(model, angles)
     return scan_probability_vector(source, vec, rows=rows, threshold=threshold)
@@ -405,12 +350,12 @@ def sample_violation_curve(
     """Sample ``f(x) = sum(c_e p_e(x)) - rhs`` for each selected inequality.
 
     Only inequalities whose sampled maximum exceeds the threshold are
-    returned (the violated ones, for plotting).  Probabilities and
-    inequalities take the layout of ``angles``.
+    returned (the violated ones, for plotting).  Probabilities take the
+    layout of ``angles``; the source must be over it, or have none.
     """
     if "y" in angles.free_variables:
         raise ValueError("curve sampling allows only the free variable x")
-    selected = _select_rows(source, angles.config, rows)
+    selected = numbered_rows(source, angles.config, rows)
     xs = _linspace(*x_range, samples)
     columns = _event_columns(model, angles, [(x, 0.0) for x in xs])
     return [
@@ -431,7 +376,7 @@ def sample_violation_grid(
     threshold: float = 0.0,
 ) -> list[GridSamples]:
     """Two-variable analogue of ``sample_violation_curve``."""
-    selected = _select_rows(source, angles.config, rows)
+    selected = numbered_rows(source, angles.config, rows)
     xs = _linspace(*x_range, samples_x)
     ys = _linspace(*y_range, samples_y)
     columns = _event_columns(model, angles, [(x, y) for y in ys for x in xs])

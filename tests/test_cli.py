@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -175,6 +176,50 @@ def test_violations_json_and_csv(tmp_path, capsys):
     assert csv_path.read_text().splitlines()[0] == "row,inequality,violation"
 
 
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_2_3_outputs_bytes_pinned(tmp_path, capsys):
+    # Recorded before the row reader was unified.  The progress lines are
+    # stderr; CPython 3.12+ compensates the rounding of a float sum, which
+    # moves the last bits of some amounts.
+    compensated = sum([1.0, 1e100, 1.0, -1e100]) == 2.0
+    ine = tmp_path / "f23.ine"
+    code, _, err = run(capsys, "hull", "-n", "2", "-m", "3", "-o", str(ine))
+    assert code == 0
+    assert sha256(err) == "640cf044f2181450e6154bf741b079fa1e3436f5691442667134c018fda6f244"
+    assert sha256(ine.read_text()) == (
+        "d1aa2e33eead4e85402dbef669062ffb88a872d946ad94f894b7bc24b07b8589")
+    code, _, err = run(capsys, "enum", "--ine", str(ine))
+    assert code == 0
+    assert sha256(err) == "2a5a8d5bfe1cf42bb9f9036df795c622bc64aa9cd4873bc8092582300e63c882"
+    for rows, digest in ((
+        (), "43041bd2c86b2942d0719e1e1826a489d64d1c7d7a869b6e965897bdb8e3524d"), (
+        ("--rows", "100:600"), "5af3a9302b903fadb2bb68994a3e8c27f55a177deed8573b0d4b0ab73768ea54"),
+    ):
+        code, out, _ = run(capsys, "inequalities", "--ine", str(ine), *rows)
+        assert code == 0 and sha256(out) == digest
+    scan = ("violations", "--ine", str(ine), "--model", "singlet",
+            "--angles", "0,2pi/3,4pi/3;0,2pi/3,4pi/3")
+    csv_path = tmp_path / "report.csv"
+    code, text, _ = run(capsys, *scan)
+    assert code == 0
+    code, as_json, _ = run(capsys, *scan, "--json")
+    assert code == 0
+    code, _, _ = run(capsys, *scan, "--csv", str(csv_path))
+    assert code == 0
+    assert [sha256(text), sha256(as_json), sha256(csv_path.read_text())] == ([
+        "36dc884f39ce067bfa7d995304bec5db48b2d795582921cc4e5729f22aa81762",
+        "c1058a673f7ae6b70a0dc8b8e384e78b8e1589c5fbf06b6338c5b9fb4103477a",
+        "398ba3a1e74c3dfe01d3f33b369eb3f596dd632d3db00ec156433af8795454f4",
+    ] if compensated else [
+        "fc9a25ece47270d4c211d589fc92ebab8da5233e61be1f330a52173206b88a03",
+        "ce91b069264ed949eca7b37305db6c2bf78163ebebb97b36041fc60ed30a8cfd",
+        "a944e639681554d1c048d959a4cabc6e9b9ba865b463ab34827818739ff7fd76",
+    ])
+
+
 def test_violations_threshold_filters(tmp_path, capsys):
     ine = tmp_path / "2_3.ine"
     run(capsys, "hull", "-n", "2", "-m", "3", "-o", str(ine), "-q")
@@ -263,6 +308,12 @@ def test_verify_cli(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload == {"valid": True, "tight_count": 3, "is_facet": True}
+
+
+def test_verify_rejects_non_ascii_numbers(capsys):
+    for text in ("a1 - a1b1 + b1 <= 1_0", "\u0663 a1 - a1b1 + b1 <= 1"):
+        code, out, err = run(capsys, "verify", "-n", "2", "-m", "1", "--ineq", text)
+        assert code == 2 and out == "" and "parse error" in err
 
 
 def test_verify_checks_the_vertex_cap_before_building_events(capsys):

@@ -15,7 +15,7 @@ from corrpoly import (
     truth_table,
 )
 from corrpoly.core import ParseError, event_count
-from corrpoly.inequalities import inequality_rows
+from corrpoly.inequalities import numbered_rows
 from corrpoly.linalg import clear_to_int
 
 URN = Configuration((1, 1))
@@ -94,6 +94,12 @@ def test_parse_text_errors():
         parse_text("<= 1", URN)
     with pytest.raises(ParseError):
         parse_text("a1 <= 1/2", URN)
+    # numbers are ASCII digits, where int() and \d take 1_0 as 10 and other
+    # scripts' digits by their value
+    for text in ("a1 - a1b1 + b1 <= 1_0", "\u0663 a1 <= 1", "a1 <= \u0663",
+                 "a1 <= \uff11", "1_0 a1 <= 1", "a\u0661 <= 1"):
+        with pytest.raises(ParseError):
+            parse_text(text, URN)
 
 
 def test_canonicalization_gcd_and_scaling():
@@ -129,12 +135,12 @@ def test_constant_row_is_rejected():
     config = Configuration((2,))
     for row in ((1, 0, 0), (Fraction(1, 2), 0, 0), (-3, 0, 0)):
         hrep = HRepresentation(2, ((0, 1, 0), row), config=config)
-        for read in (from_hrep, inequality_rows):
+        for read in (from_hrep, numbered_rows):
             with pytest.raises(ValueError, match="^inequality needs at least one "
                                                  "nonzero coefficient$"):
                 read(hrep)
     with pytest.raises(ValueError, match="no configuration attached"):
-        inequality_rows(HRepresentation(2, ((0, 1, 0),)))
+        numbered_rows(HRepresentation(2, ((0, 1, 0),)))
 
 
 def test_round_trip_random_inequalities():

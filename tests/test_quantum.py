@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -607,6 +608,42 @@ def test_inequality_list_from_another_layout_is_rejected(hull_2_2, hull_2_3):
         scan_probability_vector(mixed, vec)
     with pytest.raises(ValueError, match="15 events but the H-representation has dimension 8"):
         scan_probability_vector(hull_2_2, vec)
+
+
+def test_layout_rule_is_one_for_lists_and_h_representations(hull_2_3):
+    # 3,3 and 1,1,1,1 both have 15 events: a source's own layout wins, and
+    # one over another layout is rejected, as a list and as an H-representation
+    four = Configuration((1, 1, 1, 1))
+    model = builtin_model("uniform")
+    angles = parse_angles("0;0;0;0", four)
+    vec = probability_vector(model, angles)
+    for source, name in ((hull_2_3, "the H-representation"),
+                         (from_hrep(hull_2_3), "inequality 1")):
+        match = rf"^{name} is over the layout 3,3 \(15 events\), not 1,1,1,1 \(15 events\)$"
+        with pytest.raises(ValueError, match=match):
+            scan_violations(source, model, angles=angles)
+        with pytest.raises(ValueError, match=match):
+            scan_probability_vector(source, vec)
+        with pytest.raises(ValueError, match=match):
+            sample_violation_curve(source, model, samples=3,
+                                   angles=parse_angles("x;0;0;0", four))
+        with pytest.raises(ValueError, match=match):
+            sample_violation_grid(source, model, samples_x=3, samples_y=3,
+                                  angles=parse_angles("x;y;0;0", four))
+    with pytest.raises(ValueError, match="the H-representation is over the layout 3,3"):
+        from_hrep(hull_2_3, four)
+    # a layout-less H-representation takes the angles' layout, and
+    # dataclasses.replace relabels one
+    bare = replace(hull_2_3, config=None)
+    relabelled = replace(hull_2_3, config=four)
+    curves = sample_violation_curve(bare, model, angles=angles, samples=2, threshold=-10.0)
+    assert len(curves) == 684 and {c.inequality.config for c in curves} == {four}
+    assert curves == sample_violation_curve(relabelled, model, angles=angles, samples=2,
+                                            threshold=-10.0)
+    assert from_hrep(bare, four) == from_hrep(relabelled) == [
+        Inequality(q.coefficients, q.rhs, four) for q in from_hrep(hull_2_3)]
+    with pytest.raises(ValueError, match="no configuration attached"):
+        from_hrep(bare)
 
 
 def test_negative_zero_terms_sum_to_positive_zero():
