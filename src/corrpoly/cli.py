@@ -11,7 +11,6 @@ import json
 import os
 import sys
 import traceback
-from dataclasses import replace
 
 from . import io as cpio
 from .core import (
@@ -21,7 +20,7 @@ from .core import (
     enumerate_events,
     parse_number,
 )
-from .inequalities import Inequality, numbered_rows, parse_text, to_text
+from .inequalities import Inequality, numbered_rows, parse_text, to_text, with_layout
 from .polyhedra import (
     DEFAULT_RAY_CAP,
     ENUM_ORDER,
@@ -119,13 +118,10 @@ def _progress(done: int, total: int, rays: int) -> None:
 
 
 def _load_hrep(args) -> HRepresentation:
-    """Read ``--ine`` in the layout of -n/-m/--config, else the file's own."""
-    hrep = cpio.read_ine(args.ine)
-    config = _resolve_config(args) or hrep.config
-    if config is None:
+    """Read ``--ine``; -n/-m/--config fill in a layout the file does not give."""
+    hrep = with_layout(cpio.read_ine(args.ine), _resolve_config(args), args.ine)
+    if hrep.config is None:
         raise ValueError("no configuration in file; pass -n/-m or --config")
-    if config != hrep.config:
-        hrep = replace(hrep, config=config)
     return hrep
 
 

@@ -11,6 +11,7 @@ import itertools
 import string
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Union
 
 #: Anything accepted where an exact number is expected.
@@ -87,6 +88,10 @@ class EventLabel:
             raise ValueError("one setting choice per supported particle")
         if list(self.particles) != sorted(set(self.particles)):
             raise ValueError("support must be strictly ascending particles")
+        object.__setattr__(self, "_label", "".join(
+            f"{string.ascii_lowercase[p]}{s + 1}"
+            for p, s in zip(self.particles, self.choices)
+        ))
 
     @property
     def arity(self) -> int:
@@ -94,30 +99,28 @@ class EventLabel:
 
     def label(self) -> str:
         """Render as concatenated letter+setting tokens, e.g. ``a1b2c1``."""
-        return "".join(
-            f"{string.ascii_lowercase[p]}{s + 1}"
-            for p, s in zip(self.particles, self.choices)
-        )
+        return self._label
 
     def __str__(self) -> str:
         return self.label()
 
 
-def enumerate_events(config: Configuration) -> list[EventLabel]:
-    """Canonical ordered event list of a configuration.
+@lru_cache(maxsize=32)
+def enumerate_events(config: Configuration) -> tuple[EventLabel, ...]:
+    """Canonical ordered events of a configuration, built once per layout.
 
     Order: support cardinality ascending, then support lexicographically,
     then setting choices lexicographically.  All coefficient vectors and
-    file columns in this package use this order.
+    file columns in this package use this order.  The tuple is cached, so
+    every module reads the same events and labels.
     """
-    events: list[EventLabel] = []
     n = config.particles
-    for k in range(1, n + 1):
-        for support in itertools.combinations(range(n), k):
-            ranges = [range(config.settings[p]) for p in support]
-            for choices in itertools.product(*ranges):
-                events.append(EventLabel(support, choices))
-    return events
+    return tuple(
+        EventLabel(support, choices)
+        for k in range(1, n + 1)
+        for support in itertools.combinations(range(n), k)
+        for choices in itertools.product(*[range(config.settings[p]) for p in support])
+    )
 
 
 def event_count(config: Configuration) -> int:
@@ -126,6 +129,13 @@ def event_count(config: Configuration) -> int:
     for m in config.settings:
         total *= m + 1
     return total - 1
+
+
+def check_event_count(config: Configuration | None, dimension: int, name: str) -> None:
+    """Reject a layout whose event count is not the ``dimension`` of ``name``."""
+    if config is not None and event_count(config) != dimension:
+        raise ValueError(f"configuration has {event_count(config)} events but "
+                         f"{name} has dimension {dimension}")
 
 
 def label_index(config: Configuration) -> dict[str, int]:

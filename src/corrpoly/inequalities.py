@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from .core import (
     Configuration,
     NumberLike,
     ParseError,
+    check_event_count,
     enumerate_events,
     event_count,
     label_index,
@@ -76,20 +76,14 @@ def numbered_rows(
     inequalities are numbered from 1 and read as they are.
 
     A source's own layout wins; ``config`` only fills in a missing one, and
-    a source over another layout is an error.  ``dataclasses.replace(hrep,
-    config=...)`` relabels an H-representation.  A range outside
-    ``1..total`` or reversed is an error.
+    a source over another layout is an error (see ``with_layout``).
+    ``dataclasses.replace(hrep, config=...)`` relabels an H-representation.
+    A range outside ``1..total`` or reversed is an error.
     """
     if isinstance(source, HRepresentation):
-        layout = config or source.config
-        if layout is None:
+        source = with_layout(source, config, "the H-representation")
+        if source.config is None:
             raise ValueError("no configuration attached; pass one explicitly")
-        if event_count(layout) != source.dimension:
-            raise ValueError(
-                f"configuration has {event_count(layout)} events but the "
-                f"H-representation has dimension {source.dimension}"
-            )
-        _check_layout("the H-representation", source.config, config)
         numbered = []
         for i in source.inequality_indices:
             row = source.rows[i]
@@ -120,6 +114,22 @@ def numbered_rows(
     return numbered
 
 
+def with_layout(hrep: HRepresentation, config: Configuration | None,
+                name: str) -> HRepresentation:
+    """``hrep`` with ``config`` filled in where it has no layout of its own.
+
+    ``config`` only fills in: one whose event count is not the dimension,
+    or one other than ``hrep``'s own layout, is a ``ValueError`` naming
+    ``name``.  Without ``config``, ``hrep`` comes back as it is, with or
+    without a layout.
+    """
+    if config is None or config == hrep.config:
+        return hrep
+    check_event_count(config, hrep.dimension, name)
+    _check_layout(name, hrep.config, config)
+    return replace(hrep, config=config)
+
+
 def _check_layout(name: str, own: Configuration | None,
                   config: Configuration | None) -> None:
     """Reject a source whose own layout is not ``config``, when both are known."""
@@ -132,15 +142,8 @@ def _check_layout(name: str, own: Configuration | None,
 
 def from_hrep(hrep: HRepresentation, config: Configuration | None = None) -> list[Inequality]:
     """Every inequality row as an ``Inequality``, read by ``numbered_rows``."""
-    numbered = numbered_rows(hrep, config)
-    config = hrep.config or config
-    return [Inequality(c, rhs, config) for _, c, rhs in numbered]
-
-
-@lru_cache(maxsize=32)
-def _labels(config: Configuration) -> tuple[str, ...]:
-    """The rendered event labels of a layout, in canonical order."""
-    return tuple(ev.label() for ev in enumerate_events(config))
+    hrep = with_layout(hrep, config, "the H-representation")
+    return [Inequality(c, rhs, hrep.config) for _, c, rhs in numbered_rows(hrep)]
 
 
 def to_text(ineq: Inequality) -> str:
@@ -149,7 +152,7 @@ def to_text(ineq: Inequality) -> str:
     Unit coefficients are elided; terms are sorted by event label.
     """
     terms = sorted(
-        (label, c) for label, c in zip(_labels(ineq.config), ineq.coefficients) if c
+        (ev.label(), c) for ev, c in zip(enumerate_events(ineq.config), ineq.coefficients) if c
     )
     parts: list[str] = []
     for label, c in terms:

@@ -5,8 +5,9 @@ The .ext/.ine layouts follow the cdd ecosystem: a kind header, an optional
 whitespace-separated data rows and ``end``.  Comment lines starting with
 ``*`` are ignored on input.  Of the option lines after ``end`` only the
 ``Konfiguration`` line, this package's record of the layout, is read and
-written; cdd's own options are skipped.  Output is byte-stable: LF line
-endings, canonical number rendering.
+written; cdd's own options are skipped.  A layout must fit the file: its
+event count is the dimension, or the file does not parse.  Output is
+byte-stable: LF line endings, canonical number rendering.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .core import (
     Configuration,
     NumberLike,
     ParseError,
-    event_count,
     format_number,
     parse_number,
 )
@@ -98,8 +98,9 @@ def parse_polyhedra_file(
     The header decides the type: ``H-representation`` gives an
     ``HRepresentation``, ``V-representation`` a ``VRepresentation`` whose
     rows starting with 1 are vertices and with 0 rays.  The first
-    ``Konfiguration`` line after ``end`` sets ``config`` when its event
-    count is the dimension.  Malformed text raises ``ParseError``.
+    ``Konfiguration`` line after ``end`` sets ``config``.  Malformed text,
+    a ``Konfiguration`` whose event count is not the dimension included,
+    raises ``ParseError`` naming ``source``.
     """
     lines = [ln.strip() for ln in text.splitlines()]
     pos = 0
@@ -156,42 +157,39 @@ def parse_polyhedra_file(
         raise ParseError(f"{source}: linearity index {max(linearity) + 1} out of range")
 
     dimension = max(n - 1, 0)
-    config = _read_config(lines[pos:], dimension, source)
-    if header[0] == "H":
-        try:
+    config = _read_config(lines[pos:], source)
+    try:
+        if header[0] == "H":
             return HRepresentation(dimension, tuple(rows), linearity, config)
-        except ValueError as exc:  # an all-zero row
-            raise ParseError(f"{source}: {exc}") from None
-    vertices, rays = [], []
-    for row in rows:
-        if row[0] not in (0, 1):
-            raise ParseError(
-                f"{source}: generator rows must start with 0 or 1, got {row[0]}"
-            )
-        (vertices if row[0] == 1 else rays).append(row[1:])
-    return VRepresentation(dimension, tuple(vertices), tuple(rays), config)
+        vertices, rays = [], []
+        for row in rows:
+            if row[0] not in (0, 1):
+                raise ParseError(
+                    f"{source}: generator rows must start with 0 or 1, got {row[0]}"
+                )
+            (vertices if row[0] == 1 else rays).append(row[1:])
+        return VRepresentation(dimension, tuple(vertices), tuple(rays), config)
+    except ValueError as exc:  # an all-zero row, a layout of another dimension
+        raise ParseError(f"{source}: {exc}") from None
 
 
-def _read_config(options: Sequence[str], dimension: int,
-                 source: str) -> Configuration | None:
+def _read_config(options: Sequence[str], source: str) -> Configuration | None:
     """The layout of the first ``Konfiguration N M`` (N particles with M settings
-    each) or ``Konfiguration M1,M2,...`` line, if it has ``dimension`` events."""
+    each) or ``Konfiguration M1,M2,...`` line, if there is one."""
     for line in options:
         fields = line.split()
         if fields[:1] != ["Konfiguration"]:
             continue
         try:
             if len(fields) == 3:
-                config = Configuration.uniform(*(_count(f, line, source) for f in fields[1:]))
-            elif len(fields) == 2 and "," in fields[1]:
-                config = Configuration(
+                return Configuration.uniform(*(_count(f, line, source) for f in fields[1:]))
+            if len(fields) == 2 and "," in fields[1]:
+                return Configuration(
                     tuple(_count(f, line, source) for f in fields[1].split(","))
                 )
-            else:
-                raise ValueError("expected 'N M' or 'M1,M2,...'")
+            raise ValueError("expected 'N M' or 'M1,M2,...'")
         except ValueError as exc:
             raise ParseError(f"{source}: bad {line!r}: {exc}") from None
-        return config if event_count(config) == dimension else None
     return None
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .core import CapacityError, Configuration, NumberLike
+from .core import CapacityError, Configuration, NumberLike, check_event_count
 from .lanes import Lanes
 from .linalg import (
     IntVec,
@@ -44,7 +44,8 @@ class HRepresentation:
 
     ``linearity`` holds the (0-based) indices of rows to be read as
     equalities; they encode the affine hull when the polyhedron is not
-    full-dimensional.
+    full-dimensional.  A ``config`` labels the coordinates, so its event
+    count must be ``dimension``.
     """
 
     dimension: int
@@ -63,6 +64,7 @@ class HRepresentation:
         for i in self.linearity:
             if not 0 <= i < len(self.rows):
                 raise ValueError(f"linearity index {i} out of range")
+        check_event_count(self.config, self.dimension, "the H-representation")
 
     @property
     def inequality_indices(self) -> list[int]:

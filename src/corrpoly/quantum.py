@@ -12,7 +12,6 @@ import ast
 import math
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
 from .core import Configuration, ParseError, ProbabilityVector, enumerate_events
@@ -172,18 +171,11 @@ def _event_columns(model: ProbabilityModel, angles: AngleAssignment,
              for row in angles.angles]
     memo: dict = {}
     columns = []
-    for event in _event_slots(angles.config):
-        keys = list(zip(*[slots[p][s] for p, s in event]))
+    for ev in enumerate_events(angles.config):
+        keys = list(zip(*[slots[p][s] for p, s in zip(ev.particles, ev.choices)]))
         memo.update({k: model.probability(k) for k in dict.fromkeys(keys) if k not in memo})
         columns.append(list(map(memo.__getitem__, keys)))
     return columns
-
-
-@lru_cache(maxsize=32)
-def _event_slots(config: Configuration) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """The ``(particle, setting)`` pairs of each canonical event, in order."""
-    return tuple(tuple(zip(ev.particles, ev.choices))
-                 for ev in enumerate_events(config))
 
 
 @dataclass(frozen=True)
@@ -482,18 +474,9 @@ def parse_angles(text: str, config: Configuration) -> AngleAssignment:
     Example for two particles with three settings each:
     ``0,2pi/3,4pi/3;0,2pi/3,4pi/3``.
     """
-    particles = [part for part in text.split(";")]
-    if len(particles) != config.particles:
-        raise ParseError(
-            f"expected angle groups for {config.particles} particles, "
-            f"got {len(particles)}"
-        )
-    rows = []
-    for p, (part, m) in enumerate(zip(particles, config.settings)):
-        exprs = [parse_angle_expression(tok) for tok in part.split(",")]
-        if len(exprs) != m:
-            raise ParseError(
-                f"particle {p}: expected {m} angle expressions, got {len(exprs)}"
-            )
-        rows.append(tuple(exprs))
-    return AngleAssignment(config, tuple(rows))
+    rows = tuple(tuple(parse_angle_expression(tok) for tok in part.split(","))
+                 for part in text.split(";"))
+    try:
+        return AngleAssignment(config, rows)
+    except ValueError as exc:  # a particle or setting count off the layout
+        raise ParseError(str(exc)) from None

@@ -10,6 +10,7 @@ from .core import (
     CapacityError,
     Configuration,
     NumberLike,
+    check_event_count,
     enumerate_events,
     event_count,
 )
@@ -26,6 +27,8 @@ class VRepresentation:
     Truth-table output consists of 0/1 vertex rows only.  General instances
     (read from files or produced by vertex enumeration) may carry rays; a
     representation without any generators denotes the empty polyhedron.
+    A ``config`` labels the coordinates, so its event count must be
+    ``dimension``.
     """
 
     dimension: int
@@ -39,6 +42,7 @@ class VRepresentation:
                 raise ValueError(
                     f"generator of length {len(row)} in dimension {self.dimension}"
                 )
+        check_event_count(self.config, self.dimension, "the V-representation")
 
     @property
     def is_empty(self) -> bool:
@@ -61,6 +65,17 @@ class VRepresentation:
         return integer_rank(self.integer_rows)
 
 
+def _event_members(config: Configuration) -> list[list[int]]:
+    """Each canonical event's positions in ``config.proposition_pairs()``.
+
+    On a vertex, an event's coordinate is the AND (the minimum) of the
+    outcome bits at its positions: a single event copies its bit.
+    """
+    position = {prop: i for i, prop in enumerate(config.proposition_pairs())}
+    return [[position[prop] for prop in zip(ev.particles, ev.choices)]
+            for ev in enumerate_events(config)]
+
+
 def vertex_for_assignment(
     config: Configuration, outcomes: Sequence[int]
 ) -> tuple[int, ...]:
@@ -70,20 +85,14 @@ def vertex_for_assignment(
     order.  Single-event coordinates copy their bit; every joint coordinate is
     the product (logical AND) of its constituents' bits.
     """
-    props = config.proposition_pairs()
-    if len(outcomes) != len(props):
-        raise ValueError(f"expected {len(props)} outcome bits, got {len(outcomes)}")
+    k = sum(config.settings)
+    if len(outcomes) != k:
+        raise ValueError(f"expected {k} outcome bits, got {len(outcomes)}")
     for bit in outcomes:
         if bit not in (0, 1):
             raise ValueError(f"outcome bits must be 0 or 1, got {bit!r}")
-    by_prop = {prop: bit for prop, bit in zip(props, outcomes)}
-    coords = []
-    for ev in enumerate_events(config):
-        value = 1
-        for p, s in zip(ev.particles, ev.choices):
-            value &= by_prop[(p, s)]
-        coords.append(value)
-    return tuple(coords)
+    return tuple(min(outcomes[i] for i in members)
+                 for members in _event_members(config))
 
 
 def truth_table(
@@ -95,21 +104,14 @@ def truth_table(
     the first particle's first setting as the fastest-varying bit, so the
     row order reproduces the standard truth-table listings.
     """
-    props = config.proposition_pairs()
-    k = len(props)
+    k = sum(config.settings)
     total = 1 << k
     if total > max_rows:
         raise CapacityError(
             f"truth table would have {total} rows, exceeding the cap of "
             f"{max_rows}; raise the cap to proceed"
         )
-    events = enumerate_events(config)
-    # Positions of each event's constituent propositions, resolved once.
-    prop_pos = {prop: i for i, prop in enumerate(props)}
-    event_bits = [
-        [prop_pos[(p, s)] for p, s in zip(ev.particles, ev.choices)]
-        for ev in events
-    ]
+    event_bits = _event_members(config)
     rows = []
     for index in range(total):
         bits = [(index >> i) & 1 for i in range(k)]

@@ -449,3 +449,118 @@ def test_help_everywhere(capsys):
         code, out, err = run(capsys, sub, "--help")
         assert code == 0
         assert "usage" in out or "usage" in err
+
+
+def test_layout_flags_only_fill_in_a_missing_layout(tmp_path, capsys):
+    # 2x3 and four one-setting particles both have 15 events
+    ine = tmp_path / "f23.ine"
+    run(capsys, "hull", "-n", "2", "-m", "3", "-o", str(ine), "-q")
+    code, own, _ = run(capsys, "inequalities", "--ine", str(ine))
+    assert code == 0
+    assert run(capsys, "inequalities", "--ine", str(ine), "-n", "2", "-m", "3") == (0, own, "")
+    for flags, message in (
+        (("--config", "1,1,1,1"), f"{ine} is over the layout 3,3 (15 events), "
+                                  "not 1,1,1,1 (15 events)"),
+        (("-n", "2", "-m", "2"), f"configuration has 8 events but {ine} "
+                                 "has dimension 15"),
+    ):
+        code, out, err = run(capsys, "inequalities", "--ine", str(ine), *flags)
+        assert (code, out) == (1, "") and message in err
+    code, _, err = run(capsys, "violations", "--ine", str(ine), "--config", "1,1,1,1",
+                       "--model", "uniform", "--angles", "0;0;0;0")
+    assert code == 1 and f"{ine} is over the layout 3,3 (15 events)" in err
+    # a file without a Konfiguration line takes the layout of the flags
+    bare = tmp_path / "bare.ine"
+    bare.write_text(ine.read_text().replace("Konfiguration 2 3\n", ""))
+    code, _, err = run(capsys, "inequalities", "--ine", str(bare))
+    assert code == 1 and "no configuration in file" in err
+    assert run(capsys, "inequalities", "--ine", str(bare), "-n", "2", "-m", "3") == (0, own, "")
+    code, out, _ = run(capsys, "inequalities", "--ine", str(bare), "--config", "1,1,1,1")
+    assert code == 0 and len(out.splitlines()) == 684 and "a1b1c1" in out
+    scan = ("violations", "--model", "singlet", "--angles", "0,2pi/3,4pi/3;0,2pi/3,4pi/3")
+    assert (run(capsys, *scan, "--ine", str(bare), "-n", "2", "-m", "3")
+            == run(capsys, *scan, "--ine", str(ine)))
+
+
+def test_konfiguration_of_another_dimension_exits_with_parse_error(tmp_path, capsys):
+    ine = tmp_path / "f23.ine"
+    run(capsys, "hull", "-n", "2", "-m", "3", "-o", str(ine), "-q")
+    ine.write_text(ine.read_text().replace("Konfiguration 2 3", "Konfiguration 2 2"))
+    for argv in (("inequalities",), ("enum", "-q"), ("contains", "--point", "0")):
+        code, out, err = run(capsys, *argv, "--ine", str(ine))
+        assert code == 2 and out == ""
+        assert f"{ine}: configuration has 8 events" in err
+
+
+def test_verify_text_output(capsys):
+    code, out, _ = run(capsys, "verify", "-n", "2", "-m", "1",
+                       "--ineq", "a1 - a1b1 + b1 <= 1")
+    assert code == 0
+    assert out == "valid: yes\ntight generators: 3\nfacet: yes\n"
+    code, out, _ = run(capsys, "verify", "--config", "1,1", "--ineq", "a1 <= 2")
+    assert code == 0
+    assert out == "valid: yes\ntight generators: 0\nfacet: no\n"
+
+
+def test_contour_svg_and_empty_results(tmp_path, capsys):
+    ine = tmp_path / "2_2.ine"
+    run(capsys, "hull", "-n", "2", "-m", "2", "-o", str(ine), "-q")
+    prefix = tmp_path / "cont"
+    common = ("--ine", str(ine), "--model", "singlet", "--angles=x,0;0,y")
+    code, out, _ = run(capsys, "contour", *common, "--samples", "5",
+                       "-o", str(prefix), "--svg")
+    assert code == 0
+    csvs = sorted(p.stem for p in tmp_path.glob("cont_row*.csv"))
+    svgs = sorted(p.stem for p in tmp_path.glob("cont_row*.svg"))
+    assert csvs and csvs == svgs
+    assert out.count("wrote ") == 2 * len(csvs)
+    assert all((tmp_path / f"{s}.svg").read_text().startswith("<?xml") for s in svgs)
+    # the classical product measure violates nothing
+    for argv in (
+        ("contour", "--ine", str(ine), "--model", "uniform", "--angles=x,0;0,y",
+         "--samples", "3", "-o", str(tmp_path / "none")),
+        ("plot", "--ine", str(ine), "--model", "uniform", "--angles=x,0;0,0",
+         "--samples", "3", "-o", str(tmp_path / "none.csv"), "--svg",
+         str(tmp_path / "none.svg")),
+    ):
+        code, out, _ = run(capsys, *argv)
+        assert (code, out) == (0, "no violated inequalities in range\n")
+    assert not list(tmp_path.glob("none*"))
+
+
+def test_usage_errors_of_the_shared_flags(tmp_path, capsys, monkeypatch):
+    ine = tmp_path / "2_2.ine"
+    run(capsys, "hull", "-n", "2", "-m", "2", "-o", str(ine), "-q")
+    model = ("--ine", str(ine), "--model", "singlet")
+    for argv, message in (
+        (("violations", *model, "--angles=x,0;0,0"), "concrete angles"),
+        (("events", "--config", "2,2", "-n", "2", "-m", "2"), "mutually exclusive"),
+        (("events", "--config", "2,x"), "bad --config value '2,x'"),
+        (("events", "--config", "2,0"), "at least one setting"),
+        (("inequalities", "--ine", str(ine), "--rows", "1-5"), "--rows expects MIN:MAX"),
+        (("violations", *model, "--angles=0,0;0,0", "--rows", "a:b"), "--rows expects"),
+        (("plot", *model, "--angles=x,0;0,0", "--range", "0-pi", "-o",
+          str(tmp_path / "c.csv")), "range expects LO:HI, got '0-pi'"),
+        (("plot", *model, "--angles=x,0;0,0", "--range", "0:x", "-o",
+          str(tmp_path / "c.csv")), "range bound 'x' must be constant"),
+        (("contour", *model, "--angles=x,0;0,y", "--range-y", "y:pi", "-o",
+          str(tmp_path / "g")), "range bound 'y' must be constant"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert message in err, argv
+    assert not list(tmp_path.glob("c.csv")) and not list(tmp_path.glob("g_*"))
+    monkeypatch.setenv("CORRPOLY_RAY_CAP", "lots")
+    code, out, err = run(capsys, "hull", "-n", "2", "-m", "2", "-q")
+    assert (code, out) == (1, "") and "bad CORRPOLY_RAY_CAP value 'lots'" in err
+
+
+def test_angle_counts_off_the_layout_are_parse_errors(tmp_path, capsys):
+    ine = tmp_path / "2_2.ine"
+    run(capsys, "hull", "-n", "2", "-m", "2", "-o", str(ine), "-q")
+    for angles, message in (("0,1;0", "particle 1: expected 2 setting angles, got 1"),
+                            ("0,1", "expected angles for 2 particles, got 1"),
+                            ("0,1;0,1;0,1", "expected angles for 2 particles, got 3")):
+        code, out, err = run(capsys, "violations", "--ine", str(ine),
+                             "--model", "singlet", "--angles", angles)
+        assert (code, out) == (2, "") and message in err, angles

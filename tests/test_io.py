@@ -548,3 +548,50 @@ def test_svg_deterministic(tmp_path, hull_2_2):
     a = render_svg(curves, tmp_path / "a.svg").read_bytes()
     b = render_svg(curves, tmp_path / "b.svg").read_bytes()
     assert a == b
+
+
+def test_layout_must_fit_the_dimension(hull_2_3):
+    # a relabelling keeps the event count: 2x3 and 1,1,1,1 have 15 events
+    four = Configuration((1, 1, 1, 1))
+    assert dataclasses.replace(hull_2_3, config=four).config == four
+    vrep = truth_table(Configuration.uniform(2, 3))
+    for rep, kind in ((hull_2_3, "H"), (vrep, "V")):
+        with pytest.raises(ValueError, match=rf"^configuration has 8 events but the "
+                                             rf"{kind}-representation has dimension 15$"):
+            dataclasses.replace(rep, config=Configuration.uniform(2, 2))
+    with pytest.raises(ValueError, match="has 1 events but the V-representation has dim"):
+        VRepresentation(2, ((0, 1),), config=Configuration((1,)))
+
+
+@pytest.mark.parametrize("suffix", [".ine", ".ext"])
+def test_konfiguration_of_another_dimension_is_a_parse_error(tmp_path, hull_2_3, suffix):
+    if suffix == ".ine":
+        path, read = write_ine(hull_2_3, tmp_path / "f23"), read_ine
+    else:
+        path = write_ext(truth_table(Configuration.uniform(2, 3)), tmp_path / "f23")
+        read = read_ext
+    path.write_text(path.read_text().replace("Konfiguration 2 3", "Konfiguration 2 2"))
+    kind = "H" if suffix == ".ine" else "V"
+    with pytest.raises(ParseError, match=rf"f23\{suffix}: configuration has 8 events "
+                                         rf"but the {kind}-representation has dimension 15$"):
+        read(path)
+    # the first Konfiguration line is the layout, even when a later one fits
+    path.write_text(path.read_text() + "Konfiguration 2 3\n")
+    with pytest.raises(ParseError, match="8 events"):
+        read(path)
+
+
+def test_malformed_linearity_end_and_konfiguration_lines():
+    body = "begin\n1 2 integer\n1 0\nend\n"
+    for text in (
+        "H-representation\nlinearity 2 1\n" + body,     # count says 2, one index
+        "H-representation\nlinearity\n" + body,         # no count
+        "H-representation\nlinearity 1 0\n" + body,     # indices are 1-based
+        "H-representation\nbegin\n1 2 integer\n1 0\n",  # missing end
+        "H-representation\nbegin\n1 2 integer\n1 0\nbegin\n",
+        "H-representation\n" + body + "Konfiguration 1\n",
+        "H-representation\n" + body + "Konfiguration\n",
+        "V-representation\n" + body + "Konfiguration 1\n",
+    ):
+        with pytest.raises(ParseError, match="^layout.ine: "):
+            parse_polyhedra_file(text, "layout.ine")

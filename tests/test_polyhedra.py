@@ -637,3 +637,16 @@ def test_hull_output_is_sound_and_facets(hull_2_2, config_2_2):
 def test_debug_mode_cross_checks_adjacency(config_2_2):
     h = hull(truth_table(config_2_2), debug=True)
     assert len(h.rows) == 24
+
+
+def test_dd_insert_zero_row_and_wrong_length():
+    pair = DDPair(3)
+    pair.insert((1, 0, 0))
+    before = (pair.rays, pair.active, list(pair.lineality), list(pair.rows))
+    pair.insert((0, 0, 0))  # 0 >= 0 constrains nothing and is not recorded
+    pair.insert((0, 0, 0), equality=True)
+    assert (pair.rays, pair.active, pair.lineality, pair.rows) == before
+    for row in ((1, 0), (1, 0, 0, 0)):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            pair.insert(row)
+    assert (pair.rays, pair.active, pair.lineality, pair.rows) == before

@@ -730,3 +730,32 @@ def test_parse_angles_shape_checks():
         parse_angles("0,1;0", C22)
     with pytest.raises(ParseError):
         parse_angles("0,1", C22)
+
+
+def test_inequality_evaluate_matches_scan_amounts(hull_2_2, hull_2_3):
+    # Inequality.evaluate is the oracle of the benchmark's answer gates: on
+    # every row it must agree with the scan about violation and amount.
+    half = Fraction(1, 2)
+    # exact: singles 1/2, three pairs 1/2 and a2b2 = 0 break CH by 1/2
+    box = ProbabilityVector((half,) * 4 + (half, half, half, Fraction(0)), C22)
+    rng = random.Random(1902)
+    exact = [ProbabilityVector(tuple(Fraction(rng.randint(0, 8), 8) for _ in range(8)), C22)
+             for _ in range(20)]
+    floats = probability_vector(builtin_model("singlet"), parse_angles(SYMMETRIC_2_3, C23))
+    kept = 0
+    for hrep, vec in [(hull_2_2, box), (hull_2_3, floats)] + [(hull_2_2, v) for v in exact]:
+        facets = from_hrep(hrep)
+        reports = scan_probability_vector(hrep, vec)
+        assert {r.row for r in reports} == {
+            i for i, q in enumerate(facets, 1) if q.evaluate(vec) > VIOLATION_EPS}
+        for r in reports:
+            assert r.inequality == facets[r.row - 1]
+            if vec is floats:
+                assert r.amount == pytest.approx(r.inequality.evaluate(vec), abs=1e-12)
+            else:
+                assert r.amount == r.inequality.evaluate(vec)
+                assert isinstance(r.amount, Fraction)
+        kept += len(reports)
+    assert [r.amount for r in scan_probability_vector(hull_2_2, box)] == [half]
+    assert len(scan_probability_vector(hull_2_3, floats)) == 12
+    assert kept > 40
