@@ -18,6 +18,7 @@ from .core import (
     Configuration,
     ParseError,
     enumerate_events,
+    parse_count,
     parse_number,
 )
 from .inequalities import Inequality, numbered_rows, parse_text, to_text, with_layout
@@ -62,9 +63,9 @@ def _resolve_config(args) -> Configuration | None:
         raise ValueError("--config and -n/-m are mutually exclusive")
     if args.config:
         try:
-            settings = tuple(int(tok) for tok in args.config.split(","))
+            settings = tuple(map(parse_count, args.config.split(",")))
         except ValueError:
-            raise ValueError(f"bad --config value {args.config!r}")
+            raise ValueError(f"bad --config value {args.config!r}") from None
         return Configuration(settings)
     if given_nm:
         if args.particles is None or args.settings is None:
@@ -75,16 +76,26 @@ def _resolve_config(args) -> Configuration | None:
     return None
 
 
+def _count_arg(text: str) -> int:
+    """``type`` of the count flags: ``parse_count``, failing as a usage error."""
+    try:
+        return parse_count(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _ray_cap(args) -> int:
-    if args.ray_cap is not None:
-        return args.ray_cap
-    env = os.environ.get("CORRPOLY_RAY_CAP")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"bad CORRPOLY_RAY_CAP value {env!r}")
-    return DEFAULT_RAY_CAP
+    """``--ray-cap``, else a non-empty ``CORRPOLY_RAY_CAP``, else the default."""
+    name, text = "--ray-cap", args.ray_cap
+    if text is None:
+        name, text = "CORRPOLY_RAY_CAP", os.environ.get("CORRPOLY_RAY_CAP")
+        if not text:
+            return DEFAULT_RAY_CAP
+    try:
+        return parse_count(text)
+    except ValueError:
+        raise ValueError(f"bad {name} value {text!r}: a ray cap is a count "
+                         "in ASCII digits") from None
 
 
 def _parse_rows(text: str) -> tuple[int, int] | None:
@@ -92,9 +103,9 @@ def _parse_rows(text: str) -> tuple[int, int] | None:
         return None
     try:
         lo, hi = text.split(":")
-        return int(lo), int(hi)
+        return parse_count(lo), parse_count(hi)
     except ValueError:
-        raise ValueError(f"--rows expects MIN:MAX or 'all', got {text!r}")
+        raise ValueError(f"--rows expects MIN:MAX or 'all', got {text!r}") from None
 
 
 def _parse_range(text: str) -> tuple[float, float]:
@@ -196,8 +207,6 @@ def cmd_inequalities(args) -> int:
 
 def cmd_violations(args) -> int:
     hrep, model, angles = _load_model_inputs(args)
-    if angles.free_variables:
-        raise ValueError("violation scans need concrete angles (no x or y)")
     reports = scan_violations(
         hrep, model, angles=angles,
         rows=_parse_rows(args.rows), threshold=args.threshold,
@@ -294,9 +303,9 @@ def build_parser() -> _Parser:
     # parser that the commands list.  A command with a layout takes it from
     # -n/-m/--config when given; those that need one set config_required.
     layout = argparse.ArgumentParser(add_help=False)
-    layout.add_argument("-n", "--particles", type=int, metavar="N",
+    layout.add_argument("-n", "--particles", type=_count_arg, metavar="N",
                         help="number of particles (with -m)")
-    layout.add_argument("-m", "--settings", type=int, metavar="M",
+    layout.add_argument("-m", "--settings", type=_count_arg, metavar="M",
                         help="measurement settings per particle (with -n)")
     layout.add_argument("--config", metavar="M1,M2,...",
                         help="per-particle setting counts, e.g. 2,3")
@@ -313,12 +322,12 @@ def build_parser() -> _Parser:
                        help="per particle, comma-separated; particles split by ';'")
     model.add_argument("--threshold", type=float, default=0.0)
     dd = argparse.ArgumentParser(add_help=False)
-    dd.add_argument("--ray-cap", type=int, default=None,
+    dd.add_argument("--ray-cap", default=None,
                     help="intermediate ray cap (or env CORRPOLY_RAY_CAP)")
     dd.add_argument("-q", "--quiet", action="store_true",
                     help="suppress progress output")
     vertex_cap = argparse.ArgumentParser(add_help=False)
-    vertex_cap.add_argument("--vertex-cap", type=int, default=DEFAULT_VERTEX_CAP,
+    vertex_cap.add_argument("--vertex-cap", type=_count_arg, default=DEFAULT_VERTEX_CAP,
                             help="largest truth table to build (default: %(default)s rows)")
     as_json = argparse.ArgumentParser(add_help=False)
     as_json.add_argument("--json", action="store_true", help="print JSON")
@@ -358,7 +367,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("plot", help="violation curves over one free variable x",
                        parents=[layout, ine, model, rows])
     p.add_argument("--range", default="0:pi", metavar="LO:HI")
-    p.add_argument("--samples", type=int, default=101)
+    p.add_argument("--samples", type=_count_arg, default=101)
     p.add_argument("-o", "--output", required=True, metavar="CSV")
     p.add_argument("--svg", metavar="FILE")
     p.set_defaults(func=cmd_plot)
@@ -367,7 +376,7 @@ def build_parser() -> _Parser:
                        parents=[layout, ine, model, rows])
     p.add_argument("--range-x", default="0:pi", metavar="LO:HI")
     p.add_argument("--range-y", default="0:pi", metavar="LO:HI")
-    p.add_argument("--samples", type=int, default=41)
+    p.add_argument("--samples", type=_count_arg, default=41)
     p.add_argument("-o", "--output", required=True, metavar="PREFIX")
     p.add_argument("--svg", action="store_true", help="also write SVG per grid")
     p.set_defaults(func=cmd_contour)

@@ -8,6 +8,7 @@ and all polyhedral data is exact (arbitrary-precision rationals).
 from __future__ import annotations
 
 import itertools
+import math
 import string
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -125,10 +126,7 @@ def enumerate_events(config: Configuration) -> tuple[EventLabel, ...]:
 
 def event_count(config: Configuration) -> int:
     """Closed form for ``len(enumerate_events(config))``."""
-    total = 1
-    for m in config.settings:
-        total *= m + 1
-    return total - 1
+    return math.prod(m + 1 for m in config.settings) - 1
 
 
 def check_event_count(config: Configuration | None, dimension: int, name: str) -> None:
@@ -151,11 +149,7 @@ class ProbabilityVector:
     config: Configuration = field(repr=False)
 
     def __post_init__(self) -> None:
-        expected = event_count(self.config)
-        if len(self.values) != expected:
-            raise ValueError(
-                f"expected {expected} probabilities, got {len(self.values)}"
-            )
+        check_event_count(self.config, len(self.values), "the probability vector")
         for v in self.values:
             if not 0 <= v <= 1:
                 raise ValueError(f"probability {v!r} outside [0, 1]")
@@ -203,9 +197,17 @@ def parse_number(token: str) -> NumberLike:
     return value if value.denominator != 1 else int(value)
 
 
+def parse_count(token: str) -> int:
+    """A non-negative integer in ASCII digits only, as cdd writes counts.
+
+    ``int`` would also read a sign, surrounding spaces, ``_`` separators
+    and non-ASCII digits; here each of them is a ``ValueError``.
+    """
+    if not (token.isascii() and token.isdigit()):
+        raise ValueError(f"expected a count in ASCII digits, got {token!r}")
+    return int(token)
+
+
 def format_number(value: NumberLike) -> str:
     """Render an exact number as cdd writes it: bare integer or ``p/q``."""
-    f = as_rational(value)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+    return str(as_rational(value))

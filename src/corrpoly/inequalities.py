@@ -22,7 +22,7 @@ from .core import (
     event_count,
     label_index,
 )
-from .linalg import clear_to_int
+from .linalg import clear_to_int, primitive
 from .polyhedra import HRepresentation
 
 
@@ -35,19 +35,12 @@ class Inequality:
     config: Configuration = field(repr=False)
 
     def __post_init__(self) -> None:
-        if len(self.coefficients) != event_count(self.config):
-            raise ValueError(
-                f"expected {event_count(self.config)} coefficients, "
-                f"got {len(self.coefficients)}"
-            )
+        check_event_count(self.config, len(self.coefficients), "the inequality")
         if not any(self.coefficients):
             raise ValueError("inequality needs at least one nonzero coefficient")
-        g = math.gcd(*self.coefficients, self.rhs)
-        if g > 1:
-            object.__setattr__(
-                self, "coefficients", tuple(c // g for c in self.coefficients)
-            )
-            object.__setattr__(self, "rhs", self.rhs // g)
+        rhs, *coefficients = primitive((self.rhs, *self.coefficients))
+        object.__setattr__(self, "coefficients", tuple(coefficients))
+        object.__setattr__(self, "rhs", rhs)
 
     def evaluate(self, probabilities) -> NumberLike:
         """Left-hand side minus right-hand side (positive means violated)."""

@@ -21,6 +21,7 @@ from .core import (
     NumberLike,
     ParseError,
     format_number,
+    parse_count,
     parse_number,
 )
 from .inequalities import to_text
@@ -68,10 +69,11 @@ def format_polyhedra_file(rep: HRepresentation | VRepresentation) -> str:
 
 
 def _count(token: str, line: str, source: str) -> int:
-    """A non-negative count in a header or option line, in ASCII digits only."""
-    if not (token.isascii() and token.isdigit()):
-        raise ParseError(f"{source}: bad count {token!r} in {line!r}")
-    return int(token)
+    """A count in a header or option line, read by ``parse_count``."""
+    try:
+        return parse_count(token)
+    except ValueError:
+        raise ParseError(f"{source}: bad count {token!r} in {line!r}") from None
 
 
 def _parse_row(line: str, tokens: list[str]) -> tuple[NumberLike, ...]:
@@ -204,7 +206,11 @@ def _config_lines(config: Configuration | None) -> tuple[str, ...]:
 
 def _read(path, kind: type) -> HRepresentation | VRepresentation:
     path = Path(path)
-    rep = parse_polyhedra_file(path.read_text(), str(path))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+    rep = parse_polyhedra_file(text, str(path))
     if not isinstance(rep, kind):
         raise ParseError(f"{path}: header is not {kind.__name__[0]}-representation")
     return rep
@@ -214,7 +220,7 @@ def _write(rep: HRepresentation | VRepresentation, path, suffix: str) -> Path:
     path = Path(path)
     if path.suffix != suffix:
         path = path.with_name(path.name + suffix)
-    path.write_text(format_polyhedra_file(rep), newline="\n")
+    path.write_text(format_polyhedra_file(rep), encoding="utf-8", newline="\n")
     return path
 
 
@@ -239,7 +245,7 @@ def read_ine(path) -> HRepresentation:
 def write_violation_csv(reports: Sequence[ViolationReport], path) -> Path:
     """Columns ``row,inequality,violation``, one line per report."""
     path = Path(path)
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["row", "inequality", "violation"])
         for report in reports:
@@ -256,7 +262,7 @@ def write_curve_csv(curves: Sequence[CurveSamples], path) -> Path:
         if c.xs != xs:
             raise ValueError("curves were sampled on different grids")
     path = Path(path)
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["x"] + [f"row{c.row}" for c in curves])
         for i, x in enumerate(xs):
@@ -276,7 +282,7 @@ def write_grid_csv(grid: GridSamples, path) -> Path:
     parts[::3] = [f"\n{x}," for x in grid.xs] * len(grid.ys)
     parts[1::3] = [y for y in [f"{y}," for y in grid.ys] for _ in grid.xs]
     parts[2::3] = map(str, grid.values)
-    path.write_text("x,y,f" + "".join(parts) + "\n", newline="")
+    path.write_text("x,y,f" + "".join(parts) + "\n", encoding="utf-8", newline="")
     return path
 
 
@@ -387,5 +393,5 @@ def render_svg(data, path) -> Path:
     """Render a list of curve samples or one grid to a standalone SVG file."""
     path = Path(path)
     text = grid_svg(data) if isinstance(data, GridSamples) else curves_svg(list(data))
-    path.write_text(text, newline="\n")
+    path.write_text(text, encoding="utf-8", newline="\n")
     return path

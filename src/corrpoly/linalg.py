@@ -1,14 +1,13 @@
 """Exact linear algebra on integer and rational vectors.
 
 Small, dependency-free routines backing the polyhedral kernel: gcd
-normalization, fraction-free rank, reduced row echelon form and
-reduction modulo a row space.  All arithmetic is exact.
+normalization, rank and reduced row echelon form by one fraction-free
+elimination, and reduction modulo a row space.  All arithmetic is exact.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -34,20 +33,20 @@ def clear_to_int(vec: Iterable[NumberLike]) -> IntVec:
     if all(type(v) is int for v in vec):
         return primitive(vec)
     fracs = [as_rational(v) for v in vec]
-    lcm = 1
-    for f in fracs:
-        lcm = lcm * f.denominator // math.gcd(lcm, f.denominator)
+    lcm = math.lcm(*(f.denominator for f in fracs))
     return primitive(int(f * lcm) for f in fracs)
 
 
-def integer_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank of an integer matrix via fraction-free Gaussian elimination."""
+def _echelon(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
+    """Row echelon form of an integer matrix by fraction-free (Bareiss)
+    elimination: the nonzero rows and their pivot column indices."""
     mat = [list(r) for r in rows if any(r)]
     if not mat:
-        return 0
+        return [], []
     cols = len(mat[0])
     rank = 0
     prev_pivot = 1
+    pivots = []
     for col in range(cols):
         pivot_row = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
         if pivot_row is None:
@@ -64,50 +63,43 @@ def integer_rank(rows: Sequence[Sequence[int]]) -> int:
             for j in range(col, cols):
                 mat[i][j] = (mat[i][j] * p - factor * mat[rank][j]) // prev_pivot
         prev_pivot = p
+        pivots.append(col)
         rank += 1
         if rank == len(mat):
             break
-    return rank
+    return mat[:rank], pivots
 
 
-def rref(rows: Sequence[Sequence[NumberLike]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over the rationals.
+def integer_rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank of an integer matrix via fraction-free Gaussian elimination."""
+    return len(_echelon(rows)[1])
 
-    Returns the nonzero rows and their pivot column indices.
-    """
-    mat = [[as_rational(x) for x in row] for row in rows]
-    pivots: list[int] = []
-    r = 0
-    cols = len(mat[0]) if mat else 0
-    for col in range(cols):
-        pivot_row = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = 1 / mat[r][col]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col] != 0:
-                factor = mat[i][col]
-                mat[i] = [x - factor * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
+
+def rref(rows: Sequence[Sequence[NumberLike]]) -> tuple[list[IntVec], list[int]]:
+    """Reduced row echelon form over the rationals: the nonzero rows, each
+    scaled to a primitive integer vector with a positive pivot, and their
+    pivot column indices."""
+    echelon, pivots = _echelon([clear_to_int(r) for r in rows])
+    reduced: list[IntVec] = []
+    for k in reversed(range(len(pivots))):  # reduce by the final rows below
+        row = reduce_mod_rowspace(echelon[k], reduced, pivots[k + 1:])
+        reduced.insert(0, row if row[pivots[k]] > 0 else tuple(-x for x in row))
+    return reduced, pivots
 
 
 def reduce_mod_rowspace(
-    vec: Sequence[int], reduced: Sequence[Sequence[Fraction]], pivots: Sequence[int]
+    vec: Sequence[NumberLike], reduced: Sequence[Sequence[int]], pivots: Sequence[int]
 ) -> IntVec:
     """Canonical representative of ``vec`` modulo a row space in RREF.
 
     The pivot coordinates are eliminated, yielding the unique member of
     ``vec + rowspace`` supported on the non-pivot columns, scaled primitive.
+    Each step scales ``vec`` by a pivot of ``rref``'s rows, which is positive.
     """
-    out = [as_rational(x) for x in vec]
+    out = list(vec)
     for row, piv in zip(reduced, pivots):
         factor = out[piv]
-        if factor != 0:
-            out = [x - factor * y for x, y in zip(out, row)]
+        if factor:
+            p = row[piv]
+            out = [x * p - factor * y for x, y in zip(out, row)]
     return clear_to_int(out)

@@ -459,7 +459,7 @@ def hull(vrep: VRepresentation, order: str = HULL_ORDER, *,
     steps = [(g, False) for g in _order_rows(gens, order)]
     rays, (lin_reduced, lin_pivots) = _run(vrep.dimension + 1, steps,
                                            ray_cap, progress, debug)
-    lin_rows = sorted(clear_to_int(r) for r in lin_reduced)
+    lin_rows = sorted(lin_reduced)
 
     facets = []
     for ray in rays:
@@ -511,7 +511,7 @@ def enumerate_vertices(hrep: HRepresentation, order: str = ENUM_ORDER, *,
         return VRepresentation(dimension=d, vertices=(), rays=(), config=hrep.config)
 
     for l in lin_reduced:
-        line = clear_to_int(l)[1:]
+        line = l[1:]
         directions.append(line)
         directions.append(tuple(-x for x in line))
 

@@ -291,8 +291,10 @@ def scan_violations(
     computed; rows exceeding ``threshold`` (default 0) are reported, sorted
     by descending amount, then row number.  Probabilities take the layout
     of ``angles``; the source must be over it, or have none (see
-    ``numbered_rows``).
+    ``numbered_rows``).  Angles with a free variable are a ``ValueError``.
     """
+    if angles.free_variables:
+        raise ValueError("violation scans need concrete angles (no x or y)")
     vec = probability_vector(model, angles)
     return scan_probability_vector(source, vec, rows=rows, threshold=threshold)
 

@@ -102,8 +102,11 @@ def truth_table(
 
     Rows enumerate every 0/1 assignment to the elementary propositions with
     the first particle's first setting as the fastest-varying bit, so the
-    row order reproduces the standard truth-table listings.
+    row order reproduces the standard truth-table listings.  A negative
+    ``max_rows`` is a ``ValueError``; a table above it a ``CapacityError``.
     """
+    if max_rows < 0:
+        raise ValueError(f"vertex cap must be non-negative, got {max_rows}")
     k = sum(config.settings)
     total = 1 << k
     if total > max_rows:

@@ -383,6 +383,12 @@ def test_exit_code_parse_error(tmp_path, capsys):
                  ("contains", "--ine", str(zero_row), "--point", "0,0")):
         code, _, err = run(capsys, *argv)
         assert code == 2 and "zero_row.ine" in err and "all-zero" in err
+    latin1 = tmp_path / "latin1.ine"
+    latin1.write_bytes(b"H-representation\n* caf\xe9\nbegin\n1 3 integer\n1 0 1\nend\n")
+    for argv in (("enum", "--ine", str(latin1), "-q"),
+                 ("contains", "--ine", str(latin1), "--point", "0,0")):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "parse error: " in err and "latin1.ine: 'utf-8' codec" in err
 
 
 def test_exit_code_capacity(tmp_path, capsys, monkeypatch):
@@ -545,14 +551,30 @@ def test_usage_errors_of_the_shared_flags(tmp_path, capsys, monkeypatch):
           str(tmp_path / "c.csv")), "range bound 'x' must be constant"),
         (("contour", *model, "--angles=x,0;0,y", "--range-y", "y:pi", "-o",
           str(tmp_path / "g")), "range bound 'y' must be constant"),
+        # Counts are ASCII digits, as in cdd files; int would read "1_0"
+        # as 10 and "\u0662" (Arabic-Indic two) as 2.
+        (("events", "-n", "\u0662", "-m", "1"), "argument -n/--particles"),
+        (("events", "-n", "2", "-m", "1_0"), "argument -m/--settings"),
+        (("events", "--config", "\u0662,\u0663"), "bad --config value"),
+        (("events", "--config", "2,+3"), "bad --config value"),
+        (("inequalities", "--ine", str(ine), "--rows", "\u0661:\u0662"), "--rows expects"),
+        (("inequalities", "--ine", str(ine), "--rows", "1:1_0"), "--rows expects"),
+        (("hull", "-n", "2", "-m", "2", "-q", "--ray-cap", "1_0"),
+         "bad --ray-cap value '1_0'"),
+        (("vertices", "-n", "2", "-m", "2", "--vertex-cap", "1_6"), "argument --vertex-cap"),
+        (("plot", *model, "--angles=x,0;0,0", "--samples", "2_1", "-o",
+          str(tmp_path / "c.csv")), "argument --samples"),
+        (("contour", *model, "--angles=x,0;0,y", "--samples", "\u0665", "-o",
+          str(tmp_path / "g")), "argument --samples"),
     ):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, ""), argv
         assert message in err, argv
     assert not list(tmp_path.glob("c.csv")) and not list(tmp_path.glob("g_*"))
-    monkeypatch.setenv("CORRPOLY_RAY_CAP", "lots")
-    code, out, err = run(capsys, "hull", "-n", "2", "-m", "2", "-q")
-    assert (code, out) == (1, "") and "bad CORRPOLY_RAY_CAP value 'lots'" in err
+    for env in ("lots", "1_0"):
+        monkeypatch.setenv("CORRPOLY_RAY_CAP", env)
+        code, out, err = run(capsys, "hull", "-n", "2", "-m", "2", "-q")
+        assert (code, out) == (1, "") and f"bad CORRPOLY_RAY_CAP value '{env}'" in err
 
 
 def test_angle_counts_off_the_layout_are_parse_errors(tmp_path, capsys):
@@ -564,3 +586,11 @@ def test_angle_counts_off_the_layout_are_parse_errors(tmp_path, capsys):
         code, out, err = run(capsys, "violations", "--ine", str(ine),
                              "--model", "singlet", "--angles", angles)
         assert (code, out) == (2, "") and message in err, angles
+
+
+def test_negative_vertex_cap_is_a_usage_error(capsys):
+    for command in ("hull", "vertices"):
+        code, out, err = run(capsys, command, "-n", "2", "-m", "2", "--vertex-cap", "-1")
+        assert (code, out) == (1, "") and "--vertex-cap" in err, command
+        assert "capacity" not in err
+

@@ -4,7 +4,13 @@ from fractions import Fraction
 import pytest
 
 from corrpoly import Configuration, EventLabel, enumerate_events, event_count
-from corrpoly.core import ParseError, ProbabilityVector, format_number, parse_number
+from corrpoly.core import (
+    ParseError,
+    ProbabilityVector,
+    format_number,
+    parse_count,
+    parse_number,
+)
 
 
 def labels(config):
@@ -153,3 +159,16 @@ def test_format_number_round_trip():
     for _ in range(200):
         f = Fraction(rng.randint(-1000, 1000), rng.randint(1, 1000))
         assert parse_number(format_number(f)) == f
+
+
+@pytest.mark.parametrize("token", ["0", "7", "007", "12345678901234567890"])
+def test_parse_count(token):
+    assert parse_count(token) == int(token)
+
+
+@pytest.mark.parametrize("token",
+                         ["", "-1", "+1", " 1", "1_0", "\u0662", "1\u0663", "1.0", "x"])
+def test_parse_count_rejects_what_cdd_does_not_write(token):
+    # int reads signs, spaces, underscores and non-ASCII digits
+    with pytest.raises(ValueError, match="expected a count in ASCII digits"):
+        parse_count(token)

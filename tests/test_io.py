@@ -2,10 +2,16 @@ import csv
 import dataclasses
 import hashlib
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+import corrpoly
 
 from corrpoly import (
     Configuration,
@@ -595,3 +601,30 @@ def test_malformed_linearity_end_and_konfiguration_lines():
     ):
         with pytest.raises(ParseError, match="^layout.ine: "):
             parse_polyhedra_file(text, "layout.ine")
+
+
+@pytest.mark.parametrize("read,kind", [(read_ine, "H"), (read_ext, "V")])
+def test_non_utf8_file_is_a_parse_error_naming_the_file(tmp_path, read, kind):
+    path = tmp_path / f"latin1_{kind}.txt"
+    path.write_bytes(f"{kind}-representation\n* caf\xe9\nbegin\n"
+                     "1 3 integer\n1 0 1\nend\n".encode("latin-1"))
+    with pytest.raises(ParseError, match=f"latin1_{kind}.txt: 'utf-8' codec"):
+        read(path)
+
+
+def test_files_read_as_utf8_under_an_ascii_locale(tmp_path):
+    # Under the C locale with UTF-8 mode off, the locale encoding is ASCII;
+    # a UTF-8 comment must still read, since cdd files are read as UTF-8.
+    path = tmp_path / "cafe.ine"
+    path.write_bytes("H-representation\n* caf\u00e9\nbegin\n1 3 integer\n"
+                     "1 0 1\nend\n".encode("utf-8"))
+    script = ("import sys; from corrpoly import read_ine, write_ine; "
+              "h = read_ine(sys.argv[1]); write_ine(h, sys.argv[1] + '.out'); "
+              "print(h.rows)")
+    src = str(Path(corrpoly.__file__).resolve().parent.parent)
+    env = {**os.environ, "LC_ALL": "C", "PYTHONPATH": src}
+    env.pop("PYTHONUTF8", None)
+    done = subprocess.run([sys.executable, "-X", "utf8=0", "-c", script, str(path)],
+                          env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (0, "((1, 0, 1),)\n"), done.stderr
+    assert read_ine(tmp_path / "cafe.ine.out.ine").rows == ((1, 0, 1),)

@@ -11,7 +11,7 @@ from corrpoly.linalg import (
     reduce_mod_rowspace,
     rref,
 )
-from oracles import frac_rank
+from oracles import frac_rank, frac_rref
 
 
 def test_dot():
@@ -78,3 +78,26 @@ def test_reduce_mod_rowspace_is_canonical():
     )
     out = reduce_mod_rowspace(v, reduced, pivots)
     assert out[0] == 0 and out[1] == 0  # pivot coordinates eliminated
+
+
+def test_rref_is_the_rational_rref_cleared_of_denominators():
+    # independent oracle: Gauss-Jordan over Fraction, each row then scaled
+    # to a primitive integer vector (its pivot, 1, stays positive)
+    rng = random.Random(31)
+    for _ in range(300):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        mat = [[rng.choice([0, 0, rng.randint(-9, 9),
+                            Fraction(rng.randint(-9, 9), rng.randint(1, 7))])
+                for _ in range(n)] for _ in range(m)]
+        if m >= 3:
+            mat[-1] = [a - 2 * b for a, b in zip(mat[0], mat[1])]
+        reduced, pivots = rref(mat)
+        expected, expected_pivots = frac_rref(mat)
+        assert pivots == expected_pivots, mat
+        assert reduced == [clear_to_int(r) for r in expected], mat
+        assert all(type(x) is int for r in reduced for x in r)
+        vec = [rng.randint(-9, 9) for _ in range(n)]
+        out = [Fraction(x) for x in vec]
+        for row, piv in zip(expected, expected_pivots):
+            out = [x - out[piv] * y for x, y in zip(out, row)]
+        assert reduce_mod_rowspace(vec, reduced, pivots) == clear_to_int(out), mat

@@ -759,3 +759,10 @@ def test_inequality_evaluate_matches_scan_amounts(hull_2_2, hull_2_3):
     assert [r.amount for r in scan_probability_vector(hull_2_2, box)] == [half]
     assert len(scan_probability_vector(hull_2_3, floats)) == 12
     assert kept > 40
+
+
+@pytest.mark.parametrize("angles", ["x,0;0,0", "0,0;y,0"])
+def test_scan_violations_needs_concrete_angles(hull_2_2, angles):
+    # scan_violations takes no x or y, so the message must not ask for them
+    with pytest.raises(ValueError, match="violation scans need concrete angles"):
+        scan_violations(hull_2_2, builtin_model("singlet"), parse_angles(angles, C22))

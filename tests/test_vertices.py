@@ -103,3 +103,6 @@ def test_vertex_cap():
         truth_table(Configuration.uniform(2, 3), max_rows=32)
     # override allows it
     assert len(truth_table(Configuration.uniform(2, 3), max_rows=64).vertices) == 64
+    # a negative cap is a bad argument, as DDPair.insert's negative ray cap
+    with pytest.raises(ValueError, match="vertex cap must be non-negative, got -1"):
+        truth_table(URN, max_rows=-1)
