@@ -84,6 +84,16 @@ def _count_arg(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _threshold_arg(text: str) -> float:
+    """``type`` of ``--threshold``: ``float``, but of ASCII text without ``_``."""
+    try:
+        if text.isascii() and "_" not in text:
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"bad threshold {text!r}")
+
+
 def _ray_cap(args) -> int:
     """``--ray-cap``, else a non-empty ``CORRPOLY_RAY_CAP``, else the default."""
     name, text = "--ray-cap", args.ray_cap
@@ -320,7 +330,7 @@ def build_parser() -> _Parser:
     model.add_argument("--model", required=True, choices=BUILTIN_MODELS)
     model.add_argument("--angles", required=True, metavar="'0,2pi/3;0,pi'",
                        help="per particle, comma-separated; particles split by ';'")
-    model.add_argument("--threshold", type=float, default=0.0)
+    model.add_argument("--threshold", type=_threshold_arg, default=0.0)
     dd = argparse.ArgumentParser(add_help=False)
     dd.add_argument("--ray-cap", default=None,
                     help="intermediate ray cap (or env CORRPOLY_RAY_CAP)")

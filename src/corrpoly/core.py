@@ -149,6 +149,8 @@ class ProbabilityVector:
     config: Configuration = field(repr=False)
 
     def __post_init__(self) -> None:
+        if self.config is None:
+            raise ValueError("a probability vector needs a layout")
         check_event_count(self.config, len(self.values), "the probability vector")
         for v in self.values:
             if not 0 <= v <= 1:

@@ -35,6 +35,8 @@ class Inequality:
     config: Configuration = field(repr=False)
 
     def __post_init__(self) -> None:
+        if self.config is None:
+            raise ValueError("an inequality needs a layout")
         check_event_count(self.config, len(self.coefficients), "the inequality")
         if not any(self.coefficients):
             raise ValueError("inequality needs at least one nonzero coefficient")

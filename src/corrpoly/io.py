@@ -7,12 +7,11 @@ whitespace-separated data rows and ``end``.  Comment lines starting with
 ``Konfiguration`` line, this package's record of the layout, is read and
 written; cdd's own options are skipped.  A layout must fit the file: its
 event count is the dimension, or the file does not parse.  Output is
-byte-stable: LF line endings, canonical number rendering.
+byte-stable: one UTF-8 writer, LF line ends, canonical number rendering.
 """
 
 from __future__ import annotations
 
-import csv
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -216,12 +215,19 @@ def _read(path, kind: type) -> HRepresentation | VRepresentation:
     return rep
 
 
+def _write_text(path, text: str) -> Path:
+    """Write ``text`` as UTF-8, whatever the locale, with its ``\\n`` line
+    ends untranslated: the one way every output file is written."""
+    path = Path(path)
+    path.write_text(text, encoding="utf-8", newline="")
+    return path
+
+
 def _write(rep: HRepresentation | VRepresentation, path, suffix: str) -> Path:
     path = Path(path)
     if path.suffix != suffix:
         path = path.with_name(path.name + suffix)
-    path.write_text(format_polyhedra_file(rep), encoding="utf-8", newline="\n")
-    return path
+    return _write_text(path, format_polyhedra_file(rep))
 
 
 def write_ext(vrep: VRepresentation, path) -> Path:
@@ -242,48 +248,36 @@ def read_ine(path) -> HRepresentation:
     return _read(path, HRepresentation)
 
 
+def _csv(rows: Iterable[Iterable]) -> str:
+    """Fields as their ``str`` joined by ``,``, lines ended by ``\\n``: the bytes
+    of ``csv.writer(lineterminator="\\n")``, as ``str`` of a float is the
+    ``repr`` it writes and no field holds a comma, quote or line break."""
+    return "".join(",".join(map(str, row)) + "\n" for row in rows)
+
+
 def write_violation_csv(reports: Sequence[ViolationReport], path) -> Path:
     """Columns ``row,inequality,violation``, one line per report."""
-    path = Path(path)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["row", "inequality", "violation"])
-        for report in reports:
-            writer.writerow([report.row, to_text(report.inequality), report.amount])
-    return path
+    rows = [(r.row, to_text(r.inequality), r.amount) for r in reports]
+    return _write_text(path, _csv([("row", "inequality", "violation"), *rows]))
 
 
 def write_curve_csv(curves: Sequence[CurveSamples], path) -> Path:
     """Column ``x`` plus one value column per curve, named by source row."""
     if not curves:
         raise ValueError("no curves to write")
-    xs = curves[0].xs
-    for c in curves[1:]:
-        if c.xs != xs:
-            raise ValueError("curves were sampled on different grids")
-    path = Path(path)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["x"] + [f"row{c.row}" for c in curves])
-        for i, x in enumerate(xs):
-            writer.writerow([x] + [c.values[i] for c in curves])
-    return path
+    if any(c.xs != curves[0].xs for c in curves):
+        raise ValueError("curves were sampled on different grids")
+    return _write_text(path, _csv([("x", *(f"row{c.row}" for c in curves)),
+                                   *zip(curves[0].xs, *(c.values for c in curves))]))
 
 
 def write_grid_csv(grid: GridSamples, path) -> Path:
-    """Long form ``x,y,f`` rows, x fastest.
-
-    The bytes are those of ``csv.writer`` with ``"\n"`` line ends, which
-    writes a float as its ``repr`` and any other value, such as a
-    ``Fraction``, as its ``str``: ``str`` of a float is its ``repr``.
-    """
-    path = Path(path)
+    """Long form ``x,y,f`` rows, x fastest, by ``_csv``'s rule in one join."""
     parts = [""] * (3 * len(grid.values))
     parts[::3] = [f"\n{x}," for x in grid.xs] * len(grid.ys)
     parts[1::3] = [y for y in [f"{y}," for y in grid.ys] for _ in grid.xs]
     parts[2::3] = map(str, grid.values)
-    path.write_text("x,y,f" + "".join(parts) + "\n", encoding="utf-8", newline="")
-    return path
+    return _write_text(path, "x,y,f" + "".join(parts) + "\n")
 
 
 _PALETTE = (
@@ -292,13 +286,16 @@ _PALETTE = (
 )
 
 
-def _svg_header(width: int, height: int) -> list[str]:
-    return [
+def _svg(width: int, height: int, body: Sequence[str]) -> str:
+    """A standalone SVG document on a white page, ``body`` one entry per line."""
+    return "\n".join([
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height}" viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
-    ]
+        *body,
+        "</svg>\n",
+    ])
 
 
 def curves_svg(curves: Sequence[CurveSamples]) -> str:
@@ -322,40 +319,28 @@ def curves_svg(curves: Sequence[CurveSamples]) -> str:
     def py(v: float) -> float:
         return height - margin - (v - y_lo) / (y_hi - y_lo) * (height - 2 * margin)
 
-    out = _svg_header(width, height)
-    out.append(
-        f'<rect x="{margin}" y="{margin}" width="{width - 2 * margin}" '
-        f'height="{height - 2 * margin}" fill="none" stroke="black"/>'
-    )
     zero = py(0.0)
-    out.append(
+    out = [
+        f'<rect x="{margin}" y="{margin}" width="{width - 2 * margin}" '
+        f'height="{height - 2 * margin}" fill="none" stroke="black"/>',
         f'<line x1="{margin}" y1="{zero:.2f}" x2="{width - margin}" '
-        f'y2="{zero:.2f}" stroke="#888888" stroke-dasharray="4 3"/>'
-    )
+        f'y2="{zero:.2f}" stroke="#888888" stroke-dasharray="4 3"/>',
+    ]
     for i, c in enumerate(curves):
         color = _PALETTE[i % len(_PALETTE)]
-        points = " ".join(
-            f"{px(x):.2f},{py(v):.2f}" for x, v in zip(c.xs, c.values)
-        )
-        out.append(
+        points = " ".join(f"{px(x):.2f},{py(v):.2f}" for x, v in zip(c.xs, c.values))
+        out += [
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
-            f'points="{points}"/>'
-        )
-        out.append(
+            f'points="{points}"/>',
             f'<text x="{width - margin + 4}" y="{margin + 14 * (i + 1)}" '
-            f'font-size="11" fill="{color}">row {c.row}</text>'
-        )
-    for value, label_y in ((y_hi, margin), (y_lo, height - margin)):
-        out.append(
-            f'<text x="4" y="{label_y}" font-size="11">{value:.4g}</text>'
-        )
-    for value, label_x in ((x_lo, margin), (x_hi, width - margin)):
-        out.append(
-            f'<text x="{label_x}" y="{height - margin + 16}" '
+            f'font-size="11" fill="{color}">row {c.row}</text>',
+        ]
+    out += [f'<text x="4" y="{label_y}" font-size="11">{value:.4g}</text>'
+            for value, label_y in ((y_hi, margin), (y_lo, height - margin))]
+    out += [f'<text x="{label_x}" y="{height - margin + 16}" '
             f'font-size="11">{value:.4g}</text>'
-        )
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+            for value, label_x in ((x_lo, margin), (x_hi, width - margin))]
+    return _svg(width, height, out)
 
 
 def grid_svg(grid: GridSamples) -> str:
@@ -377,7 +362,7 @@ def grid_svg(grid: GridSamples) -> str:
     cells[1::3] = [y for y in [f"{margin + (ny - 1 - iy) * cell}{tail}"
                                for iy in range(ny)] for _ in range(nx)]
     cells[2::3] = map(fills.__getitem__, levels)
-    return "\n".join(_svg_header(width, height) + [
+    return _svg(width, height, [
         "".join(cells)
         + f'<rect x="{margin}" y="{margin}" width="{cell * nx}" '
         f'height="{cell * ny}" fill="none" stroke="black"/>',
@@ -385,13 +370,10 @@ def grid_svg(grid: GridSamples) -> str:
         f"x: {min(grid.xs):.4g} .. {max(grid.xs):.4g}, "
         f"y: {min(grid.ys):.4g} .. {max(grid.ys):.4g}, "
         f"max violation {float(f_max):.6g}</text>",
-        "</svg>\n",
     ])
 
 
 def render_svg(data, path) -> Path:
     """Render a list of curve samples or one grid to a standalone SVG file."""
-    path = Path(path)
     text = grid_svg(data) if isinstance(data, GridSamples) else curves_svg(list(data))
-    path.write_text(text, encoding="utf-8", newline="\n")
-    return path
+    return _write_text(path, text)

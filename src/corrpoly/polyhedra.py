@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .core import CapacityError, Configuration, NumberLike, check_event_count
+from .core import CapacityError, Configuration, NumberLike, check_event_count, parse_count
 from .lanes import Lanes
 from .linalg import (
     IntVec,
@@ -414,7 +414,7 @@ def _order_rows(rows: Iterable[IntVec], order: str) -> list[IntVec]:
     rows = list(dict.fromkeys(rows))
     if order.startswith("random:"):
         try:
-            seed = int(order.split(":", 1)[1])
+            seed = parse_count(order.split(":", 1)[1])
         except ValueError:
             raise ValueError(f"bad insertion order {order!r}") from None
         random.Random(seed).shuffle(rows)
@@ -534,7 +534,7 @@ def contains(hrep: HRepresentation, point: Sequence[NumberLike]) -> bool:
             f"point of length {len(point)} in dimension {hrep.dimension}"
         )
     for i, row in enumerate(hrep.rows):
-        value = row[0] + sum(a * x for a, x in zip(row[1:], point))
+        value = dot(row, (1, *point))
         if i in hrep.linearity:
             if value != 0:
                 return False

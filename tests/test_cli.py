@@ -18,7 +18,7 @@ from corrpoly import (
     truth_table,
     write_ext,
 )
-from corrpoly.cli import main
+from corrpoly.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -445,6 +445,27 @@ def test_order_flag_help_lists_orders(capsys):
             assert order in text
         assert f"(default: {default})" in text
     assert run(capsys, "hull", "-n", "2", "-m", "2", "--order", "bogus", "-q")[0] == 1
+
+
+def test_random_order_seed_is_a_count(capsys):
+    for seed in ("\u0661", "1_0", "+1", "-1"):
+        code, out, err = run(capsys, "hull", "-n", "2", "-m", "2",
+                             "--order", f"random:{seed}", "-q")
+        assert code == 1 and out == "" and "bad insertion order" in err, seed
+    assert run(capsys, "hull", "-n", "2", "-m", "2", "--order", "random:10", "-q")[:2] == (
+        0, "24 facets\n")
+
+
+def test_threshold_spelling(capsys):
+    parser = build_parser()
+    common = ["plot", "--ine", "f.ine", "--model", "singlet", "--angles", "x,0;0,x",
+              "-o", "c.csv", "--threshold"]
+    for text in ("-0.5", ".25", "1e-3", "inf"):
+        assert parser.parse_args(common + [text]).threshold == float(text)
+    # float() reads the first three as 10.0, 1.0 and 1.5
+    for text in ("1_0", "\u0661", "1.\u0665", "abc", ""):
+        code, out, err = run(capsys, *common, text)
+        assert code == 1 and out == "" and "bad threshold" in err, text
 
 
 def test_help_everywhere(capsys):

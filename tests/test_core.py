@@ -130,6 +130,8 @@ def test_probability_vector_validation(config_2_2):
         ProbabilityVector((0.5,) * 7, config_2_2)
     with pytest.raises(ValueError):
         ProbabilityVector((0.5,) * 7 + (1.5,), config_2_2)
+    with pytest.raises(ValueError, match="layout"):
+        ProbabilityVector((0.5,) * 8, None)
 
 
 @pytest.mark.parametrize(

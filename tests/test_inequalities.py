@@ -143,6 +143,13 @@ def test_constant_row_is_rejected():
         numbered_rows(HRepresentation(2, ((0, 1, 0),)))
 
 
+def test_inequality_needs_a_layout():
+    # without one, str() used to fail later with an AttributeError
+    with pytest.raises(ValueError, match="layout"):
+        Inequality((1, 0, 0), 1, None)
+    assert str(Inequality((1, 0, 0), 1, URN)) == "a1 <= 1"
+
+
 def test_round_trip_random_inequalities():
     rng = random.Random(4242)
     for config in (URN, Configuration.uniform(2, 2), Configuration.uniform(2, 3)):

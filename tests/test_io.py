@@ -17,16 +17,20 @@ from corrpoly import (
     Configuration,
     HRepresentation,
     ProbabilityModel,
+    ProbabilityVector,
     VRepresentation,
     builtin_model,
     hull,
     parse_angles,
+    probability_vector,
     read_ext,
     read_ine,
     render_svg,
     sample_violation_curve,
     sample_violation_grid,
+    scan_probability_vector,
     scan_violations,
+    to_text,
     truth_table,
     write_ext,
     write_ine,
@@ -178,7 +182,8 @@ def test_konfiguration_option_round_trip(tmp_path, hull_2_3):
 def test_bad_konfiguration_is_a_parse_error_naming_the_file(tmp_path, line, suffix):
     kind, read = ("H", read_ine) if suffix == ".ine" else ("V", read_ext)
     path = tmp_path / f"layout{suffix}"
-    path.write_text(f"{kind}-representation\nbegin\n1 2 integer\n1 0\nend\n{line}\n")
+    path.write_text(f"{kind}-representation\nbegin\n1 2 integer\n1 0\nend\n{line}\n",
+                    encoding="utf-8")
     with pytest.raises(ParseError, match="layout"):
         read(path)
 
@@ -447,6 +452,41 @@ def test_grid_csv_matches_csv_writer(tmp_path, hull_2_2, hull_2_3):
                         writer.writerow([x, y, sample.values[iy * len(sample.xs) + ix]])
             got = write_grid_csv(sample, tmp_path / "grid.csv").read_bytes()
             assert got == (tmp_path / "oracle.csv").read_bytes()
+
+
+def csv_writer_bytes(path, header, rows):
+    """The bytes ``csv.writer`` with ``"\\n"`` line ends writes for ``rows``."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path.read_bytes()
+
+
+def test_violation_and_curve_csv_match_csv_writer(tmp_path, hull_2_3):
+    config = Configuration.uniform(2, 3)
+    singlet = builtin_model("singlet")
+    floats = probability_vector(singlet, parse_angles("0,2pi/3,4pi/3;0,2pi/3,4pi/3", config))
+    exact_vec = ProbabilityVector(tuple(Fraction(round(8 * p), 8) for p in floats), config)
+    exact_law = ProbabilityModel("exact", {}, default=lambda a: Fraction(1, 2 ** len(a)))
+    curve_angles = parse_angles("x,0,2pi/3;0,2pi/3,4pi/3", config)
+    for reports in (scan_2_3(hull_2_3), scan_probability_vector(hull_2_3, exact_vec)):
+        assert reports
+        got = write_violation_csv(reports, tmp_path / "viol.csv").read_bytes()
+        want = csv_writer_bytes(tmp_path / "oracle.csv", ["row", "inequality", "violation"],
+                                [[r.row, to_text(r.inequality), r.amount] for r in reports])
+        assert got == want
+    for model in (singlet, exact_law):
+        curves = sample_violation_curve(hull_2_3, model, angles=curve_angles,
+                                        samples=9, threshold=-10.0)
+        assert curves
+        got = write_curve_csv(curves, tmp_path / "curve.csv").read_bytes()
+        want = csv_writer_bytes(tmp_path / "oracle.csv",
+                                ["x"] + [f"row{c.row}" for c in curves],
+                                [[x] + [c.values[i] for c in curves]
+                                 for i, x in enumerate(curves[0].xs)])
+        assert got == want
+    assert any(type(v) is Fraction for v in curves[0].values)
 
 
 @pytest.mark.parametrize("layout,angles,samples,row,digest", [

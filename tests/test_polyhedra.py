@@ -369,7 +369,9 @@ def test_hull_insertion_order_independence(hull_2_2, config_2_2):
 
 def test_unknown_insertion_order_rejected(config_2_2):
     tt = truth_table(config_2_2)
-    for order in ("bogus", "random:x", "Support"):
+    # a seed is a count: int() would read a sign, a '_' or a non-ASCII digit
+    for order in ("bogus", "random:x", "Support", "random:\u0661", "random:1_0",
+                  "random:+1", "random:-1", "random: 1", "random:"):
         with pytest.raises(ValueError, match="insertion order"):
             hull(tt, order=order)
 
