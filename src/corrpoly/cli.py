@@ -304,6 +304,12 @@ def cmd_contains(args) -> int:
     return EXIT_OK
 
 
+def _range_help(flag: str, axis: str) -> str:
+    # argparse reads a value led by '-' as a flag unless it is a plain number
+    return (f"{axis} interval (default: %(default)s); a LO led by '-' needs "
+            f"'=', as in {flag}=-pi:0")
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="corrpoly",
                      description="correlation polytope toolkit")
@@ -330,7 +336,10 @@ def build_parser() -> _Parser:
     model.add_argument("--model", required=True, choices=BUILTIN_MODELS)
     model.add_argument("--angles", required=True, metavar="'0,2pi/3;0,pi'",
                        help="per particle, comma-separated; particles split by ';'")
-    model.add_argument("--threshold", type=_threshold_arg, default=0.0)
+    model.add_argument("--threshold", type=_threshold_arg, default=0.0,
+                       help="report rows whose violation exceeds this (default: "
+                            "%(default)s); a value led by '-' that is not a plain "
+                            "number needs '=', as in --threshold=-inf")
     dd = argparse.ArgumentParser(add_help=False)
     dd.add_argument("--ray-cap", default=None,
                     help="intermediate ray cap (or env CORRPOLY_RAY_CAP)")
@@ -376,7 +385,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("plot", help="violation curves over one free variable x",
                        parents=[layout, ine, model, rows])
-    p.add_argument("--range", default="0:pi", metavar="LO:HI")
+    p.add_argument("--range", default="0:pi", metavar="LO:HI",
+                   help=_range_help("--range", "x"))
     p.add_argument("--samples", type=_count_arg, default=101)
     p.add_argument("-o", "--output", required=True, metavar="CSV")
     p.add_argument("--svg", metavar="FILE")
@@ -384,8 +394,10 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("contour", help="violation grids over free variables x, y",
                        parents=[layout, ine, model, rows])
-    p.add_argument("--range-x", default="0:pi", metavar="LO:HI")
-    p.add_argument("--range-y", default="0:pi", metavar="LO:HI")
+    p.add_argument("--range-x", default="0:pi", metavar="LO:HI",
+                   help=_range_help("--range-x", "x"))
+    p.add_argument("--range-y", default="0:pi", metavar="LO:HI",
+                   help=_range_help("--range-y", "y"))
     p.add_argument("--samples", type=_count_arg, default=41)
     p.add_argument("-o", "--output", required=True, metavar="PREFIX")
     p.add_argument("--svg", action="store_true", help="also write SVG per grid")

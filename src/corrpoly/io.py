@@ -75,9 +75,15 @@ def _count(token: str, line: str, source: str) -> int:
         raise ParseError(f"{source}: bad count {token!r} in {line!r}") from None
 
 
+# How many distinct tokens one parse keeps parsed: cdd files repeat a few
+# small numbers, and the bound keeps a file of all-distinct tokens cheap.
+_KNOWN_TOKENS = 4096
+
+
 def _parse_row(line: str, tokens: list[str]) -> tuple[NumberLike, ...]:
     """The numbers of one data row; ``tokens`` is ``line.split()``.
 
+    The reader calls it for a row with a token it has not parsed before.
     A line of ASCII integers is read by ``int`` alone.  Anything else
     (``p/q``, decimals, bad tokens) goes token by token through
     ``parse_number``, which also rejects what ``int`` would accept beyond
@@ -103,17 +109,14 @@ def parse_polyhedra_file(
     a ``Konfiguration`` whose event count is not the dimension included,
     raises ``ParseError`` naming ``source``.
     """
-    lines = [ln.strip() for ln in text.splitlines()]
-    pos = 0
+    stripped = (ln.strip() for ln in text.splitlines())
+    lines = iter([ln for ln in stripped if ln and not ln.startswith("*")])
 
     def next_line() -> str:
-        nonlocal pos
-        while pos < len(lines):
-            ln = lines[pos]
-            pos += 1
-            if ln and not ln.startswith("*"):
-                return ln
-        raise ParseError(f"{source}: unexpected end of file")
+        line = next(lines, None)
+        if line is None:
+            raise ParseError(f"{source}: unexpected end of file")
+        return line
 
     header = next_line()
     if header not in ("H-representation", "V-representation"):
@@ -138,7 +141,11 @@ def parse_polyhedra_file(
         raise ParseError(f"{source}: malformed size line {line!r}")
     m, n = _count(size[0], line, source), _count(size[1], line, source)
 
+    # Each row is looked up token by token in ``known``, the tokens this
+    # call has parsed; a row with a new token is parsed and adds its tokens
+    # while ``known`` is below ``_KNOWN_TOKENS``.
     rows = []
+    known: dict[str, NumberLike] = {}
     for k in range(1, m + 1):
         line = next_line()
         tokens = line.split()
@@ -148,17 +155,26 @@ def parse_polyhedra_file(
             raise ParseError(
                 f"{source}: row has {len(tokens)} entries, expected {n}"
             )
+        if tokens[-1] in known:  # spares a row of new tokens the KeyError
+            try:
+                rows.append(tuple(map(known.__getitem__, tokens)))
+                continue
+            except KeyError:
+                pass
         try:
-            rows.append(_parse_row(line, tokens))
+            row = _parse_row(line, tokens)
         except ParseError as exc:
             raise ParseError(f"{source}: data row {k}: {exc}") from None
+        rows.append(row)
+        if len(known) < _KNOWN_TOKENS:
+            known.update(zip(tokens, row))
     if next_line() != "end":
         raise ParseError(f"{source}: expected 'end' after {m} data rows")
     if linearity and max(linearity) >= m:
         raise ParseError(f"{source}: linearity index {max(linearity) + 1} out of range")
 
     dimension = max(n - 1, 0)
-    config = _read_config(lines[pos:], source)
+    config = _read_config(lines, source)
     try:
         if header[0] == "H":
             return HRepresentation(dimension, tuple(rows), linearity, config)
@@ -174,7 +190,7 @@ def parse_polyhedra_file(
         raise ParseError(f"{source}: {exc}") from None
 
 
-def _read_config(options: Sequence[str], source: str) -> Configuration | None:
+def _read_config(options: Iterable[str], source: str) -> Configuration | None:
     """The layout of the first ``Konfiguration N M`` (N particles with M settings
     each) or ``Konfiguration M1,M2,...`` line, if there is one."""
     for line in options:

@@ -468,6 +468,21 @@ def test_threshold_spelling(capsys):
         assert code == 1 and out == "" and "bad threshold" in err, text
 
 
+def test_dash_led_values_need_the_equals_form(capsys):
+    # argparse takes a value led by '-' for a flag unless it is a plain number
+    parser = build_parser()
+    head = ["--ine", "f.ine", "--model", "singlet", "--angles=x,0;0,y"]
+    plot = parser.parse_args(
+        ["plot", *head, "-o", "c.csv", "--threshold=-inf", "--range=-pi:0"])
+    assert plot.threshold == float("-inf") and plot.range == "-pi:0"
+    contour = parser.parse_args(
+        ["contour", *head, "-o", "g", "--range-x=-pi:0", "--range-y=-pi/2:0"])
+    assert (contour.range_x, contour.range_y) == ("-pi:0", "-pi/2:0")
+    for flag, value in (("--threshold", "-inf"), ("--range", "-pi:0")):
+        code, out, err = run(capsys, "plot", *head, "-o", "c.csv", flag, value)
+        assert code == 1 and "expected one argument" in err, flag
+
+
 def test_help_everywhere(capsys):
     for sub in (
         "events", "vertices", "hull", "enum", "inequalities",

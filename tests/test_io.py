@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import corrpoly
+import corrpoly.io as cpio
 
 from corrpoly import (
     Configuration,
@@ -255,6 +256,66 @@ def test_parse_errors():
     assert empty == HRepresentation(2, ())
 
 
+@pytest.mark.parametrize("body,message", [
+    ("2 2 integer\n1 0\nend\n", "expected 2 data rows"),
+    ("2 2 integer\n1 0\n", "unexpected end of file"),
+    ("2 2 integer\n1 0\n* a comment\n\n", "unexpected end of file"),
+    ("2 2 integer\n1 0\n1 0 0\nend\n", "row has 3 entries, expected 2"),
+    # rows 1 and 2 put every token of row 3 but the bad one among the known
+    # ones: a bad last token skips the lookup, a bad middle one fails it
+    ("3 3 integer\n1 0 1\n0 1 0\n1 0 q\nend\n", "data row 3: bad numeric token 'q'"),
+    ("3 3 integer\n1 0 1\n0 1 0\n1 q 0\nend\n", "data row 3: bad numeric token 'q'"),
+    ("3 3 integer\n1 0 1\n0 1 0\n1 0 1_0\nend\n",
+     "data row 3: bad numeric token '1_0'"),
+])
+def test_data_block_error_messages(body, message):
+    with pytest.raises(ParseError) as info:
+        parse_polyhedra_file("H-representation\nbegin\n" + body, "f.ine")
+    assert str(info.value) == f"f.ine: {message}"
+
+
+def test_comment_and_blank_lines_between_data_rows_are_skipped():
+    plain = "H-representation\nbegin\n3 3 integer\n1 0 1\n0 1 0\n1 2 0\nend\n"
+    noisy = ("H-representation\n* head\nbegin\n\n3 3 integer\n1 0 1\n"
+             "* between rows\n   \n\t\n0 1 0\n  * indented\n1 2 0\n\nend\n"
+             "* after end\n\nKonfiguration 1 2\n")
+    assert parse_polyhedra_file(noisy) == dataclasses.replace(
+        parse_polyhedra_file(plain), config=Configuration.uniform(1, 2))
+
+
+def test_known_token_lookup_is_bounded_and_per_call(monkeypatch):
+    # More distinct tokens than the lookup keeps, then rows whose tokens are
+    # new once it is full: every such row is parsed afresh, never remembered.
+    cap = cpio._KNOWN_TOKENS
+    rng = random.Random(11)
+    wide = [[str(rng.randrange(10**9, 10**10)) for _ in range(16)]
+            for _ in range(cap // 16 + 44)]
+    small = [[str(rng.randrange(-3, 4)) for _ in range(16)] for _ in range(20)]
+    mixed = [["1/2", "-3/6", "0.5", "2.50", *row[4:]] for row in small[:5]]
+    lines = [" ".join(t) for t in wide + small + mixed]
+    assert len({token for row in wide for token in row}) > cap
+    text = "H-representation\nbegin\n%d 16 rational\n%s\nend\n" % (
+        len(lines), "\n".join(lines))
+    calls = []
+    parse_row = cpio._parse_row
+    monkeypatch.setattr(cpio, "_parse_row", lambda *a: calls.append(1) or parse_row(*a))
+    first = parse_polyhedra_file(text).rows
+    expected = [tuple(parse_number(t) for t in line.split()) for line in lines]
+    assert list(first) == expected
+    assert [list(map(type, r)) for r in first] == [list(map(type, r)) for r in expected]
+    assert len(calls) == len(lines)
+    # a second parse starts from an empty lookup, so it parses as many rows
+    assert parse_polyhedra_file(text).rows == first and len(calls) == 2 * len(lines)
+    # below the cap a repeated row is parsed once and then looked up
+    calls.clear()
+    repeated = "H-representation\nbegin\n50 16 rational\n%s\nend\n" % (
+        "\n".join([" ".join(small[0])] * 25 + [" ".join(mixed[0])] * 25))
+    rows = parse_polyhedra_file(repeated).rows
+    assert rows == (tuple(map(parse_number, small[0])),) * 25 + (
+        tuple(map(parse_number, mixed[0])),) * 25
+    assert len(calls) == 2
+
+
 # Tokens of every spelling cdd writes, plus edge cases of Python's int.
 NUMBER_CORPUS = [
     "+3", "-0", "007", "0", "-12", "1/2", "-3/6", "4/2", "0.5", "-2.50",
@@ -280,7 +341,8 @@ def test_data_rows_match_per_token_parse(numbertype):
 
 @pytest.mark.parametrize("token", ["1_0", "1_0/3", "\u0663", "\uff11\uff12"])
 def test_data_rows_reject_spellings_cdd_does_not_write(token):
-    # all-integer lines take the int() fast path, which must not accept these
+    # int() would read most of these; a row of tokens not yet known reaches
+    # it only when ASCII without '_', so parse_number sees and rejects them
     for row in (f"1 {token}", f"{token} 1"):
         text = f"H-representation\nbegin\n1 2 integer\n{row}\nend\n"
         with pytest.raises(ParseError, match="bad numeric token"):
