@@ -3,6 +3,8 @@
 A row's dot product with every packed vector then takes a few big-int
 operations instead of one interpreted loop per vector, which is how the
 double description kernel classifies its rays against a new constraint.
+The signs come back as bit sets, read from the same bytes without a loop
+over the vectors.
 """
 
 from __future__ import annotations
@@ -13,6 +15,10 @@ from typing import Sequence
 
 #: ``struct`` code of each signed lane width it has.
 _CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
+#: ``bytes.translate`` tables to ASCII binary digits: ``1`` for the top byte
+#: of a negative two's complement lane, and for a nonzero byte.
+_NEGATIVE = bytes(b"01"[b >= 128] for b in range(256))
+_NONZERO = bytes(b"01"[b != 0] for b in range(256))
 
 
 def _bits(values: Sequence[int]) -> int:
@@ -36,6 +42,23 @@ def _from_lanes(data: bytes, width: int) -> Sequence[int]:
         return struct.unpack(f"<{len(data) // width}{code}", data)
     return [int.from_bytes(data[i:i + width], "little", signed=True)
             for i in range(0, len(data), width)]
+
+
+def _signs(data: bytes, width: int) -> tuple[int, int]:
+    """Bit sets of the negative and of the nonzero lanes of ``width`` bytes.
+
+    Bit ``i`` stands for lane ``i`` of ``data``.  Slicing backwards from the
+    last lane puts lane 0's digit last, where ``int(..., 2)`` reads bit 0;
+    base 2 is exempt from the limit on the digits of a str-to-int parse.
+    """
+    last = len(data) - width  # the first byte of the last lane
+    if last < 0:
+        return 0, 0  # int(b"", 2) raises
+    negative = int(data[last + width - 1::-width].translate(_NEGATIVE), 2)
+    nonzero = 0
+    for j in range(width):
+        nonzero |= int(data[last + j::-width].translate(_NONZERO), 2)
+    return negative, nonzero
 
 
 class Lanes:
@@ -79,8 +102,12 @@ class Lanes:
         for j, plane in enumerate(self.planes):
             plane += data[j * size:(j + 1) * size]
 
-    def dot(self, row: Sequence[int]) -> Sequence[int]:
-        """The dot product of ``row`` with every vector, in lane order."""
+    def dot(self, row: Sequence[int]) -> tuple[Sequence[int], int, int]:
+        """The dot product of ``row`` with every vector, in lane order.
+
+        Also returns the bit sets of the vectors on which it is negative and
+        on which it is nonzero.
+        """
         self._widen(sum(map(abs, row)).bit_length() + self.coord_bits)
         w = self.width
         size = len(self.planes[0])
@@ -97,7 +124,8 @@ class Lanes:
             if x:
                 acc += x * (int.from_bytes(plane, "little") ^ halves)
         acc = (acc + (1 - sum(row)) * halves) ^ halves
-        return _from_lanes(acc.to_bytes(size, "little"), w)
+        data = acc.to_bytes(size, "little")
+        return (_from_lanes(data, w), *_signs(data, w))
 
     def _widen(self, bits: int) -> None:
         """Double ``width`` until lanes hold ``bits``-bit values, then repack."""

@@ -81,15 +81,28 @@ class FacetReport:
 #: Ray ids are renumbered densely once dead ids outnumber live ones by this
 #: factor, which bounds the column bitsets by a constant times the ray count.
 _DEAD_ID_FACTOR = 2
-#: Witness rays ``_combine_pairs`` keeps per drive ray, most recent first.
-#: Measured on the 3x2 hull, 8 beats 4 (more column ANDs left) and 16 (more
-#: witnesses tried per pair).
+#: Witness rays ``_combine_pairs`` keeps per drive ray, most recent first;
+#: also the most survivors of one column AND that it pushes.  On the 3x2
+#: hull (2 shared vCPUs), 4 leaves 602k column ANDs against 394k and took
+#: 53 s against 37-44 s; 16 cuts them to 274k but runs 15.3M witness tests
+#: against 10.8M, and takes as long as 8 there and on a 2x3 ``enum``.
 _WITNESSES = 8
 
 
 def _id_set(ids: Iterable[int]) -> int:
     """Bit set of distinct ids."""
     return sum(1 << i for i in ids)
+
+
+def _ids(bits: int) -> list[int]:
+    """The ids in bit set ``bits``, ascending: one ``str.find`` per id."""
+    digits = f"{bits:b}"[::-1]
+    ids = []
+    i = digits.find("1")
+    while i >= 0:
+        ids.append(i)
+        i = digits.find("1", i + 1)
+    return ids
 
 
 def _transpose(active: Iterable[tuple[int, int]], cols: list[int]) -> list[int]:
@@ -166,15 +179,15 @@ class DDPair:
         if not any(row):
             return  # 0 >= 0 constrains nothing
 
-        vals = self.lanes.dot(row)
+        vals, neg, nonzero = self.lanes.dot(row)
         if self.debug:
-            self._check_values(row, vals)
+            self._check_values(row, vals, neg, nonzero)
         lin_prods = [dot(row, l) for l in self.lineality]
         hit = next((i for i, p in enumerate(lin_prods) if p), None)
         if hit is not None:
             self._consume_lineality(row, vals, hit, lin_prods, equality)
         else:
-            self._split(row, vals, equality)
+            self._split(row, vals, neg, nonzero, equality)
         if self.next_id > (_DEAD_ID_FACTOR + 1) * len(self._rays):
             self._reset(self.rays, self.active)
         if self.debug:
@@ -184,21 +197,27 @@ class DDPair:
                 f"intermediate ray count {len(self._rays)} exceeds cap {ray_cap}"
             )
 
-    def _split(self, row: IntVec, vals: Sequence[int], equality: bool) -> None:
+    def _split(self, row: IntVec, vals: Sequence[int], neg: int, nonzero: int,
+               equality: bool) -> None:
+        # ``neg`` and ``nonzero`` are bit sets over every lane, dead ids
+        # included.  Only the ids of the zero rays, of the dropped ones and,
+        # in ``_combine_pairs``, of the smaller sign side are ever listed.
         bit = 1 << len(self.rows)
         rays = self._rays
         active = self._active
-        pos = [i for i in rays if vals[i] > 0]
-        neg = [i for i in rays if vals[i] < 0]
-        zero = [i for i in rays if not vals[i]]
+        alive = self.alive
+        neg &= alive
+        nonzero &= alive
+        zero = alive ^ nonzero
+        pos = nonzero ^ neg
         self.rows.append(row)
-        self.cols.append(_id_set(zero))
+        self.cols.append(zero)
         new = self._combine_pairs(vals, pos, neg, bit) if pos and neg else []
 
-        dropped = neg + pos if equality else neg
-        for i in dropped:
+        dropped = nonzero if equality else neg
+        for i in _ids(dropped):
             del rays[i], active[i]
-        for i in zero:
+        for i in _ids(zero):
             active[i] |= bit
         # Each new ray's id joins the columns of its tight rows, this one's
         # included; the dropped rays' ids leave ``alive``.
@@ -208,7 +227,7 @@ class DDPair:
             born[i] = tight
         active.update(born)
         _transpose(born.items(), self.cols)
-        self.alive = (self.alive & ~_id_set(dropped)) | _id_set(born)
+        self.alive = (alive ^ dropped) | ((1 << len(new)) - 1) << self.next_id
         self.next_id += len(new)
         if new:
             self.lanes.append([ray for ray, _ in new])
@@ -250,32 +269,33 @@ class DDPair:
         self.alive = (1 << self.next_id) - 1
         self.lanes.fill(rays)
 
-    def _combine_pairs(self, vals: Sequence[int], pos: list[int], neg: list[int],
+    def _combine_pairs(self, vals: Sequence[int], pos: int, neg: int,
                        bit: int) -> list[tuple[IntVec, int]]:
         # A pair with enough common tight rows is adjacent iff no other ray
         # is tight on all of them: ANDing the live columns of the common
         # rows leaves exactly the pair's own two ids.  Those two are in
         # every such column, so the AND can stop once nothing else is left.
         # Only the partners that ``_partners`` finds for the rays of the
-        # smaller side are tested.
+        # smaller side (``pos`` and ``neg`` are bit sets of live ids) are
+        # tested.
         #
         # Most candidates are not adjacent, and a ray that refutes one pair
         # of a drive ray ``d`` often refutes the next.  So ``d`` keeps its
         # last few witnesses, most recent first: when a full AND finds a
-        # pair not adjacent, the lowest id it leaves besides the pair's own
-        # two goes in, with its tight rows.  A witness ``w`` refutes a later
-        # pair ``(d, o)`` without the AND if it is tight on every common row
-        # and ``w != o``, for then it is a third ray on all of them; ``w`` is
-        # never ``d``, which the AND left as one of the pair's own ids.
-        # Adjacency is only ever concluded by the full AND.  Returns each
-        # new ray with its tight rows.
+        # pair not adjacent, up to ``_WITNESSES`` of the ids it leaves
+        # besides the pair's own two go in, with their tight rows.  A
+        # witness ``w`` refutes a later pair ``(d, o)`` without the AND if it
+        # is tight on every common row and ``w != o``, for then it is a third
+        # ray on all of them; ``w`` is never ``d``, which the AND left as one
+        # of the pair's own ids.  Adjacency is only ever concluded by the
+        # full AND.  Returns each new ray with its tight rows.
         rays = self._rays
         active = self._active
         cols = self.cols
         alive = self.alive
         debug = self.debug
         need = max(self.dimension - len(self.lineality) - 2, 0)
-        drive = neg if len(neg) < len(pos) else pos
+        drive = _ids(neg if neg.bit_count() < pos.bit_count() else pos)
         new = []
         candidates = []
         for d, hit in self._partners(drive, need):
@@ -304,8 +324,13 @@ class DDPair:
                     adjacent = tight == own
                     if not adjacent:
                         tight ^= own
-                        w = (tight & -tight).bit_length() - 1
-                        witnesses.appendleft((w, active[w]))
+                        for _ in range(_WITNESSES):
+                            low = tight & -tight
+                            w = low.bit_length() - 1
+                            witnesses.appendleft((w, active[w]))
+                            tight ^= low
+                            if not tight:
+                                break
                 if debug:
                     self._check_adjacency(common, adjacent)
                     candidates.append((d, o))
@@ -372,17 +397,23 @@ class DDPair:
                 "combinatorial and algebraic adjacency tests disagree"
             )
 
-    def _check_candidates(self, pos: list[int], neg: list[int], need: int,
+    def _check_candidates(self, pos: int, neg: int, need: int,
                           candidates: list[tuple[int, int]]) -> None:
         active = self._active
-        expected = [(p, m) for p in pos for m in neg
+        expected = [(p, m) for p in _ids(pos) for m in _ids(neg)
                     if (active[p] & active[m]).bit_count() >= need]
         if sorted(map(sorted, candidates)) != sorted(map(sorted, expected)):
             raise AssertionError("count filter disagrees with the pairwise count")
 
-    def _check_values(self, row: IntVec, vals: Sequence[int]) -> None:
-        if any(vals[i] != dot(row, r) for i, r in self._rays.items()):
+    def _check_values(self, row: IntVec, vals: Sequence[int], neg: int,
+                      nonzero: int) -> None:
+        plain = {i: dot(row, r) for i, r in self._rays.items()}
+        if any(vals[i] != v for i, v in plain.items()):
             raise AssertionError("packed lanes disagree with the plain dot product")
+        alive = self.alive
+        if (neg & alive != _id_set(i for i, v in plain.items() if v < 0)
+                or alive & ~nonzero != _id_set(i for i, v in plain.items() if not v)):
+            raise AssertionError("packed sign sets disagree with the plain signs")
 
     def _check_columns(self) -> None:
         ids = list(self._rays)

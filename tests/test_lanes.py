@@ -1,17 +1,32 @@
 import random
 
-from corrpoly.lanes import Lanes
+import pytest
+
+from corrpoly.lanes import Lanes, _signs, _to_lanes
 
 
 def plain(row, vectors):
     return [sum(a * b for a, b in zip(row, v)) for v in vectors]
 
 
+def sign_sets(values):
+    """The negative and the nonzero bit sets of ``values``, bit i for value i."""
+    return (sum(1 << i for i, v in enumerate(values) if v < 0),
+            sum(1 << i for i, v in enumerate(values) if v))
+
+
+def checked_dot(lanes, row, vectors):
+    """``lanes.dot(row)``'s values, after checking its sign sets."""
+    values, negative, nonzero = lanes.dot(row)
+    assert (negative, nonzero) == sign_sets(plain(row, vectors))
+    return list(values)
+
+
 def test_dot_matches_plain_dot_while_lanes_widen():
     # Appended vectors and rows grow from a few bits to 300, so the lanes
     # widen step by step from 1 byte, through every struct-packed width,
-    # past 8 bytes; every dot product must stay exact, and the width never
-    # shrinks, not even on a refill with small vectors.
+    # past 8 bytes; every dot product and its sign sets must stay exact, and
+    # the width never shrinks, not even on a refill with small vectors.
     rng = random.Random(31)
     dim = 5
     lanes = Lanes(dim)
@@ -25,25 +40,64 @@ def test_dot_matches_plain_dot_while_lanes_widen():
             vectors += batch
             widths.append(lanes.width)
             row = tuple(rng.randint(-2**bits, 2**bits) for _ in range(dim))
-            assert list(lanes.dot(row)) == plain(row, vectors)
+            assert checked_dot(lanes, row, vectors) == plain(row, vectors)
             widths.append(lanes.width)
     assert widths == sorted(widths)
     assert {1, 2, 4, 8, 16} <= set(widths) and widths[-1] > 64
     small = [(1, -1, 0, 2, 0), (0, 0, 0, 0, 0)]
     lanes.fill(small)
     assert lanes.width == widths[-1]
-    assert list(lanes.dot((3, 1, 0, 0, -2))) == [2, 0]
+    assert checked_dot(lanes, (3, 1, 0, 0, -2), small) == [2, 0]
 
 
 def test_width_follows_the_exact_bound():
     lanes = Lanes(2)
-    assert list(lanes.dot((1, -1))) == []
+    assert checked_dot(lanes, (1, -1), []) == []
     # 6-bit coordinates fit one-byte lanes; a row whose absolute values sum
     # to 1 keeps every product within 7 bits, one summing to 2 may not.
     vectors = [(63, -63), (-63, 63), (0, 0)]
     lanes.append(vectors)
     assert (lanes.width, lanes.coord_bits) == (1, 6)
-    assert list(lanes.dot((1, 0))) == plain((1, 0), vectors) and lanes.width == 1
-    assert list(lanes.dot((1, 1))) == plain((1, 1), vectors) and lanes.width == 2
+    assert checked_dot(lanes, (1, 0), vectors) == plain((1, 0), vectors) and lanes.width == 1
+    assert checked_dot(lanes, (1, 1), vectors) == plain((1, 1), vectors) and lanes.width == 2
     lanes.append([(-2**14, 2**14 - 1)])
     assert lanes.width == 4
+
+
+@pytest.mark.parametrize("width", [1, 2, 4, 8, 16])
+def test_sign_sets_of_extreme_lanes(width):
+    # Every byte of a lane decides its nonzero bit, and the top byte alone
+    # its negative bit: the extremes of two's complement put 0x80, 0x7f,
+    # 0xff and 0x00 into the top byte, and single nonzero bytes into each
+    # position.  Widths 1-8 are struct-packed, 16 is joined byte by byte.
+    top = 1 << (8 * width - 1)
+    values = [0, 1, -1, top - 1, -top, -top + 255, -top + 1, 255, -256]
+    values += [1 << (8 * j) for j in range(width)]
+    values += [-(1 << (8 * j)) for j in range(width)]
+    values = [v for v in values if -top <= v < top] + [0] * 3
+    rng = random.Random(width)
+    for _ in range(50):
+        shuffled = rng.sample(values, len(values))
+        assert _signs(_to_lanes(shuffled, width), width) == sign_sets(shuffled)
+    assert _signs(_to_lanes([0] * 5, width), width) == (0, 0)
+    assert _signs(b"", width) == (0, 0)  # no lanes: int(b"", 2) would raise
+
+
+def test_sign_sets_past_the_digit_limit():
+    # A str-to-int parse of more than 4,300 decimal digits raises, but base 2
+    # is exempt, so 5,000 lanes read as one bit set each way, at 1-byte lanes
+    # and, after the coordinates widen them, at 4-byte lanes.
+    rng = random.Random(5)
+    vectors = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(5000)]
+    lanes = Lanes(2)
+    lanes.append(vectors)
+    for row in ((1, 2), (0, 1), (0, 0)):
+        assert checked_dot(lanes, row, vectors) == plain(row, vectors)
+    assert lanes.width == 1
+    vectors += [(2**20, -2**20)]
+    lanes.append(vectors[-1:])
+    assert checked_dot(lanes, (-1, 1), vectors) == plain((-1, 1), vectors)
+    assert lanes.width == 4
+    zeros = [(0, 0)] * 5000
+    lanes.fill(zeros)
+    assert checked_dot(lanes, (1, 2), zeros) == [0] * 5000

@@ -288,6 +288,26 @@ def test_debug_cross_checks_packed_values():
         pair.insert((1, -1, 0))
 
 
+@pytest.mark.parametrize("which", [1, 2])
+def test_debug_cross_checks_packed_sign_sets(which, monkeypatch):
+    # debug=True also compares the negative (which=1) and the nonzero
+    # (which=2) bit set that the lanes read with the plain signs over the
+    # live ids, so one flipped bit of a live ray must be caught.
+    pair = DDPair(3, debug=True)
+    for row in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
+        pair.insert(row)
+    original = polyhedra.Lanes.dot
+
+    def flipped(lanes, row):
+        result = list(original(lanes, row))
+        result[which] ^= 1 << min(pair._rays)
+        return tuple(result)
+
+    monkeypatch.setattr(polyhedra.Lanes, "dot", flipped)
+    with pytest.raises(AssertionError, match="packed sign sets"):
+        pair.insert((1, -1, 0))
+
+
 @pytest.mark.parametrize("bits", [3, 20, 40, 70])
 def test_packed_values_exact_on_wide_coordinates(bits, monkeypatch):
     # The lanes of the packed coordinate planes widen with the coordinates
