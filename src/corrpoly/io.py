@@ -222,7 +222,7 @@ def _config_lines(config: Configuration | None) -> tuple[str, ...]:
 def _read(path, kind: type) -> HRepresentation | VRepresentation:
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")  # skips a leading byte-order mark
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: {exc}") from None
     rep = parse_polyhedra_file(text, str(path))

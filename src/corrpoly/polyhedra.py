@@ -199,9 +199,10 @@ class DDPair:
 
     def _split(self, row: IntVec, vals: Sequence[int], neg: int, nonzero: int,
                equality: bool) -> None:
-        # ``neg`` and ``nonzero`` are bit sets over every lane, dead ids
-        # included.  Only the ids of the zero rays, of the dropped ones and,
-        # in ``_combine_pairs``, of the smaller sign side are ever listed.
+        # Classify, combine, commit: ``_combine_pairs`` reads only the state
+        # from before the split.  ``neg`` and ``nonzero`` are bit sets over
+        # every lane, dead ids included.  Only the ids of the zero rays, of
+        # the dropped ones and of the smaller sign side are ever listed.
         bit = 1 << len(self.rows)
         rays = self._rays
         active = self._active
@@ -210,8 +211,6 @@ class DDPair:
         nonzero &= alive
         zero = alive ^ nonzero
         pos = nonzero ^ neg
-        self.rows.append(row)
-        self.cols.append(zero)
         new = self._combine_pairs(vals, pos, neg, bit) if pos and neg else []
 
         dropped = nonzero if equality else neg
@@ -219,6 +218,8 @@ class DDPair:
             del rays[i], active[i]
         for i in _ids(zero):
             active[i] |= bit
+        self.rows.append(row)
+        self.cols.append(zero)
         # Each new ray's id joins the columns of its tight rows, this one's
         # included; the dropped rays' ids leave ``alive``.
         born = {}
@@ -229,8 +230,7 @@ class DDPair:
         _transpose(born.items(), self.cols)
         self.alive = (alive ^ dropped) | ((1 << len(new)) - 1) << self.next_id
         self.next_id += len(new)
-        if new:
-            self.lanes.append([ray for ray, _ in new])
+        self.lanes.append([ray for ray, _ in new])
 
     def _consume_lineality(self, row: IntVec, vals: Sequence[int], hit: int,
                            lin_prods: list[int], equality: bool) -> None:
@@ -289,16 +289,16 @@ class DDPair:
         # ray on all of them; ``w`` is never ``d``, which the AND left as one
         # of the pair's own ids.  Adjacency is only ever concluded by the
         # full AND.  Returns each new ray with its tight rows.
+        drive, others = (neg, pos) if neg.bit_count() < pos.bit_count() else (pos, neg)
         rays = self._rays
         active = self._active
         cols = self.cols
         alive = self.alive
         debug = self.debug
         need = max(self.dimension - len(self.lineality) - 2, 0)
-        drive = _ids(neg if neg.bit_count() < pos.bit_count() else pos)
         new = []
         candidates = []
-        for d, hit in self._partners(drive, need):
+        for d, hit in self._partners(_ids(drive), others, need):
             a = active[d]
             rd = rays[d]
             vd = abs(vals[d])
@@ -344,18 +344,15 @@ class DDPair:
             self._check_candidates(pos, neg, need, candidates)
         return new
 
-    def _partners(self, drive: list[int], need: int) -> Iterator[tuple[int, int]]:
-        """Count filter of a split whose new row's column is ``cols[-1]``.
-
-        For each ray id ``d`` of ``drive`` (one sign side), yields ``d``
-        and the bit set of the ids of the rays on the other sign side that
-        share at least ``need`` tight rows with it, skipping empty sets.
+    def _partners(self, drive: list[int], others: int,
+                  need: int) -> Iterator[tuple[int, int]]:
+        """Count filter of a split: for each id ``d`` of ``drive``, one sign
+        side, yields ``d`` and the bit set of the ids in ``others``, the other
+        side, that share at least ``need`` tight rows with it, skipping empty
+        sets.
         """
         active = self._active
         cols = self.cols
-        # alive = drive + other side + zero rays, and cols[-1] holds the
-        # zero rays' ids.
-        others = self.alive ^ cols[-1] ^ _id_set(drive)
         if need == 0:
             for d in drive:
                 yield d, others

@@ -391,6 +391,17 @@ def test_exit_code_parse_error(tmp_path, capsys):
         assert code == 2 and "parse error: " in err and "latin1.ine: 'utf-8' codec" in err
 
 
+def test_file_with_a_byte_order_mark_reads_as_without(tmp_path, capsys):
+    # Windows editors often save UTF-8 with a leading byte-order mark
+    ine = tmp_path / "2_2.ine"
+    run(capsys, "hull", "-n", "2", "-m", "2", "-o", str(ine), "-q")
+    bom = tmp_path / "bom.ine"
+    bom.write_bytes(b"\xef\xbb\xbf" + ine.read_bytes())
+    assert read_ine(bom) == read_ine(ine)
+    code, out, err = run(capsys, "enum", "--ine", str(bom), "-q")
+    assert (code, err) == (0, "") and "16 vertices" in out
+
+
 def test_exit_code_capacity(tmp_path, capsys, monkeypatch):
     code, _, err = run(
         capsys, "hull", "-n", "2", "-m", "2", "--ray-cap", "3", "-q"
@@ -579,6 +590,11 @@ def test_usage_errors_of_the_shared_flags(tmp_path, capsys, monkeypatch):
         (("events", "--config", "2,2", "-n", "2", "-m", "2"), "mutually exclusive"),
         (("events", "--config", "2,x"), "bad --config value '2,x'"),
         (("events", "--config", "2,0"), "at least one setting"),
+        (("events",), "no configuration given (use -n/-m or --config)"),
+        (("violations", *model, "--angles=0,0;0,0", "--threshold=-1"),
+         "threshold must be nonnegative"),
+        (("contour", *model, "--angles=x,0;0,y", "--samples", "1", "-o",
+          str(tmp_path / "g")), "need at least 2 samples"),
         (("inequalities", "--ine", str(ine), "--rows", "1-5"), "--rows expects MIN:MAX"),
         (("violations", *model, "--angles=0,0;0,0", "--rows", "a:b"), "--rows expects"),
         (("plot", *model, "--angles=x,0;0,0", "--range", "0-pi", "-o",

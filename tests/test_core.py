@@ -102,6 +102,8 @@ def test_event_label_validation():
         EventLabel((0, 0), (0, 1))  # two settings for one particle
     with pytest.raises(ValueError):
         EventLabel((1, 0), (0, 0))  # support not ascending
+    with pytest.raises(ValueError, match="one setting choice per supported particle"):
+        EventLabel((0, 1), (0,))
 
 
 def test_rational_arithmetic_is_exact():

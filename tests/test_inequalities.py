@@ -90,6 +90,8 @@ def test_parse_text_errors():
         parse_text("a1 + b1", URN)  # missing relation
     with pytest.raises(ParseError):
         parse_text("a1 ++ b1 <= 1", URN)
+    with pytest.raises(ParseError, match="missing sign before term 'b1'"):
+        parse_text("a1 b1 <= 1", URN)
     with pytest.raises(ParseError):
         parse_text("<= 1", URN)
     with pytest.raises(ParseError):
@@ -141,6 +143,8 @@ def test_constant_row_is_rejected():
                 read(hrep)
     with pytest.raises(ValueError, match="no configuration attached"):
         numbered_rows(HRepresentation(2, ((0, 1, 0),)))
+    with pytest.raises(ValueError, match="empty inequality list"):
+        numbered_rows([], URN)
 
 
 def test_inequality_needs_a_layout():

@@ -38,6 +38,7 @@ from corrpoly import (
 )
 from corrpoly.core import ParseError, parse_number
 from corrpoly.io import (
+    curves_svg,
     grid_svg,
     parse_polyhedra_file,
     write_curve_csv,
@@ -643,6 +644,38 @@ def test_svg_outputs(tmp_path, hull_2_2):
     # darker cells mark stronger violation: some non-white cell exists
     assert any(f > 0 for f in grids[0].values)
     assert 'fill="#ffffff"' in gsvg or 'fill="white"' in gsvg
+
+
+def test_curve_writers_reject_what_they_cannot_draw(tmp_path, hull_2_2):
+    config = Configuration.uniform(2, 2)
+    curves = sample_violation_curve(hull_2_2, builtin_model("singlet"),
+                                    angles=parse_angles("-pi/3+x,0;0,2x", config),
+                                    samples=5)
+    shifted = [curves[0], dataclasses.replace(curves[0], xs=curves[0].xs[::-1])]
+    with pytest.raises(ValueError, match="no curves to write"):
+        write_curve_csv([], tmp_path / "c.csv")
+    with pytest.raises(ValueError, match="curves were sampled on different grids"):
+        write_curve_csv(shifted, tmp_path / "c.csv")
+    with pytest.raises(ValueError, match="no curves to render"):
+        curves_svg([])
+    assert not list(tmp_path.iterdir())
+
+
+def test_flat_curves_are_drawn_on_the_zero_line(hull_2_2):
+    # Curves that are 0 everywhere span no value range; the plot then spans
+    # [0, 1] (padded by 5%) and draws them on the dashed zero line.
+    config = Configuration.uniform(2, 2)
+    curves = sample_violation_curve(hull_2_2, builtin_model("singlet"),
+                                    angles=parse_angles("-pi/3+x,0;0,2x", config),
+                                    samples=5)
+    flat = [dataclasses.replace(c, values=(0.0,) * len(c.xs)) for c in curves]
+    svg = curves_svg(flat)
+    zero = "412.73"  # 430 - 0.05 / 1.1 * 380
+    assert f'<line x1="50" y1="{zero}" x2="590" y2="{zero}"' in svg
+    points = [p.split(",")[1] for line in svg.splitlines() if "<polyline" in line
+              for p in line.split('points="')[1].rstrip('"/>').split()]
+    assert len(points) == 5 * len(flat) and set(points) == {zero}
+    assert '>1.05</text>' in svg and '>-0.05</text>' in svg
 
 
 def test_svg_deterministic(tmp_path, hull_2_2):

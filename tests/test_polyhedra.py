@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -140,18 +141,20 @@ def test_lineality_step_numbers_ray_ids_densely():
 def test_pair_filter_matches_brute_count(monkeypatch):
     # The count filter must yield, for each ray of the side that drives it,
     # exactly the rays of the other sign side sharing at least `need` tight
-    # rows with it, as the plain pairwise count finds them.  Covered: need 0
-    # (dimension 2), ids left sparse after a renumbering, and either side
-    # being the smaller one that drives.
+    # rows with it, as the plain pairwise count finds them; the other side
+    # it is handed must be exactly the rays of the other sign.  Covered:
+    # need 0 (dimension 2), ids left sparse after a renumbering, and either
+    # side being the smaller one that drives.
     original = DDPair._partners
     current = {}
     seen = set()
 
-    def checked(pair, drive, need):
+    def checked(pair, drive, others, need):
         row = current["row"]
         vals = {i: sum(a * b for a, b in zip(row, r)) for i, r in pair._rays.items()}
         positive = vals[drive[0]] > 0
         other = [i for i, v in vals.items() if v and (v > 0) != positive]
+        assert others == sum(1 << o for o in other)
         active = pair._active
         expected = {}
         for d in drive:
@@ -159,7 +162,7 @@ def test_pair_filter_matches_brute_count(monkeypatch):
                       if (active[d] & active[o]).bit_count() >= need)
             if hit:
                 expected[d] = hit
-        got = list(original(pair, drive, need))
+        got = list(original(pair, drive, others, need))
         assert got == list(expected.items())
         assert need == max(pair.dimension - len(pair.lineality) - 2, 0)
         assert len(drive) <= len(other)
@@ -214,9 +217,9 @@ def test_witness_refutation_matches_full_and(monkeypatch):
             reads["kernel"] += self.counting
             return super().__getitem__(k)
 
-    def partners(pair, drive, need):
+    def partners(pair, drive, others, need):
         pair.cols.counting = False
-        got = list(original_partners(pair, drive, need))
+        got = list(original_partners(pair, drive, others, need))
         pair.cols.counting = True
         candidates.extend(got)
         return iter(got)
@@ -273,6 +276,31 @@ def test_witness_refutation_matches_full_and(monkeypatch):
     assert reads["kernel"] < reads["plain"]
 
 
+def test_split_combines_from_the_state_before_it(monkeypatch):
+    # A split commits only after its combine stage: an exception from the
+    # count filter leaves the pair exactly as it was before the insert.
+    rows = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, -1, 1, 0)]
+    pair = DDPair(4)
+    for row in rows:
+        pair.insert(row)
+
+    def state():
+        return (list(pair.rows), list(pair.cols), pair.alive, pair.next_id,
+                pair.rays, pair.active)
+
+    def failing(pair, drive, others, need):
+        raise RuntimeError("count filter")
+
+    before = state()
+    monkeypatch.setattr(DDPair, "_partners", failing)
+    with pytest.raises(RuntimeError, match="count filter"):
+        pair.insert((0, 1, -1, 1))
+    assert state() == before
+    monkeypatch.undo()
+    pair.insert((0, 1, -1, 1))  # the same insert splits untouched
+    assert cone_signature(pair) == brute_force_cone(rows + [(0, 1, -1, 1)], 4)
+
+
 def test_debug_cross_checks_packed_values():
     # debug=True compares every packed value of a split with a plain dot
     # product, so one corrupted lane must be caught on the next insert.
@@ -306,6 +334,57 @@ def test_debug_cross_checks_packed_sign_sets(which, monkeypatch):
     monkeypatch.setattr(polyhedra.Lanes, "dot", flipped)
     with pytest.raises(AssertionError, match="packed sign sets"):
         pair.insert((1, -1, 0))
+
+
+def _rank_one_too_high(monkeypatch, pair):
+    rank = polyhedra.integer_rank
+    monkeypatch.setattr(polyhedra, "integer_rank", lambda rows: rank(rows) + 1)
+
+
+def _drop_one_partner(monkeypatch, pair):
+    partners = DDPair._partners
+    monkeypatch.setattr(DDPair, "_partners", lambda *args: islice(partners(*args), 1, None))
+
+
+def _clear_one_live_column_bit(monkeypatch, pair):
+    live = pair.cols[0] & pair.alive
+    pair.cols[0] ^= live & -live
+
+
+@pytest.mark.parametrize("corrupt,row,message", [
+    (_rank_one_too_high, (1, -1, 0), "adjacency tests disagree"),
+    (_drop_one_partner, (1, -1, 0), "count filter disagrees"),
+    # (1, 1, 1) is positive on every ray: no pair is combined, so only the
+    # column check reads the cleared bit
+    (_clear_one_live_column_bit, (1, 1, 1), "incidence columns"),
+])
+def test_debug_checks_catch_one_broken_decision(corrupt, row, message, monkeypatch):
+    # Each debug=True cross-check must fire when the decision it guards is
+    # broken once: the adjacency rank, the count filter's partners, and the
+    # incidence columns between two inserts.
+    def orthant():
+        pair = DDPair(3, debug=True)
+        for unit in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
+            pair.insert(unit)
+        return pair
+
+    orthant().insert(row)  # the same insert passes the checks untouched
+    pair = orthant()
+    corrupt(monkeypatch, pair)
+    with pytest.raises(AssertionError, match=message):
+        pair.insert(row)
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: HRepresentation(2, ((1, 0),)), "constraint of length 2 in dimension 2"),
+    (lambda: HRepresentation(2, ((1, 0, 0),), frozenset({1})),
+     "linearity index 1 out of range"),
+    (lambda: DDPair(0), "cone dimension must be positive"),
+    (lambda: VRepresentation(2, ((0, 0), (1, 0, 0))), "generator of length 3 in dimension 2"),
+])
+def test_representations_reject_bad_shapes(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 @pytest.mark.parametrize("bits", [3, 20, 40, 70])

@@ -104,8 +104,10 @@ def test_probability_vector_ghz3_zero_angles():
 
 def test_probability_vector_free_variable_errors():
     angles = parse_angles("x,0;0,0", C22)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="free variable x; pass x="):
         probability_vector(builtin_model("singlet"), angles)
+    with pytest.raises(ValueError, match="free variable y; pass y="):
+        probability_vector(builtin_model("singlet"), parse_angles("0,0;y,0", C22))
     vec = probability_vector(builtin_model("singlet"), angles, x=0.5)
     assert len(vec) == 8
 
@@ -461,6 +463,13 @@ def test_law_errors_propagate_from_every_evaluation(hull_2_3):
     # the same laws away from the refused angle
     assert sample_violation_grid(hull_2_3, refusing(-1.0),
                                  angles=parse_angles("x,0,2pi/3;0,y,4pi/3", C23)) == []
+
+
+def test_law_outside_the_unit_interval_is_rejected():
+    two = ProbabilityModel("two", {}, default=lambda a: 2.0)
+    with pytest.raises(ValueError, match=r"model 'two' produced probability 2.0 "
+                                         r"outside \[0, 1\]"):
+        probability_vector(two, parse_angles("0,0;0,0", C22))
 
 
 def test_exact_vector_gives_exact_amounts(hull_2_3):
