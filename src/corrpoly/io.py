@@ -321,6 +321,8 @@ def curves_svg(curves: Sequence[CurveSamples]) -> str:
     width, height, margin = 640, 480, 50
     xs = curves[0].xs
     x_lo, x_hi = min(xs), max(xs)
+    if x_hi == x_lo:
+        x_hi = x_lo + 1.0
     all_values = [v for c in curves for v in c.values] + [0.0]
     y_lo, y_hi = min(all_values), max(all_values)
     if y_hi == y_lo:

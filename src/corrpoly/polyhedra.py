@@ -14,7 +14,6 @@ positive/negative pairs into new rays on the constraint hyperplane.
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
@@ -81,11 +80,10 @@ class FacetReport:
 #: Ray ids are renumbered densely once dead ids outnumber live ones by this
 #: factor, which bounds the column bitsets by a constant times the ray count.
 _DEAD_ID_FACTOR = 2
-#: Witness rays ``_combine_pairs`` keeps per drive ray, most recent first;
-#: also the most survivors of one column AND that it pushes.  On the 3x2
-#: hull (2 shared vCPUs), 4 leaves 602k column ANDs against 394k and took
-#: 53 s against 37-44 s; 16 cuts them to 274k but runs 15.3M witness tests
-#: against 10.8M, and takes as long as 8 there and on a 2x3 ``enum``.
+#: Survivors of one refuting column AND that ``_combine_pairs`` lets strip
+#: the drive ray's remaining partners, lowest id first.  On the 3x2 hull
+#: (2 shared vCPUs) the cap hardly matters: 4, 8 and 16 leave 231,834,
+#: 228,071 and 227,979 column ANDs, and each took 20-23 s.
 _WITNESSES = 8
 
 
@@ -277,18 +275,19 @@ class DDPair:
         # every such column, so the AND can stop once nothing else is left.
         # Only the partners that ``_partners`` finds for the rays of the
         # smaller side (``pos`` and ``neg`` are bit sets of live ids) are
-        # tested.
+        # tested, in ascending id order.
         #
         # Most candidates are not adjacent, and a ray that refutes one pair
-        # of a drive ray ``d`` often refutes the next.  So ``d`` keeps its
-        # last few witnesses, most recent first: when a full AND finds a
-        # pair not adjacent, up to ``_WITNESSES`` of the ids it leaves
-        # besides the pair's own two go in, with their tight rows.  A
-        # witness ``w`` refutes a later pair ``(d, o)`` without the AND if it
-        # is tight on every common row and ``w != o``, for then it is a third
-        # ray on all of them; ``w`` is never ``d``, which the AND left as one
-        # of the pair's own ids.  Adjacency is only ever concluded by the
-        # full AND.  Returns each new ray with its tight rows.
+        # of a drive ray ``d`` often refutes many more.  So when a full AND
+        # finds a pair not adjacent, each of up to ``_WITNESSES`` of the ids
+        # it leaves besides the pair's own two strips from ``d``'s remaining
+        # partners every one it refutes.  A ray ``w`` refutes ``(d, o)`` iff
+        # it is tight on every common row and ``w != o``, that is, iff ``o``
+        # is tight on none of the rows of ``d`` that ``w`` misses: the OR of
+        # those rows' columns, plus ``w`` itself, is what stays.  ``w`` is
+        # never ``d``, which the AND left as one of the pair's own ids.
+        # Adjacency is only ever concluded by the full AND.  Returns each
+        # new ray with its tight rows.
         drive, others = (neg, pos) if neg.bit_count() < pos.bit_count() else (pos, neg)
         rays = self._rays
         active = self._active
@@ -303,43 +302,46 @@ class DDPair:
             rd = rays[d]
             vd = abs(vals[d])
             bd = 1 << d
-            witnesses = deque(maxlen=_WITNESSES)
+            passed = hit
+            joined = 0
             while hit:
                 bo = hit & -hit
                 hit ^= bo
                 o = bo.bit_length() - 1
                 common = a & active[o]
-                for w, aw in witnesses:
-                    if aw & common == common and w != o:
-                        adjacent = False
-                        break
-                else:
-                    own = bd | bo
-                    tight = alive
-                    c = common
-                    while c and tight != own:
-                        low = c & -c
-                        tight &= cols[low.bit_length() - 1]
-                        c ^= low
-                    adjacent = tight == own
-                    if not adjacent:
-                        tight ^= own
-                        for _ in range(_WITNESSES):
-                            low = tight & -tight
-                            w = low.bit_length() - 1
-                            witnesses.appendleft((w, active[w]))
-                            tight ^= low
-                            if not tight:
-                                break
-                if debug:
-                    self._check_adjacency(common, adjacent)
-                    candidates.append((d, o))
-                if adjacent:
+                own = bd | bo
+                tight = alive
+                c = common
+                while c and tight != own:
+                    low = c & -c
+                    tight &= cols[low.bit_length() - 1]
+                    c ^= low
+                if tight == own:
+                    joined |= bo
                     # |v_d| r_o + |v_o| r_d, which is v_p r_m - v_m r_p for
                     # the positive ray p and the negative ray m of the pair.
                     vo = abs(vals[o])
                     new.append((primitive(vd * x + vo * y for x, y in zip(rays[o], rd)),
                                 common | bit))
+                    continue
+                tight ^= own
+                for _ in range(_WITNESSES):
+                    if not (tight and hit):
+                        break
+                    keep = tight & -tight
+                    tight ^= keep
+                    missed = a & ~active[keep.bit_length() - 1]
+                    while missed:
+                        low = missed & -missed
+                        keep |= cols[low.bit_length() - 1]
+                        missed ^= low
+                    hit &= keep
+            if debug:
+                # Every candidate, the stripped ones included, is checked
+                # against the verdict the kernel reached for it.
+                for o in _ids(passed):
+                    self._check_adjacency(a & active[o], bool(joined >> o & 1))
+                    candidates.append((d, o))
         if debug:
             self._check_candidates(pos, neg, need, candidates)
         return new

@@ -678,6 +678,24 @@ def test_flat_curves_are_drawn_on_the_zero_line(hull_2_2):
     assert '>1.05</text>' in svg and '>-0.05</text>' in svg
 
 
+@pytest.mark.parametrize("xs,values", [
+    ((0.5,), (0.1,)),
+    ((0.5, 0.5, 0.5), (0.1, 0.0, 0.1)),
+])
+def test_curves_on_one_x_value_are_drawn_at_the_left_edge(xs, values, hull_2_2):
+    # Curves whose xs are all equal span no x range; the plot then spans
+    # [x, x + 1] and draws every point on its left edge.
+    config = Configuration.uniform(2, 2)
+    curves = sample_violation_curve(hull_2_2, builtin_model("singlet"),
+                                    angles=parse_angles("-pi/3+x,0;0,2x", config),
+                                    samples=5)
+    svg = curves_svg([dataclasses.replace(curves[0], xs=xs, values=values)])
+    top = "67.27"  # 430 - 0.105 / 0.11 * 380
+    points = svg.split('points="')[1].split('"')[0].split()
+    assert set(points) == {f"50.00,{top}"} | ({"50.00,412.73"} if len(xs) > 1 else set())
+    assert '>0.5</text>' in svg and '>1.5</text>' in svg
+
+
 def test_svg_deterministic(tmp_path, hull_2_2):
     config = Configuration.uniform(2, 2)
     curves = sample_violation_curve(

@@ -199,12 +199,14 @@ def test_pair_filter_matches_brute_count(monkeypatch):
 
 
 def test_witness_refutation_matches_full_and(monkeypatch):
-    # A cached witness ray may only refute a pair that is not adjacent: on
-    # every split the kernel's new rays must have exactly the tight sets
-    # that a plain full column AND over every candidate pair finds.  The
-    # columns read outside the count filter show that some ANDs were
-    # skipped: without the witnesses the kernel would read, per candidate,
-    # the columns of its common rows until only the pair is left.
+    # A witness ray, one of the survivors of a full AND, strips from its
+    # drive ray's remaining partners exactly the pairs it refutes, which
+    # are never adjacent: on every split the kernel's new rays must have
+    # exactly the tight sets that a plain full column AND over every
+    # candidate pair finds.  The columns read outside the count filter,
+    # those the strips OR included, show that some ANDs were skipped:
+    # without the witnesses the kernel would read, per candidate, the
+    # columns of its common rows until only the pair is left.
     original_combine = DDPair._combine_pairs
     original_partners = DDPair._partners
     candidates = []
@@ -265,7 +267,8 @@ def test_witness_refutation_matches_full_and(monkeypatch):
         implied = rows + [tuple(-x for x in rows[i]) for i in equalities]
         assert cone_signature(pair) == brute_force_cone(implied, dim), rows
     # Truth tables are highly degenerate; under shuffled insertion orders a
-    # cached witness also turns up later as a partner of its drive ray.
+    # witness is also one of its drive ray's remaining partners, which its
+    # strip must keep.
     for settings, facets in (((2, 2), 24), ((2, 3), 48)):
         vrep = truth_table(Configuration(settings))
         for order in ("lexmin", "random:0"):
@@ -373,6 +376,40 @@ def test_debug_checks_catch_one_broken_decision(corrupt, row, message, monkeypat
     corrupt(monkeypatch, pair)
     with pytest.raises(AssertionError, match=message):
         pair.insert(row)
+
+
+def test_debug_checks_the_adjacency_of_every_candidate(monkeypatch):
+    # A witness strips refuted candidates from its drive ray's partners
+    # without an AND; debug=True must still cross-check the rank of each
+    # of them, so the rank check runs once per candidate the count filter
+    # yields.
+    counts = {"yielded": 0, "checked": 0}
+    partners = DDPair._partners
+    check = DDPair._check_adjacency
+
+    def counted_partners(pair, drive, others, need):
+        for d, hit in partners(pair, drive, others, need):
+            counts["yielded"] += hit.bit_count()
+            yield d, hit
+
+    def counted_check(pair, common, combinatorial):
+        counts["checked"] += 1
+        check(pair, common, combinatorial)
+
+    monkeypatch.setattr(DDPair, "_partners", counted_partners)
+    monkeypatch.setattr(DDPair, "_check_adjacency", counted_check)
+    assert len(hull(truth_table(Configuration.uniform(2, 2)), debug=True).rows) == 24
+    assert counts["checked"] == counts["yielded"] > 0
+    rng = random.Random(5151)
+    for trial in range(20):
+        dim = rng.randint(3, 6)
+        rows = [tuple(rng.randint(-3, 3) for _ in range(dim))
+                for _ in range(rng.randint(4, 12))]
+        pair = DDPair(dim, debug=True)
+        for r in rows:
+            if any(r):
+                pair.insert(r)
+        assert counts["checked"] == counts["yielded"]
 
 
 @pytest.mark.parametrize("build,message", [
