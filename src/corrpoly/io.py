@@ -128,9 +128,10 @@ def parse_polyhedra_file(
         if header[0] == "V":
             raise ParseError(f"{source}: linearity rows are not supported in .ext input")
         numbers = [_count(t, line, source) for t in line.split()[1:]]
-        if not numbers or numbers[0] != len(numbers) - 1 or 0 in numbers[1:]:
-            raise ParseError(f"{source}: malformed linearity line {line!r}")
         linearity = frozenset(i - 1 for i in numbers[1:])
+        # a count, then that many distinct 1-based row indices
+        if not numbers or not numbers[0] == len(numbers) - 1 == len(linearity) or -1 in linearity:
+            raise ParseError(f"{source}: malformed linearity line {line!r}")
         line = next_line()
     if line != "begin":
         raise ParseError(f"{source}: expected 'begin', found {line!r}")

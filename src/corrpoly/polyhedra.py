@@ -80,11 +80,6 @@ class FacetReport:
 #: Ray ids are renumbered densely once dead ids outnumber live ones by this
 #: factor, which bounds the column bitsets by a constant times the ray count.
 _DEAD_ID_FACTOR = 2
-#: Survivors of one refuting column AND that ``_combine_pairs`` lets strip
-#: the drive ray's remaining partners, lowest id first.  On the 3x2 hull
-#: (2 shared vCPUs) the cap hardly matters: 4, 8 and 16 leave 231,834,
-#: 228,071 and 227,979 column ANDs, and each took 20-23 s.
-_WITNESSES = 8
 
 
 def _id_set(ids: Iterable[int]) -> int:
@@ -124,25 +119,24 @@ class DDPair:
     where ``rays`` are exactly the extreme rays modulo the lineality space
     of the cone cut out by the processed rows.
 
-    The rays are keyed by an integer id: ``_rays[i]`` is ray ``i`` and
-    ``_active[i]`` the bit set of the processed rows tight at it, both in
-    ascending id order, which is creation order.  The same incidences are
-    kept transposed for the adjacency test: ``alive`` is the bit set of the
-    keys of ``_rays`` and ``cols[k] & alive`` is exactly the bit set of the
-    ids of the rays tight on ``rows[k]``.  ``lanes`` packs the coordinates
-    of the rays, so that a new row is evaluated on every ray with a few
-    big-int operations: lane ``i`` is ray ``i`` for every id below
-    ``next_id``.
+    Every ray has an integer id, handed out in creation order by
+    ``_admit``: ``_rays[i]`` is ray ``i`` and ``_active[i]`` the bit set of
+    the processed rows tight at it.  ``alive`` is the bit set of the live
+    ids; every other id is dead, and both its slots are ``None``.  The
+    same incidences are kept transposed for the adjacency test:
+    ``cols[k] & alive`` is exactly the bit set of the ids of the live rays
+    tight on ``rows[k]``.  ``lanes`` packs the coordinates of the rays, so
+    that a new row is evaluated on every ray with a few big-int operations:
+    lane ``i`` is ray ``i`` for every id handed out.
 
-    A split drops rays and appends new ones with fresh ids and lanes, so a
-    column and a lane may still hold dead ids, which ``alive`` and
-    ``_rays`` mask out.  ``_reset`` numbers the rays densely and rebuilds
-    all of this state from them; it runs on every lineality step and once
-    dead ids outnumber live ones.
+    A split drops rays and admits new ones, so the lists, the columns and
+    the lanes keep dead ids, which ``alive`` masks out.  ``_reset`` numbers
+    the live rays densely and rebuilds all of this state from them; it runs
+    on every lineality step and once dead ids outnumber live ones.
     """
 
     __slots__ = ("dimension", "rows", "_rays", "_active", "lineality", "debug",
-                 "cols", "alive", "next_id", "lanes")
+                 "cols", "alive", "lanes")
 
     def __init__(self, dimension: int, debug: bool = False):
         if dimension < 1:
@@ -160,12 +154,12 @@ class DDPair:
     @property
     def rays(self) -> list[IntVec]:
         """The extreme rays in id order: kept rays first, then new ones."""
-        return list(self._rays.values())
+        return list(map(self._rays.__getitem__, _ids(self.alive)))
 
     @property
     def active(self) -> list[int]:
         """The tight-row bit set of each ray of ``rays``, in the same order."""
-        return list(self._active.values())
+        return list(map(self._active.__getitem__, _ids(self.alive)))
 
     def insert(self, row: Sequence[NumberLike], equality: bool = False,
                ray_cap: int | None = DEFAULT_RAY_CAP) -> None:
@@ -186,14 +180,13 @@ class DDPair:
             self._consume_lineality(row, vals, hit, lin_prods, equality)
         else:
             self._split(row, vals, neg, nonzero, equality)
-        if self.next_id > (_DEAD_ID_FACTOR + 1) * len(self._rays):
+        live = self.alive.bit_count()
+        if len(self._rays) > (_DEAD_ID_FACTOR + 1) * live:
             self._reset(self.rays, self.active)
         if self.debug:
             self._check_columns()
-        if ray_cap is not None and len(self._rays) > ray_cap:
-            raise CapacityError(
-                f"intermediate ray count {len(self._rays)} exceeds cap {ray_cap}"
-            )
+        if ray_cap is not None and live > ray_cap:
+            raise CapacityError(f"intermediate ray count {live} exceeds cap {ray_cap}")
 
     def _split(self, row: IntVec, vals: Sequence[int], neg: int, nonzero: int,
                equality: bool) -> None:
@@ -202,8 +195,6 @@ class DDPair:
         # every lane, dead ids included.  Only the ids of the zero rays, of
         # the dropped ones and of the smaller sign side are ever listed.
         bit = 1 << len(self.rows)
-        rays = self._rays
-        active = self._active
         alive = self.alive
         neg &= alive
         nonzero &= alive
@@ -211,24 +202,21 @@ class DDPair:
         pos = nonzero ^ neg
         new = self._combine_pairs(vals, pos, neg, bit) if pos and neg else []
 
+        # The dropped rays leave ``alive`` and free both their slots; the zero
+        # rays and the new ones, which get the next ids, are tight on this row.
         dropped = nonzero if equality else neg
+        rays = self._rays
+        active = self._active
         for i in _ids(dropped):
-            del rays[i], active[i]
+            rays[i] = active[i] = None
         for i in _ids(zero):
             active[i] |= bit
         self.rows.append(row)
         self.cols.append(zero)
-        # Each new ray's id joins the columns of its tight rows, this one's
-        # included; the dropped rays' ids leave ``alive``.
-        born = {}
-        for i, (ray, tight) in enumerate(new, self.next_id):
-            rays[i] = ray
-            born[i] = tight
-        active.update(born)
-        _transpose(born.items(), self.cols)
-        self.alive = (alive ^ dropped) | ((1 << len(new)) - 1) << self.next_id
-        self.next_id += len(new)
-        self.lanes.append([ray for ray, _ in new])
+        self.alive = alive ^ dropped
+        fresh = [ray for ray, _ in new]
+        self._admit(fresh, [tight for _, tight in new])
+        self.lanes.append(fresh)
 
     def _consume_lineality(self, row: IntVec, vals: Sequence[int], hit: int,
                            lin_prods: list[int], equality: bool) -> None:
@@ -250,8 +238,8 @@ class DDPair:
 
         bit = 1 << len(self.rows)
         rays = [primitive(s * a - vals[i] * b for a, b in zip(r, l0)) if vals[i] else r
-                for i, r in self._rays.items()]
-        active = [a | bit for a in self._active.values()]  # all tight on the new row
+                for i, r in zip(_ids(self.alive), self.rays)]
+        active = [a | bit for a in self.active]  # all tight on the new row
         if not equality:
             rays.append(l0)
             active.append(bit - 1)  # tight on every previous row, not this one
@@ -260,12 +248,22 @@ class DDPair:
 
     def _reset(self, rays: list[IntVec], active: list[int]) -> None:
         """Give ``rays`` (tight rows ``active``) ids 0..n-1; rebuild the rest."""
-        self._rays = dict(enumerate(rays))
-        self._active = dict(enumerate(active))
-        self.cols = _transpose(self._active.items(), [0] * len(self.rows))
-        self.next_id = len(rays)
-        self.alive = (1 << self.next_id) - 1
+        self._rays = []
+        self._active = []
+        self.cols = [0] * len(self.rows)
+        self.alive = 0
+        self._admit(rays, active)
         self.lanes.fill(rays)
+
+    def _admit(self, rays: list[IntVec], tights: list[int]) -> None:
+        """Give ``rays`` (tight rows ``tights``) the next ids, set in ``alive``
+        and ``cols``; packing their lanes is left to the caller.
+        """
+        start = len(self._rays)
+        self._rays += rays
+        self._active += tights
+        _transpose(enumerate(tights, start), self.cols)
+        self.alive |= ((1 << len(rays)) - 1) << start
 
     def _combine_pairs(self, vals: Sequence[int], pos: int, neg: int,
                        bit: int) -> list[tuple[IntVec, int]]:
@@ -279,9 +277,9 @@ class DDPair:
         #
         # Most candidates are not adjacent, and a ray that refutes one pair
         # of a drive ray ``d`` often refutes many more.  So when a full AND
-        # finds a pair not adjacent, each of up to ``_WITNESSES`` of the ids
-        # it leaves besides the pair's own two strips from ``d``'s remaining
-        # partners every one it refutes.  A ray ``w`` refutes ``(d, o)`` iff
+        # finds a pair not adjacent, each of the ids it leaves besides the
+        # pair's own two strips from ``d``'s remaining partners every one it
+        # refutes, until none remain.  A ray ``w`` refutes ``(d, o)`` iff
         # it is tight on every common row and ``w != o``, that is, iff ``o``
         # is tight on none of the rows of ``d`` that ``w`` misses: the OR of
         # those rows' columns, plus ``w`` itself, is what stays.  ``w`` is
@@ -325,9 +323,7 @@ class DDPair:
                                 common | bit))
                     continue
                 tight ^= own
-                for _ in range(_WITNESSES):
-                    if not (tight and hit):
-                        break
+                while tight and hit:
                     keep = tight & -tight
                     tight ^= keep
                     missed = a & ~active[keep.bit_length() - 1]
@@ -406,7 +402,7 @@ class DDPair:
 
     def _check_values(self, row: IntVec, vals: Sequence[int], neg: int,
                       nonzero: int) -> None:
-        plain = {i: dot(row, r) for i, r in self._rays.items()}
+        plain = {i: dot(row, r) for i, r in zip(_ids(self.alive), self.rays)}
         if any(vals[i] != v for i, v in plain.items()):
             raise AssertionError("packed lanes disagree with the plain dot product")
         alive = self.alive
@@ -415,11 +411,14 @@ class DDPair:
             raise AssertionError("packed sign sets disagree with the plain signs")
 
     def _check_columns(self) -> None:
-        ids = list(self._rays)
-        alive = _id_set(ids)
-        if (ids != list(self._active) or ids != sorted(ids) or alive != self.alive
-                or [c & alive for c in self.cols]
-                != _transpose(self._active.items(), [0] * len(self.rows))):
+        rays, active, lanes, alive = self._rays, self._active, self.lanes, self.alive
+        if not len(rays) == len(active) == len(lanes.planes[0]) // lanes.width:
+            raise AssertionError("ray lists and lanes do not hold one entry per id")
+        if any(alive != _id_set(i for i, x in enumerate(slots) if x is not None)
+               for slots in (rays, active)):
+            raise AssertionError("dead ray slots are not cleared")
+        if ([c & alive for c in self.cols]
+                != _transpose(zip(_ids(alive), self.active), [0] * len(self.rows))):
             raise AssertionError("incidence columns are not the transpose of active")
 
 
@@ -467,7 +466,7 @@ def _run(dimension: int, steps: Sequence[tuple[IntVec, bool]], ray_cap: int | No
     for i, (row, equality) in enumerate(steps):
         pair.insert(row, equality=equality, ray_cap=ray_cap)
         if progress is not None:
-            progress(i + 1, len(steps), len(pair._rays))
+            progress(i + 1, len(steps), pair.alive.bit_count())
     return pair.rays, rref(pair.lineality)
 
 

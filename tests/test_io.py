@@ -746,6 +746,7 @@ def test_malformed_linearity_end_and_konfiguration_lines():
         "H-representation\nlinearity 2 1\n" + body,     # count says 2, one index
         "H-representation\nlinearity\n" + body,         # no count
         "H-representation\nlinearity 1 0\n" + body,     # indices are 1-based
+        "H-representation\nlinearity 2 1 1\n" + body,   # count says 2, one row
         "H-representation\nbegin\n1 2 integer\n1 0\n",  # missing end
         "H-representation\nbegin\n1 2 integer\n1 0\nbegin\n",
         "H-representation\n" + body + "Konfiguration 1\n",

@@ -117,9 +117,9 @@ def test_random_polytope_cones_renumber_ray_ids():
         ]
         pair = DDPair(4, debug=True)
         for r in rows:
-            before = pair.next_id, len(pair.lineality)
+            before = len(pair._rays), len(pair.lineality)
             pair.insert(r)
-            renumbered += (pair.next_id < before[0]
+            renumbered += (len(pair._rays) < before[0]
                            and len(pair.lineality) == before[1])
         assert pair.rays
         assert cone_signature(pair) == brute_force_cone(rows, 4), rows
@@ -132,10 +132,10 @@ def test_lineality_step_numbers_ray_ids_densely():
         pair.insert(row)
     # The last split dropped ray e2 (id 1) and added e1 + e2 (id 2), below
     # the dead-id threshold, so id 1 stays dead until the next rebuild.
-    assert (pair.next_id, len(pair.rays)) == (3, 2)
+    assert (len(pair._rays), len(pair.rays)) == (3, 2)
     pair.insert((0, 0, 1, 0))  # consumes the lineality direction e3
     assert pair.rays == [(1, 0, 0, 0), (1, 1, 0, 0), (0, 0, 1, 0)]
-    assert (pair.next_id, pair.alive) == (3, 0b111)
+    assert (len(pair._rays), pair.alive) == (3, 0b111)
 
 
 def test_pair_filter_matches_brute_count(monkeypatch):
@@ -151,7 +151,8 @@ def test_pair_filter_matches_brute_count(monkeypatch):
 
     def checked(pair, drive, others, need):
         row = current["row"]
-        vals = {i: sum(a * b for a, b in zip(row, r)) for i, r in pair._rays.items()}
+        vals = {i: sum(a * b for a, b in zip(row, pair._rays[i]))
+                for i in polyhedra._ids(pair.alive)}
         positive = vals[drive[0]] > 0
         other = [i for i, v in vals.items() if v and (v > 0) != positive]
         assert others == sum(1 << o for o in other)
@@ -190,9 +191,9 @@ def test_pair_filter_matches_brute_count(monkeypatch):
         current["renumbered"] = False
         for r in rows:
             current["row"] = r
-            before = pair.next_id
+            before = len(pair._rays)
             pair.insert(r)
-            current["renumbered"] |= pair.next_id < before
+            current["renumbered"] |= len(pair._rays) < before
         assert cone_signature(pair) == brute_force_cone(rows, dim), rows
     assert seen == {"need 0", "need > 0", "positive drives", "negative drives",
                     "dead ids after renumbering"}
@@ -288,7 +289,7 @@ def test_split_combines_from_the_state_before_it(monkeypatch):
         pair.insert(row)
 
     def state():
-        return (list(pair.rows), list(pair.cols), pair.alive, pair.next_id,
+        return (list(pair.rows), list(pair.cols), pair.alive, len(pair._rays),
                 pair.rays, pair.active)
 
     def failing(pair, drive, others, need):
@@ -313,7 +314,7 @@ def test_debug_cross_checks_packed_values():
     pair = DDPair(3, debug=True)
     for row in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
         pair.insert(row)
-    i = next(i for i, r in pair._rays.items() if r == (1, 0, 0))
+    i = pair._rays.index((1, 0, 0))
     pair.lanes.planes[0][i * pair.lanes.width] ^= 1  # low byte of its first coordinate
     with pytest.raises(AssertionError, match="packed lanes"):
         pair.insert((1, -1, 0))
@@ -331,7 +332,7 @@ def test_debug_cross_checks_packed_sign_sets(which, monkeypatch):
 
     def flipped(lanes, row):
         result = list(original(lanes, row))
-        result[which] ^= 1 << min(pair._rays)
+        result[which] ^= 1 << min(polyhedra._ids(pair.alive))
         return tuple(result)
 
     monkeypatch.setattr(polyhedra.Lanes, "dot", flipped)
@@ -354,17 +355,47 @@ def _clear_one_live_column_bit(monkeypatch, pair):
     pair.cols[0] ^= live & -live
 
 
+class _KeepsDroppedSlots(list):
+    def __setitem__(self, i, value):
+        if value is not None:
+            super().__setitem__(i, value)
+
+
+def _keep_the_dropped_ray_slots(monkeypatch, pair):
+    pair._rays = _KeepsDroppedSlots(pair._rays)
+
+
+def _keep_the_dropped_tight_set_slots(monkeypatch, pair):
+    pair._active = _KeepsDroppedSlots(pair._active)
+
+
+def _admit_without_one_tight_set(monkeypatch, pair):
+    admit = DDPair._admit
+    monkeypatch.setattr(DDPair, "_admit",
+                        lambda self, rays, tights: admit(self, rays, tights[:-1]))
+
+
+def _pack_no_new_lanes(monkeypatch, pair):
+    monkeypatch.setattr(polyhedra.Lanes, "append", lambda lanes, vectors: None)
+
+
 @pytest.mark.parametrize("corrupt,row,message", [
     (_rank_one_too_high, (1, -1, 0), "adjacency tests disagree"),
     (_drop_one_partner, (1, -1, 0), "count filter disagrees"),
     # (1, 1, 1) is positive on every ray: no pair is combined, so only the
     # column check reads the cleared bit
     (_clear_one_live_column_bit, (1, 1, 1), "incidence columns"),
+    # (1, -1, 0) drops ray e2 and admits e1 + e2
+    (_keep_the_dropped_ray_slots, (1, -1, 0), "dead ray slots"),
+    (_keep_the_dropped_tight_set_slots, (1, -1, 0), "dead ray slots"),
+    (_admit_without_one_tight_set, (1, -1, 0), "one entry per id"),
+    (_pack_no_new_lanes, (1, -1, 0), "one entry per id"),
 ])
 def test_debug_checks_catch_one_broken_decision(corrupt, row, message, monkeypatch):
     # Each debug=True cross-check must fire when the decision it guards is
-    # broken once: the adjacency rank, the count filter's partners, and the
-    # incidence columns between two inserts.
+    # broken once: the adjacency rank, the count filter's partners, the
+    # incidence columns between two inserts, the clearing of a dropped
+    # ray's two slots, and one tight set and one lane per id handed out.
     def orthant():
         pair = DDPair(3, debug=True)
         for unit in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
@@ -537,6 +568,15 @@ def test_hull_progress_reporting(config_2_2):
     assert seen[0][0] == 1 and seen[-1][0] == seen[-1][1] == 16
 
 
+def test_hull_progress_reports_the_peak_ray_count_2_3(config_2_3):
+    # The ray count after each insert is the live count: the 2x3 hull under
+    # its default order peaks at 1,044 rays, whatever dead ids are kept.
+    seen = []
+    h = hull(truth_table(config_2_3), progress=lambda i, n, r: seen.append(r))
+    assert len(seen) == 64 and max(seen) == 1044
+    assert len(h.inequality_indices) == 684
+
+
 def test_hull_lower_dimensional_segment():
     seg = VRepresentation(
         2, ((Fraction(0), Fraction(1, 2)), (Fraction(1), Fraction(1, 2)))
@@ -668,7 +708,7 @@ def test_roundtrip_v_h_v_2_3(hull_2_3, config_2_3):
     assert set(back.vertices) == set(truth_table(config_2_3).vertices)
     assert len(back.vertices) == 64
     assert not back.rays
-    assert peak < 2000  # lexmin order peaks at 9,371 rays here
+    assert peak == 1548  # lexmin order peaks at 9,371 rays here
 
 
 def test_enumerate_vertices_ignores_redundant_rows(hull_2_2, config_2_2):
