@@ -17,6 +17,7 @@ from .core import (
     Configuration,
     NumberLike,
     ParseError,
+    ProbabilityVector,
     check_event_count,
     enumerate_events,
     event_count,
@@ -45,7 +46,14 @@ class Inequality:
         object.__setattr__(self, "rhs", rhs)
 
     def evaluate(self, probabilities) -> NumberLike:
-        """Left-hand side minus right-hand side (positive means violated)."""
+        """Left-hand side minus right-hand side (positive means violated) at a
+        ``ProbabilityVector`` over this layout or one probability per event.
+        """
+        if isinstance(probabilities, ProbabilityVector):
+            _check_layout("the probability vector", probabilities.config, self.config)
+        elif len(probabilities) != len(self.coefficients):
+            raise ValueError(f"{len(probabilities)} probabilities for "
+                             f"{len(self.coefficients)} events")
         return sum(c * p for c, p in zip(self.coefficients, probabilities)) - self.rhs
 
     def to_hrow(self) -> tuple[int, ...]:

@@ -19,6 +19,9 @@ _CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
 #: of a negative two's complement lane, and for a nonzero byte.
 _NEGATIVE = bytes(b"01"[b >= 128] for b in range(256))
 _NONZERO = bytes(b"01"[b != 0] for b in range(256))
+#: Vectors per flat pack in ``Lanes.append``: it never copies the coordinates
+#: of more vectors than this at once.
+_BLOCK = 256
 
 
 def _bits(values: Sequence[int]) -> int:
@@ -70,37 +73,28 @@ class Lanes:
     width``.  A row whose absolute values sum to ``s`` has exact dot
     products with every lane while ``s.bit_length() + coord_bits < 8 *
     width``; ``width`` starts at 1 and doubles, repacking every plane, before
-    a row or an appended vector would break either bound.  It never shrinks.
+    a row or an appended vector would break either bound.  It never shrinks:
+    fresh lanes are how a new set of vectors starts again from 1 byte.
     """
 
-    __slots__ = ("dimension", "planes", "width", "coord_bits")
+    __slots__ = ("planes", "width", "coord_bits")
 
     def __init__(self, dimension: int):
-        self.dimension = dimension
+        self.planes = [bytearray() for _ in range(dimension)]
         self.width = 1
-        self.fill([])
-
-    def fill(self, vectors: Sequence[Sequence[int]]) -> None:
-        """Repack with ``vectors`` in lane order, one plane at a time.
-
-        Packing every coordinate at once would need a copy of all of them
-        and so raise the peak memory of a whole conversion.
-        """
-        self.planes = [bytearray() for _ in range(self.dimension)]
-        self.coord_bits = max(map(_bits, zip(*vectors)), default=0)
-        self._widen(self.coord_bits + 1)
-        for plane, column in zip(self.planes, zip(*vectors)):
-            plane += _to_lanes(column, self.width)
+        self.coord_bits = 0
 
     def append(self, vectors: Sequence[Sequence[int]]) -> None:
-        """Pack ``vectors`` into the next lanes."""
-        flat = list(chain.from_iterable(zip(*vectors)))  # plane by plane
-        self.coord_bits = max(self.coord_bits, _bits(flat))
-        self._widen(self.coord_bits + 1)
-        data = memoryview(_to_lanes(flat, self.width))
-        size = len(vectors) * self.width
-        for j, plane in enumerate(self.planes):
-            plane += data[j * size:(j + 1) * size]
+        """Pack ``vectors`` into the next lanes, one flat pack per block."""
+        for start in range(0, len(vectors), _BLOCK):
+            block = vectors[start:start + _BLOCK]
+            flat = list(chain.from_iterable(zip(*block)))  # plane by plane
+            self.coord_bits = max(self.coord_bits, _bits(flat))
+            self._widen(self.coord_bits + 1)
+            data = memoryview(_to_lanes(flat, self.width))
+            size = len(block) * self.width
+            for j, plane in enumerate(self.planes):
+                plane += data[j * size:(j + 1) * size]
 
     def dot(self, row: Sequence[int]) -> tuple[Sequence[int], int, int]:
         """The dot product of ``row`` with every vector, in lane order.

@@ -130,9 +130,9 @@ class DDPair:
     lane ``i`` is ray ``i`` for every id handed out.
 
     A split drops rays and admits new ones, so the lists, the columns and
-    the lanes keep dead ids, which ``alive`` masks out.  ``_reset`` numbers
-    the live rays densely and rebuilds all of this state from them; it runs
-    on every lineality step and once dead ids outnumber live ones.
+    the lanes keep dead ids, which ``alive`` masks out.  ``_reset`` admits
+    the live rays again, densely numbered and into fresh lanes; it runs on
+    every lineality step and once dead ids outnumber live ones.
     """
 
     __slots__ = ("dimension", "rows", "_rays", "_active", "lineality", "debug",
@@ -148,7 +148,6 @@ class DDPair:
             for i in range(dimension)
         ]
         self.debug = debug
-        self.lanes = Lanes(dimension)
         self._reset([], [])
 
     @property
@@ -161,10 +160,7 @@ class DDPair:
         """The tight-row bit set of each ray of ``rays``, in the same order."""
         return list(map(self._active.__getitem__, _ids(self.alive)))
 
-    def insert(self, row: Sequence[NumberLike], equality: bool = False,
-               ray_cap: int | None = DEFAULT_RAY_CAP) -> None:
-        if ray_cap is not None and ray_cap < 0:
-            raise ValueError(f"ray cap must be non-negative, got {ray_cap}")
+    def insert(self, row: Sequence[NumberLike], equality: bool = False) -> None:
         row = clear_to_int(row)
         if len(row) != self.dimension:
             raise ValueError("constraint dimension mismatch")
@@ -180,13 +176,10 @@ class DDPair:
             self._consume_lineality(row, vals, hit, lin_prods, equality)
         else:
             self._split(row, vals, neg, nonzero, equality)
-        live = self.alive.bit_count()
-        if len(self._rays) > (_DEAD_ID_FACTOR + 1) * live:
+        if len(self._rays) > (_DEAD_ID_FACTOR + 1) * self.alive.bit_count():
             self._reset(self.rays, self.active)
         if self.debug:
             self._check_columns()
-        if ray_cap is not None and live > ray_cap:
-            raise CapacityError(f"intermediate ray count {live} exceeds cap {ray_cap}")
 
     def _split(self, row: IntVec, vals: Sequence[int], neg: int, nonzero: int,
                equality: bool) -> None:
@@ -214,9 +207,7 @@ class DDPair:
         self.rows.append(row)
         self.cols.append(zero)
         self.alive = alive ^ dropped
-        fresh = [ray for ray, _ in new]
-        self._admit(fresh, [tight for _, tight in new])
-        self.lanes.append(fresh)
+        self._admit([ray for ray, _ in new], [tight for _, tight in new])
 
     def _consume_lineality(self, row: IntVec, vals: Sequence[int], hit: int,
                            lin_prods: list[int], equality: bool) -> None:
@@ -252,18 +243,19 @@ class DDPair:
         self._active = []
         self.cols = [0] * len(self.rows)
         self.alive = 0
+        self.lanes = Lanes(self.dimension)
         self._admit(rays, active)
-        self.lanes.fill(rays)
 
     def _admit(self, rays: list[IntVec], tights: list[int]) -> None:
-        """Give ``rays`` (tight rows ``tights``) the next ids, set in ``alive``
-        and ``cols``; packing their lanes is left to the caller.
+        """Give ``rays`` (tight rows ``tights``) the next ids: set them in
+        ``alive`` and ``cols`` and pack them into the next lanes.
         """
         start = len(self._rays)
         self._rays += rays
         self._active += tights
         _transpose(enumerate(tights, start), self.cols)
         self.alive |= ((1 << len(rays)) - 1) << start
+        self.lanes.append(rays)
 
     def _combine_pairs(self, vals: Sequence[int], pos: int, neg: int,
                        bit: int) -> list[tuple[IntVec, int]]:
@@ -462,11 +454,16 @@ def _run(dimension: int, steps: Sequence[tuple[IntVec, bool]], ray_cap: int | No
     Both conversion directions run here.  Returns the extreme rays and the
     reduced row echelon form of the lineality space.
     """
+    if ray_cap is not None and ray_cap < 0:
+        raise ValueError(f"ray cap must be non-negative, got {ray_cap}")
     pair = DDPair(dimension, debug=debug)
     for i, (row, equality) in enumerate(steps):
-        pair.insert(row, equality=equality, ray_cap=ray_cap)
+        pair.insert(row, equality=equality)
+        live = pair.alive.bit_count()
+        if ray_cap is not None and live > ray_cap:
+            raise CapacityError(f"intermediate ray count {live} exceeds cap {ray_cap}")
         if progress is not None:
-            progress(i + 1, len(steps), pair.alive.bit_count())
+            progress(i + 1, len(steps), live)
     return pair.rays, rref(pair.lineality)
 
 
@@ -479,7 +476,8 @@ def hull(vrep: VRepresentation, order: str = HULL_ORDER, *,
     Every returned non-linearity row is a facet; linearity rows appear
     exactly when the polytope is not full-dimensional and encode its affine
     hull.  Output rows are canonically normalized and sorted, so the result
-    does not depend on the insertion order.
+    does not depend on the insertion order.  More than ``ray_cap`` rays
+    (``None``: no cap) after any insertion raise ``CapacityError``.
     """
     if not vrep.vertices:
         raise ValueError("hull requires at least one vertex")
@@ -518,7 +516,7 @@ def enumerate_vertices(hrep: HRepresentation, order: str = ENUM_ORDER, *,
     The system is homogenized, run through the kernel and de-homogenized:
     rays with positive leading coordinate scale to points, the rest stay
     directions.  An infeasible system yields the empty representation
-    (no generators), not an error.
+    (no generators), not an error.  ``ray_cap`` is checked as in ``hull``.
     """
     d = hrep.dimension
     rows = [clear_to_int(row) for row in hrep.rows]

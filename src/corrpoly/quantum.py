@@ -222,11 +222,11 @@ def _violated(selected: list[tuple[int, tuple[int, ...], int]],
     ``B`` bounds every sum because exact sums grow with each term, and so
     do floats added one rounding at a time, each rounding being monotone.
     CPython 3.12+ compensates the rounding of a float ``sum``, and no such
-    argument covers that.  So when any probability is a float, the
-    extremes are widened by ``pad = n * 2**-48`` (n events), which adds
-    ``pad * sum(|c|)`` to ``B``: with every ``p`` in [0, 1], any way of
-    summing n float terms is off the exact sum by less than
-    ``2 * n * 2**-53 * sum(|c|)``, far below the pad.
+    argument covers that.  So the extremes, exact ones too, are widened by
+    ``pad = n * 2**-48`` (n events), which adds ``pad * sum(|c|)`` to ``B``:
+    with every ``p`` in [0, 1], any way of summing n float terms is off the
+    exact sum by less than ``2 * n * 2**-53 * sum(|c|)``, and rounding exact
+    extremes to floats adds less than ``2**-52 * sum(|c|)``: far below the pad.
 
     A NaN threshold would compare false against every value and hide all
     violations, so it is rejected.
@@ -235,8 +235,7 @@ def _violated(selected: list[tuple[int, tuple[int, ...], int]],
         raise ValueError("threshold must be a number, not NaN")
     cut = threshold + VIOLATION_EPS
     scaled = [{1: col} for col in columns]  # scaled[e][c] is c * p_e
-    floats = any(isinstance(p, float) for col in columns for p in col)
-    pad = len(columns) * 2.0**-48 if floats else 0
+    pad = len(columns) * 2.0**-48
     lows = [min(col) - pad for col in columns]
     highs = [max(col) + pad for col in columns]
 
@@ -326,8 +325,8 @@ class GridSamples:
 def _linspace(lo: float, hi: float, samples: int) -> tuple[float, ...]:
     if samples < 2:
         raise ValueError("need at least 2 samples")
-    if not hi > lo:
-        raise ValueError(f"empty range [{lo}, {hi}]")
+    if not 0 < hi - lo < math.inf:
+        raise ValueError(f"range [{lo}, {hi}] is empty or not finite")
     step = (hi - lo) / (samples - 1)
     return tuple(lo + i * step for i in range(samples - 1)) + (hi,)
 

@@ -19,6 +19,7 @@ from corrpoly import (
     write_ext,
 )
 from corrpoly.cli import build_parser, main
+from corrpoly.polyhedra import DDPair
 
 
 def run(capsys, *argv):
@@ -421,6 +422,21 @@ def test_negative_ray_cap_is_a_usage_error(capsys, monkeypatch):
     assert code == 1 and "ray cap" in err and "capacity" not in err
 
 
+def test_an_internal_failure_exits_4_with_a_traceback(capsys, monkeypatch):
+    # A broken kernel invariant, such as the AssertionError of a debug=True
+    # cross-check, is no user error: main prints the traceback to stderr,
+    # nothing to stdout, and exits 4.
+    def broken(*args):
+        raise AssertionError("combinatorial and algebraic adjacency tests disagree")
+
+    monkeypatch.setattr(DDPair, "_combine_pairs", broken)
+    code, out, err = run(capsys, "hull", "-n", "2", "-m", "2")
+    assert (code, out) == (4, "")
+    assert err.count("Traceback (most recent call last):") == 1
+    assert err.rstrip().endswith(
+        "AssertionError: combinatorial and algebraic adjacency tests disagree")
+
+
 def test_hull_enum_round_trip_of_wide_points(tmp_path, capsys):
     # 70-bit coordinates must pass exactly through .ext, hull, .ine and
     # enum.  The points lie on a shifted moment curve (t, t^2, t^3), so
@@ -585,6 +601,7 @@ def test_usage_errors_of_the_shared_flags(tmp_path, capsys, monkeypatch):
     ine = tmp_path / "2_2.ine"
     run(capsys, "hull", "-n", "2", "-m", "2", "-o", str(ine), "-q")
     model = ("--ine", str(ine), "--model", "singlet")
+    nines = "9" * 308  # about 1e308: the range's width overflows to inf
     for argv, message in (
         (("violations", *model, "--angles=x,0;0,0"), "concrete angles"),
         (("events", "--config", "2,2", "-n", "2", "-m", "2"), "mutually exclusive"),
@@ -603,6 +620,8 @@ def test_usage_errors_of_the_shared_flags(tmp_path, capsys, monkeypatch):
           str(tmp_path / "c.csv")), "range bound 'x' must be constant"),
         (("contour", *model, "--angles=x,0;0,y", "--range-y", "y:pi", "-o",
           str(tmp_path / "g")), "range bound 'y' must be constant"),
+        (("plot", *model, "--angles=x,0;0,0", f"--range=-{nines}:{nines}", "-o",
+          str(tmp_path / "c.csv")), "is empty or not finite"),
         # Counts are ASCII digits, as in cdd files; int would read "1_0"
         # as 10 and "\u0662" (Arabic-Indic two) as 2.
         (("events", "-n", "\u0662", "-m", "1"), "argument -n/--particles"),

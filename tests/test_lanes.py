@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from corrpoly.lanes import Lanes, _signs, _to_lanes
+from corrpoly.lanes import _BLOCK, Lanes, _signs, _to_lanes
 
 
 def plain(row, vectors):
@@ -26,7 +26,8 @@ def test_dot_matches_plain_dot_while_lanes_widen():
     # Appended vectors and rows grow from a few bits to 300, so the lanes
     # widen step by step from 1 byte, through every struct-packed width,
     # past 8 bytes; every dot product and its sign sets must stay exact, and
-    # the width never shrinks, not even on a refill with small vectors.
+    # the width never shrinks.  Fresh lanes for small vectors start again
+    # from 1 byte.
     rng = random.Random(31)
     dim = 5
     lanes = Lanes(dim)
@@ -45,8 +46,9 @@ def test_dot_matches_plain_dot_while_lanes_widen():
     assert widths == sorted(widths)
     assert {1, 2, 4, 8, 16} <= set(widths) and widths[-1] > 64
     small = [(1, -1, 0, 2, 0), (0, 0, 0, 0, 0)]
-    lanes.fill(small)
-    assert lanes.width == widths[-1]
+    lanes = Lanes(dim)
+    lanes.append(small)
+    assert lanes.width == 1
     assert checked_dot(lanes, (3, 1, 0, 0, -2), small) == [2, 0]
 
 
@@ -62,6 +64,20 @@ def test_width_follows_the_exact_bound():
     assert checked_dot(lanes, (1, 1), vectors) == plain((1, 1), vectors) and lanes.width == 2
     lanes.append([(-2**14, 2**14 - 1)])
     assert lanes.width == 4
+
+
+def test_append_packs_a_long_batch_block_by_block():
+    # A batch longer than one block is packed a block at a time; a wide
+    # vector in its last block widens, and so repacks, the blocks before it.
+    rng = random.Random(7)
+    vectors = [(rng.randint(-3, 3), rng.randint(-3, 3), 0) for _ in range(2 * _BLOCK + 5)]
+    vectors[-1] = (2**40, -1, 7)
+    lanes = Lanes(3)
+    lanes.append(vectors)
+    assert (lanes.width, lanes.coord_bits) == (8, 41)
+    assert [len(p) for p in lanes.planes] == [8 * len(vectors)] * 3
+    for row in ((1, 1, 1), (0, -2, 1), (0, 0, 1)):
+        assert checked_dot(lanes, row, vectors) == plain(row, vectors)
 
 
 @pytest.mark.parametrize("width", [1, 2, 4, 8, 16])
@@ -99,5 +115,6 @@ def test_sign_sets_past_the_digit_limit():
     assert checked_dot(lanes, (-1, 1), vectors) == plain((-1, 1), vectors)
     assert lanes.width == 4
     zeros = [(0, 0)] * 5000
-    lanes.fill(zeros)
+    lanes = Lanes(2)
+    lanes.append(zeros)
     assert checked_dot(lanes, (1, 2), zeros) == [0] * 5000

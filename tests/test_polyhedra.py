@@ -138,6 +138,16 @@ def test_lineality_step_numbers_ray_ids_densely():
     assert (len(pair._rays), pair.alive) == (3, 0b111)
 
 
+def test_rebuild_packs_the_live_rays_into_fresh_lanes():
+    # The row (300, 1) widens the lanes to 2 bytes for its dot products; the
+    # lineality step it starts rebuilds them for the one ray (1, 0), from
+    # 1 byte again.
+    pair = DDPair(2, debug=True)
+    pair.insert((300, 1))
+    assert pair.rays == [(1, 0)]
+    assert (pair.lanes.width, pair.lanes.coord_bits) == (1, 1)
+
+
 def test_pair_filter_matches_brute_count(monkeypatch):
     # The count filter must yield, for each ray of the side that drives it,
     # exactly the rays of the other sign side sharing at least `need` tight

@@ -271,6 +271,18 @@ def test_curve_empty_range(hull_2_2):
         )
 
 
+def test_curve_range_that_is_not_finite(hull_2_2):
+    # An infinite bound, or a width that overflows, would sample the model
+    # at inf or nan; the range is refused before any model call.
+    for x_range in ((0.0, math.inf), (-math.inf, 0.0), (-1e308, 1e308)):
+        with pytest.raises(ValueError, match=r"range \[.*\] is empty or not finite"):
+            sample_violation_curve(hull_2_2, builtin_model("singlet"),
+                                   angles=parse_angles("x,0;0,0", C22), x_range=x_range)
+    with pytest.raises(ValueError, match="not finite"):
+        sample_violation_grid(hull_2_2, builtin_model("singlet"),
+                              angles=parse_angles("x,0;0,y", C22), y_range=(0.0, math.inf))
+
+
 def test_grid_matches_worked_form(hull_2_2):
     row = row_of(hull_2_2, PLOT_INEQ_TEXT, C22)
     # this inequality only ever touches zero at these angles, so force its
@@ -739,6 +751,20 @@ def test_parse_angles_shape_checks():
         parse_angles("0,1;0", C22)
     with pytest.raises(ParseError):
         parse_angles("0,1", C22)
+
+
+def test_inequality_evaluate_refuses_another_layout_or_length(hull_2_2):
+    # zip would stop at the shorter side and return a number for any vector.
+    ch = from_hrep(hull_2_2)[0]
+    singlet_2_3 = probability_vector(builtin_model("singlet"), parse_angles(SYMMETRIC_2_3, C23))
+    with pytest.raises(ValueError, match="layout"):
+        ch.evaluate(singlet_2_3)
+    for values in ((0.5,), (0.5,) * 9, ()):
+        with pytest.raises(ValueError, match="probabilities for 8 events"):
+            ch.evaluate(values)
+    # a vector over the layout, or its values as a plain list, still evaluates
+    half = ProbabilityVector((Fraction(1, 2),) * 8, C22)
+    assert ch.evaluate(half) == ch.evaluate(list(half.values))
 
 
 def test_inequality_evaluate_matches_scan_amounts(hull_2_2, hull_2_3):
