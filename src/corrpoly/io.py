@@ -301,6 +301,8 @@ _PALETTE = (
     "#1f77b4", "#d62728", "#2ca02c", "#9467bd",
     "#ff7f0e", "#8c564b", "#e377c2", "#17becf",
 )
+#: The end of a ``grid_svg`` cell for each grey level: its fill and the tag's close.
+_GREYS = tuple(f'{v:02x}{v:02x}{v:02x}"/>\n' for v in range(256))
 
 
 def _svg(width: int, height: int, body: Sequence[str]) -> str:
@@ -373,14 +375,13 @@ def grid_svg(grid: GridSamples) -> str:
     levels = [round(255 * (1 - f / f_max)) if f > 0 and f_max > 0 else 255
               for f in grid.values]
     # One join interleaves per cell: the x head, the y part, the fill.
-    fills = [f'{v:02x}{v:02x}{v:02x}"/>\n' for v in range(256)]
     tail = f'" width="{cell}" height="{cell}" fill="#'
     cells = [""] * (3 * nx * ny)
     cells[::3] = [f'<rect x="{margin + ix * cell}" y="' for ix in range(nx)] * ny
     # y axis points up: last sample row sits at the top
     cells[1::3] = [y for y in [f"{margin + (ny - 1 - iy) * cell}{tail}"
                                for iy in range(ny)] for _ in range(nx)]
-    cells[2::3] = map(fills.__getitem__, levels)
+    cells[2::3] = map(_GREYS.__getitem__, levels)
     return _svg(width, height, [
         "".join(cells)
         + f'<rect x="{margin}" y="{margin}" width="{cell * nx}" '

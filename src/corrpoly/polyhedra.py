@@ -129,10 +129,10 @@ class DDPair:
     that a new row is evaluated on every ray with a few big-int operations:
     lane ``i`` is ray ``i`` for every id handed out.
 
-    A split drops rays and admits new ones, so the lists, the columns and
-    the lanes keep dead ids, which ``alive`` masks out.  ``_reset`` admits
-    the live rays again, densely numbered and into fresh lanes; it runs on
-    every lineality step and once dead ids outnumber live ones.
+    Every step drops rays and admits new ones, so the lists, the columns
+    and the lanes keep dead ids, which ``alive`` masks out.  Once dead ids
+    outnumber live ones, ``_reset`` admits the live rays again, densely
+    numbered and into fresh lanes.
     """
 
     __slots__ = ("dimension", "rows", "_rays", "_active", "lineality", "debug",
@@ -167,37 +167,32 @@ class DDPair:
         if not any(row):
             return  # 0 >= 0 constrains nothing
 
+        # Classify: ``neg`` and ``nonzero`` are bit sets over every lane, dead
+        # ids included; ``hit`` is the first basis direction the row sees.
         vals, neg, nonzero = self.lanes.dot(row)
         if self.debug:
             self._check_values(row, vals, neg, nonzero)
-        lin_prods = [dot(row, l) for l in self.lineality]
-        hit = next((i for i, p in enumerate(lin_prods) if p), None)
-        if hit is not None:
-            self._consume_lineality(row, vals, hit, lin_prods, equality)
-        else:
-            self._split(row, vals, neg, nonzero, equality)
-        if len(self._rays) > (_DEAD_ID_FACTOR + 1) * self.alive.bit_count():
-            self._reset(self.rays, self.active)
-        if self.debug:
-            self._check_columns()
-
-    def _split(self, row: IntVec, vals: Sequence[int], neg: int, nonzero: int,
-               equality: bool) -> None:
-        # Classify, combine, commit: ``_combine_pairs`` reads only the state
-        # from before the split.  ``neg`` and ``nonzero`` are bit sets over
-        # every lane, dead ids included.  Only the ids of the zero rays, of
-        # the dropped ones and of the smaller sign side are ever listed.
-        bit = 1 << len(self.rows)
         alive = self.alive
         neg &= alive
         nonzero &= alive
         zero = alive ^ nonzero
-        pos = nonzero ^ neg
-        new = self._combine_pairs(vals, pos, neg, bit) if pos and neg else []
+        bit = 1 << len(self.rows)
+        lin_prods = [dot(row, l) for l in self.lineality]
+        hit = next((i for i, p in enumerate(lin_prods) if p), None)
 
-        # The dropped rays leave ``alive`` and free both their slots; the zero
-        # rays and the new ones, which get the next ids, are tight on this row.
-        dropped = nonzero if equality else neg
+        # New rays, read from the state before the step only.  Only the ids
+        # of the zero rays, of the dropped ones and of the smaller sign side
+        # are ever listed.
+        if hit is not None:
+            new, lineality = self._project(vals, nonzero, bit, lin_prods, hit, equality)
+        else:
+            pos = nonzero ^ neg
+            new = self._combine_pairs(vals, pos, neg, bit) if pos and neg else []
+            lineality = self.lineality
+        dropped = nonzero if equality or hit is not None else neg
+
+        # Commit, the same for every kind of step: the dropped rays free both
+        # slots; the zero rays and the new ones (next ids) are tight on the row.
         rays = self._rays
         active = self._active
         for i in _ids(dropped):
@@ -206,36 +201,35 @@ class DDPair:
             active[i] |= bit
         self.rows.append(row)
         self.cols.append(zero)
+        self.lineality = lineality
         self.alive = alive ^ dropped
         self._admit([ray for ray, _ in new], [tight for _, tight in new])
+        if len(self._rays) > (_DEAD_ID_FACTOR + 1) * self.alive.bit_count():
+            self._reset(self.rays, self.active)
+        if self.debug:
+            self._check_columns()
 
-    def _consume_lineality(self, row: IntVec, vals: Sequence[int], hit: int,
-                           lin_prods: list[int], equality: bool) -> None:
-        # The constraint sees the lineality space: one basis direction moves
-        # to the pointed part (or disappears for an equality) and everything
-        # else is projected onto the constraint hyperplane along it.
-        l0 = self.lineality[hit]
-        s = lin_prods[hit]
+    def _project(self, vals: Sequence[int], nonzero: int, bit: int, lin_prods: list[int],
+                 hit: int, equality: bool) -> tuple[list[tuple[IntVec, int]], list[IntVec]]:
+        """New rays and basis of a step whose row sees basis direction ``hit``.
+
+        That direction leaves the basis as ``l0``, the row positive on it.  The
+        rays in ``nonzero`` and the later directions are projected onto the
+        row's hyperplane along it: ``s*r - v*l0``, a split's combination with
+        ``-l0`` as the partner.  The projections are tight on the row as well;
+        ``l0`` (kept for an inequality) is tight on every earlier row.
+        """
+        lin = self.lineality
+        l0, s = lin[hit], lin_prods[hit]
         if s < 0:
-            l0 = tuple(-x for x in l0)
-            s = -s
-        new_lin = []
-        for i, l in enumerate(self.lineality):
-            if i == hit:
-                continue
-            p = lin_prods[i]
-            new_lin.append(primitive(s * a - p * b for a, b in zip(l, l0)) if p else l)
-        self.lineality = new_lin
-
-        bit = 1 << len(self.rows)
-        rays = [primitive(s * a - vals[i] * b for a, b in zip(r, l0)) if vals[i] else r
-                for i, r in zip(_ids(self.alive), self.rays)]
-        active = [a | bit for a in self.active]  # all tight on the new row
+            l0, s = tuple(-x for x in l0), -s
+        lineality = lin[:hit] + [primitive(s * a - p * b for a, b in zip(l, l0)) if p else l
+                                 for l, p in zip(lin[hit + 1:], lin_prods[hit + 1:])]
+        new = [(primitive(s * a - vals[i] * b for a, b in zip(self._rays[i], l0)),
+                self._active[i] | bit) for i in _ids(nonzero)]
         if not equality:
-            rays.append(l0)
-            active.append(bit - 1)  # tight on every previous row, not this one
-        self.rows.append(row)
-        self._reset(rays, active)
+            new.append((l0, bit - 1))
+        return new, lineality
 
     def _reset(self, rays: list[IntVec], active: list[int]) -> None:
         """Give ``rays`` (tight rows ``active``) ids 0..n-1; rebuild the rest."""

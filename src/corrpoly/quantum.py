@@ -423,17 +423,16 @@ def parse_angle_expression(text: str) -> AngleExpression:
     if len(tokens) > _MAX_TOKENS:
         raise ParseError(f"angle expression longer than {_MAX_TOKENS} tokens")
     try:
-        tree = ast.parse(" ".join(tokens), mode="eval")
+        value = _affine(ast.parse(" ".join(tokens), mode="eval").body, numbers)
     except SyntaxError:
         raise ParseError(f"bad angle expression {text!r}") from None
-    value = _affine(tree.body, numbers)
     if not all(map(math.isfinite, (*numbers, *value))):
         raise ParseError(f"angle expression {text!r} is not finite")
     return AngleExpression(*value)
 
 
 def _affine(node: ast.expr, numbers: list[float]) -> tuple[float, float, float]:
-    """Fold a tree of numbers, names, signs and ``+ - * /`` into ``(const, cx, cy)``."""
+    """Fold numbers, names, signs and ``+ - * /`` into ``(const, cx, cy)``; else SyntaxError."""
     match node:
         case ast.Constant(value=k):
             return (numbers[k], 0.0, 0.0)
@@ -462,7 +461,7 @@ def _affine(node: ast.expr, numbers: list[float]) -> tuple[float, float, float]:
             if c2 == 0:
                 raise ParseError("division by zero in angle expression")
             return (c / c2, x / c2, y / c2)
-    raise ParseError(f"unexpected {type(node).__name__} in angle expression")
+    raise SyntaxError(f"unexpected {type(node).__name__}")
 
 
 def _is_const(value: tuple[float, float, float]) -> bool:

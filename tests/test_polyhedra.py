@@ -105,9 +105,8 @@ def test_random_cones_match_brute_force():
 def test_random_polytope_cones_renumber_ray_ids():
     # Long insertion runs into a pointed cone retire many rays, so dead ids
     # come to outnumber live ones and get renumbered along the way (counted
-    # only on splits: a lineality step renumbers every time);
-    # debug=True checks the incidence columns against `active` after every
-    # insert.
+    # on splits); debug=True checks the incidence columns against `active`
+    # after every insert.
     rng = random.Random(2718)
     renumbered = 0
     for trial in range(3):
@@ -133,19 +132,66 @@ def test_lineality_step_numbers_ray_ids_densely():
     # The last split dropped ray e2 (id 1) and added e1 + e2 (id 2), below
     # the dead-id threshold, so id 1 stays dead until the next rebuild.
     assert (len(pair._rays), len(pair.rays)) == (3, 2)
-    pair.insert((0, 0, 1, 0))  # consumes the lineality direction e3
-    assert pair.rays == [(1, 0, 0, 0), (1, 1, 0, 0), (0, 0, 1, 0)]
-    assert (len(pair._rays), pair.alive) == (3, 0b111)
+    # A lineality step is committed like a split: it consumes e3, keeps the
+    # zero ray e1 (id 0) and the dead id 1, drops e1 + e2 (id 2), and admits
+    # its projection e1 + e2 - e3 and then e3 under the next ids, 3 and 4.
+    pair.insert((0, 1, 1, 0))
+    assert pair.alive == 0b11001 and pair._rays[1:3] == [None, None]
+    assert pair.rays == [(1, 0, 0, 0), (1, 1, -1, 0), (0, 0, 1, 0)]
+    assert pair.active == [0b1010, 0b1100, 0b0111]
+    # The equality x1 = 0 drops ids 0 and 3: five ids, one live, so the
+    # dead-id rebuild numbers the live ray e3 densely, from 0.
+    pair.insert((1, 0, 0, 0), equality=True)
+    assert (pair._rays, pair.alive) == ([(0, 0, 1, 0)], 0b1)
+    rows = [(1, 0, 0, 0), (0, 1, 0, 0), (1, -1, 0, 0), (0, 1, 1, 0),
+            (1, 0, 0, 0), (-1, 0, 0, 0)]
+    assert cone_signature(pair) == brute_force_cone(rows, 4)
 
 
 def test_rebuild_packs_the_live_rays_into_fresh_lanes():
-    # The row (300, 1) widens the lanes to 2 bytes for its dot products; the
-    # lineality step it starts rebuilds them for the one ray (1, 0), from
-    # 1 byte again.
+    # The row (300, -1) widens the lanes to 2 bytes for its dot products and
+    # admits the ray (1, 300); the equality x1 = x2 then leaves one live ray
+    # of four ids, and the dead-id rebuild packs it into lanes worked out
+    # again from 1 byte.
     pair = DDPair(2, debug=True)
-    pair.insert((300, 1))
-    assert pair.rays == [(1, 0)]
+    for row in [(1, 0), (0, 1), (300, -1), (-1, 1)]:
+        pair.insert(row)
+    assert (len(pair._rays), pair.rays) == (4, [(1, 300), (1, 1)])
+    assert (pair.lanes.width, pair.lanes.coord_bits) == (2, 9)
+    pair.insert((1, -1), equality=True)
+    assert (pair._rays, pair.rays) == ([(1, 1)], [(1, 1)])
     assert (pair.lanes.width, pair.lanes.coord_bits) == (1, 1)
+
+
+def test_lineality_steps_after_splits_match_brute_force():
+    # Rows on the first k coordinates split the rays while the others stay
+    # in the lineality space; rows on every coordinate then meet it, and
+    # their steps project rays beside the dead ids the splits left.  Every
+    # fourth case makes one row an equality.  debug=True checks the lanes,
+    # the sign sets and the columns after every step.
+    rng = random.Random(2829)
+    seen = set()
+    for case in range(40):
+        dim = rng.randint(3, 6)
+        k = rng.randint(2, dim - 1)
+        rows = [tuple(rng.randint(-3, 3) for _ in range(k)) + (0,) * (dim - k)
+                for _ in range(rng.randint(k + 1, k + 4))]
+        rows += [tuple(rng.randint(-3, 3) for _ in range(dim))
+                 for _ in range(rng.randint(1, dim - k))]
+        rows = [r for r in rows if any(r)]
+        equality = rng.randrange(len(rows)) if case % 4 == 3 else None
+        pair = DDPair(dim, debug=True)
+        for i, r in enumerate(rows):
+            lineality, alive, ids = len(pair.lineality), pair.alive, len(pair._rays)
+            pair.insert(r, equality=i == equality)
+            if len(pair.lineality) < lineality:
+                if alive != (1 << ids) - 1 and alive & ~pair.alive:
+                    seen.add("projection beside dead ids")
+                if i == equality:
+                    seen.add("equality step")
+        implied = rows + ([tuple(-x for x in rows[equality])] if equality is not None else [])
+        assert cone_signature(pair) == brute_force_cone(implied, dim), (rows, equality)
+    assert seen == {"projection beside dead ids", "equality step"}
 
 
 def test_pair_filter_matches_brute_count(monkeypatch):

@@ -741,6 +741,12 @@ def test_angle_expression_errors():
                 "\u0663", "\uff13"):  # ARABIC-INDIC and FULLWIDTH digit three
         with pytest.raises(ParseError):
             parse_angle_expression(bad)
+    # Grammar the tokens allow but the fold does not: the message quotes the
+    # input, not the node Python's parser made of it.
+    for bad in ("2(x)", "x(2)", "(x)(y)", "()"):
+        with pytest.raises(ParseError) as err:
+            parse_angle_expression(bad)
+        assert str(err.value) == f"bad angle expression {bad!r}"
 
 
 def test_parse_angles_shape_checks():
