@@ -198,13 +198,11 @@ def cmd_enum(args) -> int:
     progress = None if args.quiet else _progress
     vrep = enumerate_vertices(hrep, order=args.order, ray_cap=_ray_cap(args),
                               progress=progress)
-    if vrep.is_empty:
-        print("empty polyhedron")
-        return EXIT_OK
     if args.output:
         path = cpio.write_ext(vrep, args.output)
         print(f"wrote {path}")
-    print(f"{len(vrep.vertices)} vertices, {len(vrep.rays)} rays")
+    print("empty polyhedron" if vrep.is_empty
+          else f"{len(vrep.vertices)} vertices, {len(vrep.rays)} rays")
     return EXIT_OK
 
 

@@ -15,9 +15,9 @@ from typing import Sequence
 
 #: ``struct`` code of each signed lane width it has.
 _CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
-#: ``bytes.translate`` tables to ASCII binary digits: ``1`` for the top byte
-#: of a negative two's complement lane, and for a nonzero byte.
-_NEGATIVE = bytes(b"01"[b >= 128] for b in range(256))
+#: ``bytes.translate`` tables to ASCII binary digits: ``_BITS[j]`` gives ``1``
+#: for a byte with bit ``j`` set, ``_NONZERO`` for a nonzero byte.
+_BITS = [(b"0" * (1 << j) + b"1" * (1 << j)) * (128 >> j) for j in range(8)]
 _NONZERO = bytes(b"01"[b != 0] for b in range(256))
 #: Vectors per flat pack in ``Lanes.append``: it never copies the coordinates
 #: of more vectors than this at once.
@@ -47,17 +47,25 @@ def _from_lanes(data: bytes, width: int) -> Sequence[int]:
             for i in range(0, len(data), width)]
 
 
-def _signs(data: bytes, width: int) -> tuple[int, int]:
-    """Bit sets of the negative and of the nonzero lanes of ``width`` bytes.
+def _bit_set(data: bytes, width: int, k: int) -> int:
+    """Bit set of the lanes of ``width`` bytes in ``data`` whose bit ``k`` is set.
 
-    Bit ``i`` stands for lane ``i`` of ``data``.  Slicing backwards from the
-    last lane puts lane 0's digit last, where ``int(..., 2)`` reads bit 0;
-    base 2 is exempt from the limit on the digits of a str-to-int parse.
+    Bit ``i`` stands for lane ``i`` of ``data``, which holds at least one.
+    Slicing backwards from the last lane puts lane 0's digit last, where
+    ``int(..., 2)`` reads bit 0; base 2 is exempt from the limit on the
+    digits of a str-to-int parse.
+    """
+    return int(data[len(data) - width + (k >> 3)::-width].translate(_BITS[k & 7]), 2)
+
+
+def _signs(data: bytes, width: int) -> tuple[int, int]:
+    """Bit sets of the negative and of the nonzero lanes of ``width`` bytes,
+    read as ``_bit_set`` reads one: a lane is negative iff its top bit is set.
     """
     last = len(data) - width  # the first byte of the last lane
     if last < 0:
         return 0, 0  # int(b"", 2) raises
-    negative = int(data[last + width - 1::-width].translate(_NEGATIVE), 2)
+    negative = _bit_set(data, width, 8 * width - 1)
     nonzero = 0
     for j in range(width):
         nonzero |= int(data[last + j::-width].translate(_NONZERO), 2)

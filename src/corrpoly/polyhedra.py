@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import CapacityError, Configuration, NumberLike, check_event_count, parse_count
-from .lanes import Lanes
+from .lanes import _BLOCK, Lanes, _bit_set
 from .linalg import (
     IntVec,
     clear_to_int,
@@ -99,15 +99,15 @@ def _ids(bits: int) -> list[int]:
 
 
 def _transpose(active: Iterable[tuple[int, int]], cols: list[int]) -> list[int]:
-    """OR the id of each ``(id, tight rows)`` pair into the columns of its rows.
+    """OR the id of each ``(id, tight rows)`` pair into the columns of its rows,
+    one incidence at a time: ``_check_columns``' oracle for ``DDPair._admit``.
 
     Returns ``cols``, updated in place.
     """
     for i, a in active:
-        b = 1 << i
         while a:
             low = a & -a
-            cols[low.bit_length() - 1] |= b
+            cols[low.bit_length() - 1] |= 1 << i
             a ^= low
     return cols
 
@@ -144,7 +144,7 @@ class DDPair:
         self.dimension = dimension
         self.rows: list[IntVec] = []
         self.lineality: list[IntVec] = [
-            tuple(1 if j == i else 0 for j in range(dimension))
+            tuple(int(j == i) for j in range(dimension))
             for i in range(dimension)
         ]
         self.debug = debug
@@ -193,10 +193,9 @@ class DDPair:
 
         # Commit, the same for every kind of step: the dropped rays free both
         # slots; the zero rays and the new ones (next ids) are tight on the row.
-        rays = self._rays
         active = self._active
         for i in _ids(dropped):
-            rays[i] = active[i] = None
+            self._rays[i] = active[i] = None
         for i in _ids(zero):
             active[i] |= bit
         self.rows.append(row)
@@ -233,23 +232,35 @@ class DDPair:
 
     def _reset(self, rays: list[IntVec], active: list[int]) -> None:
         """Give ``rays`` (tight rows ``active``) ids 0..n-1; rebuild the rest."""
-        self._rays = []
-        self._active = []
+        self._rays, self._active, self.alive = [], [], 0
         self.cols = [0] * len(self.rows)
-        self.alive = 0
         self.lanes = Lanes(self.dimension)
         self._admit(rays, active)
 
     def _admit(self, rays: list[IntVec], tights: list[int]) -> None:
         """Give ``rays`` (tight rows ``tights``) the next ids: set them in
         ``alive`` and ``cols`` and pack them into the next lanes.
+
+        The columns are filled a block of tight sets at a time: the block is
+        packed as lanes of ``size`` bytes, and its part of row ``k``'s column
+        is the bit set of the lanes with bit ``k`` set (``lanes._bit_set``,
+        which also reads the sign sets), shifted to the block's first id.
+        That is one step per row the block touches, not one per incidence.
         """
         start = len(self._rays)
         self._rays += rays
         self._active += tights
-        _transpose(enumerate(tights, start), self.cols)
         self.alive |= ((1 << len(rays)) - 1) << start
         self.lanes.append(rays)
+        size = (len(self.cols) + 7) // 8
+        for first in range(0, len(tights), _BLOCK):
+            block = tights[first:first + _BLOCK]
+            data = b"".join([a.to_bytes(size, "little") for a in block])
+            touched = 0
+            for a in block:
+                touched |= a
+            for k in _ids(touched):
+                self.cols[k] |= _bit_set(data, size, k) << start + first
 
     def _combine_pairs(self, vals: Sequence[int], pos: int, neg: int,
                        bit: int) -> list[tuple[IntVec, int]]:
@@ -391,9 +402,8 @@ class DDPair:
         plain = {i: dot(row, r) for i, r in zip(_ids(self.alive), self.rays)}
         if any(vals[i] != v for i, v in plain.items()):
             raise AssertionError("packed lanes disagree with the plain dot product")
-        alive = self.alive
-        if (neg & alive != _id_set(i for i, v in plain.items() if v < 0)
-                or alive & ~nonzero != _id_set(i for i, v in plain.items() if not v)):
+        if (neg & self.alive != _id_set(i for i, v in plain.items() if v < 0)
+                or self.alive & ~nonzero != _id_set(i for i, v in plain.items() if not v)):
             raise AssertionError("packed sign sets disagree with the plain signs")
 
     def _check_columns(self) -> None:
@@ -556,10 +566,7 @@ def contains(hrep: HRepresentation, point: Sequence[NumberLike]) -> bool:
         )
     for i, row in enumerate(hrep.rows):
         value = dot(row, (1, *point))
-        if i in hrep.linearity:
-            if value != 0:
-                return False
-        elif value < 0:
+        if value < 0 or value and i in hrep.linearity:
             return False
     return True
 

@@ -112,9 +112,11 @@ def test_enum_empty(tmp_path, capsys):
     ine.write_text(
         "H-representation\nbegin\n2 2 integer\n-1 -1\n-1 1\nend\n"
     )
-    code, out, _ = run(capsys, "enum", "--ine", str(ine), "-q")
+    ext = tmp_path / "empty.ext"
+    code, out, _ = run(capsys, "enum", "--ine", str(ine), "-q", "-o", str(ext))
     assert code == 0
     assert "empty polyhedron" in out
+    assert read_ext(ext).is_empty
 
 
 def test_inequalities_listing(tmp_path, capsys):

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, product
 
 import pytest
 
@@ -161,6 +161,51 @@ def test_rebuild_packs_the_live_rays_into_fresh_lanes():
     pair.insert((1, -1), equality=True)
     assert (pair._rays, pair.rays) == ([(1, 1)], [(1, 1)])
     assert (pair.lanes.width, pair.lanes.coord_bits) == (1, 1)
+
+
+@pytest.mark.parametrize("rows", [1, 7, 8, 9, 64, 700])
+@pytest.mark.parametrize("count", [0, 1, 255, 256, 257, 600])
+@pytest.mark.parametrize("dead", [0, 5])
+def test_admit_fills_columns_like_the_bit_loop(rows, count, dead):
+    # `_admit` reads the columns from byte lanes, a block of 256 tight sets
+    # at a time; `_transpose` sets them one incidence at a time.  The row
+    # counts cross byte boundaries, the counts block boundaries, and `dead`
+    # ids admitted and dropped first move the start id off 0.
+    rng = random.Random(rows * 10_000 + count * 10 + dead)
+    full = (1 << rows) - 1
+
+    def tight_sets(n):
+        return [rng.choice((0, full, rng.getrandbits(rows), 1 << rng.randrange(rows)))
+                for _ in range(n)]
+
+    pair = DDPair(1)
+    pair.cols = [0] * rows
+    first, tights = tight_sets(dead), tight_sets(count)
+    pair._admit([(1,)] * dead, first)
+    pair.alive = 0  # the first ids die; their bits stay in the columns
+    pair._admit([(1,)] * count, tights)
+    assert pair.cols == polyhedra._transpose(enumerate(first + tights), [0] * rows)
+    assert pair.alive == ((1 << count) - 1) << dead
+
+
+def test_debug_hull_whose_split_admits_more_than_a_block(monkeypatch):
+    # The cross-polytope of dimension 10 has the 2**10 facets 1 + s.x >= 0.
+    # In lexmin order its last point splits the 512 rays before it, and the
+    # split admits 512 new rays, two blocks; debug=True checks the columns.
+    admitted = []
+    admit = DDPair._admit
+
+    def counted(pair, rays, tights):
+        admitted.append(len(rays))
+        admit(pair, rays, tights)
+
+    monkeypatch.setattr(DDPair, "_admit", counted)
+    d = 10
+    points = tuple(tuple(s if j == i else 0 for j in range(d))
+                   for s in (1, -1) for i in range(d))
+    h = hull(VRepresentation(dimension=d, vertices=points, rays=()), debug=True)
+    assert admitted[-1] == 512
+    assert set(h.rows) == {(1, *s) for s in product((1, -1), repeat=d)}
 
 
 def test_lineality_steps_after_splits_match_brute_force():
