@@ -18,6 +18,7 @@ from .core import (
     Configuration,
     ParseError,
     enumerate_events,
+    event_count,
     parse_count,
     parse_number,
 )
@@ -154,6 +155,12 @@ def _load_model_inputs(args):
 
 def cmd_events(args) -> int:
     config = _resolve_config(args)
+    # Every label is built before the first prints; a layout has fewer
+    # events than truth-table rows, so the vertex cap bounds them too.
+    count = event_count(config)
+    if count > DEFAULT_VERTEX_CAP:
+        raise CapacityError(f"layout has {count} events, exceeding the cap of "
+                            f"{DEFAULT_VERTEX_CAP}")
     for ev in enumerate_events(config):
         print(ev.label())
     return EXIT_OK

@@ -161,6 +161,7 @@ class DDPair:
         return list(map(self._active.__getitem__, _ids(self.alive)))
 
     def insert(self, row: Sequence[NumberLike], equality: bool = False) -> None:
+        """Cut the cone by ``row.x >= 0``; an equality is that step, then the negated row's."""
         row = clear_to_int(row)
         if len(row) != self.dimension:
             raise ValueError("constraint dimension mismatch")
@@ -184,12 +185,11 @@ class DDPair:
         # of the zero rays, of the dropped ones and of the smaller sign side
         # are ever listed.
         if hit is not None:
-            new, lineality = self._project(vals, nonzero, bit, lin_prods, hit, equality)
+            new, lineality = self._project(vals, nonzero, bit, lin_prods, hit)
         else:
-            pos = nonzero ^ neg
-            new = self._combine_pairs(vals, pos, neg, bit) if pos and neg else []
+            new = self._combine_pairs(vals, nonzero ^ neg, neg, bit)
             lineality = self.lineality
-        dropped = nonzero if equality or hit is not None else neg
+        dropped = nonzero if hit is not None else neg
 
         # Commit, the same for every kind of step: the dropped rays free both
         # slots; the zero rays and the new ones (next ids) are tight on the row.
@@ -207,16 +207,18 @@ class DDPair:
             self._reset(self.rays, self.active)
         if self.debug:
             self._check_columns()
+        if equality:
+            self.insert(tuple(-x for x in row))
 
     def _project(self, vals: Sequence[int], nonzero: int, bit: int, lin_prods: list[int],
-                 hit: int, equality: bool) -> tuple[list[tuple[IntVec, int]], list[IntVec]]:
+                 hit: int) -> tuple[list[tuple[IntVec, int]], list[IntVec]]:
         """New rays and basis of a step whose row sees basis direction ``hit``.
 
         That direction leaves the basis as ``l0``, the row positive on it.  The
         rays in ``nonzero`` and the later directions are projected onto the
         row's hyperplane along it: ``s*r - v*l0``, a split's combination with
         ``-l0`` as the partner.  The projections are tight on the row as well;
-        ``l0`` (kept for an inequality) is tight on every earlier row.
+        ``l0`` is tight on every earlier row.
         """
         lin = self.lineality
         l0, s = lin[hit], lin_prods[hit]
@@ -226,8 +228,7 @@ class DDPair:
                                  for l, p in zip(lin[hit + 1:], lin_prods[hit + 1:])]
         new = [(primitive(s * a - vals[i] * b for a, b in zip(self._rays[i], l0)),
                 self._active[i] | bit) for i in _ids(nonzero)]
-        if not equality:
-            new.append((l0, bit - 1))
+        new.append((l0, bit - 1))
         return new, lineality
 
     def _reset(self, rays: list[IntVec], active: list[int]) -> None:
@@ -266,8 +267,9 @@ class DDPair:
                        bit: int) -> list[tuple[IntVec, int]]:
         # A pair with enough common tight rows is adjacent iff no other ray
         # is tight on all of them: ANDing the live columns of the common
-        # rows leaves exactly the pair's own two ids.  Those two are in
-        # every such column, so the AND can stop once nothing else is left.
+        # rows leaves exactly the pair's own two ids.  Every common column is
+        # read: only an adjacent AND narrows to those two before its last
+        # column, by a column or two, so checking for it costs more than it saves.
         # Only the partners that ``_partners`` finds for the rays of the
         # smaller side (``pos`` and ``neg`` are bit sets of live ids) are
         # tested, in ascending id order.
@@ -284,10 +286,7 @@ class DDPair:
         # Adjacency is only ever concluded by the full AND.  Returns each
         # new ray with its tight rows.
         drive, others = (neg, pos) if neg.bit_count() < pos.bit_count() else (pos, neg)
-        rays = self._rays
-        active = self._active
-        cols = self.cols
-        alive = self.alive
+        rays, active, cols, alive = self._rays, self._active, self.cols, self.alive
         debug = self.debug
         need = max(self.dimension - len(self.lineality) - 2, 0)
         new = []
@@ -307,7 +306,7 @@ class DDPair:
                 own = bd | bo
                 tight = alive
                 c = common
-                while c and tight != own:
+                while c:
                     low = c & -c
                     tight &= cols[low.bit_length() - 1]
                     c ^= low

@@ -163,11 +163,10 @@ def _event_columns(model: ProbabilityModel, angles: AngleAssignment,
                    points: Sequence[tuple[float, float]]) -> list[list]:
     """``p_e`` at each ``(x, y)`` point, one column per canonical event.
 
-    Angles are ``AngleExpression.evaluate``'s ``const + cx*x + cy*y``.  The
-    model is called once per distinct angle tuple, events in order and
+    The model is called once per distinct angle tuple, events in order and
     points in order within an event, through a memo local to this call.
     """
-    slots = [[[e.const + e.cx * x + e.cy * y for x, y in points] for e in row]
+    slots = [[[e.evaluate(x, y) for x, y in points] for e in row]
              for row in angles.angles]
     memo: dict = {}
     columns = []

@@ -18,6 +18,7 @@ from corrpoly import (
     truth_table,
     write_ext,
 )
+from corrpoly import cli
 from corrpoly.cli import build_parser, main
 from corrpoly.polyhedra import DDPair
 
@@ -325,6 +326,17 @@ def test_verify_checks_the_vertex_cap_before_building_events(capsys):
     code, _, err = run(capsys, "verify", "-n", "12", "-m", "12", "--ineq", "a1 <= 1")
     assert code == 3
     assert "cap" in err
+
+
+def test_events_checks_the_vertex_cap_before_listing(capsys, monkeypatch):
+    # All labels are built before the first prints, so a layout with more
+    # events than the cap exits 3 and prints none; a smaller one lists all.
+    monkeypatch.setattr(cli, "DEFAULT_VERTEX_CAP", 10)
+    code, out, err = run(capsys, "events", "-n", "2", "-m", "3")  # 15 events
+    assert (code, out) == (3, "")
+    assert "15 events" in err and "cap of 10" in err
+    code, out, _ = run(capsys, "events", "-n", "1", "-m", "9")
+    assert code == 0 and out.split() == [f"a{i}" for i in range(1, 10)]
 
 
 def test_bad_konfiguration_exits_with_parse_error(tmp_path, capsys):

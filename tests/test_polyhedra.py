@@ -75,16 +75,24 @@ def test_dd_insert_negation_collapses_to_hyperplane():
 
 
 def test_dd_insert_equality_mode_matches_double_insertion():
-    rows = [(1, 2, -1), (0, 1, 1), (2, -1, 3)]
-    a = DDPair(3)
-    b = DDPair(3)
-    for r in rows:
-        a.insert(r)
-        b.insert(r)
-    a.insert((1, 1, 1), equality=True)
-    b.insert((1, 1, 1))
-    b.insert((-1, -1, -1))
-    assert cone_signature(a) == cone_signature(b)
+    # An equality is the row's step and then its negation's, so the whole
+    # state matches, the rows and columns of both steps included.  Covered:
+    # an equality positive on every ray, one that splits the rays into
+    # pairs, and one that meets the lineality space (a free cone's first row).
+    pointed = [(1, 2, -1), (0, 1, 1), (2, -1, 3)]
+    for rows, eq in [(pointed, (1, 1, 1)), (pointed, (1, -1, 0)), ([], (1, 1, 1))]:
+        a = DDPair(3, debug=True)
+        b = DDPair(3, debug=True)
+        for r in rows:
+            a.insert(r)
+            b.insert(r)
+        a.insert(eq, equality=True)
+        b.insert(eq)
+        b.insert(tuple(-x for x in eq))
+        assert cone_signature(a) == cone_signature(b)
+        assert ((a.rows, a.cols, a.alive, a._rays, a._active, a.lineality)
+                == (b.rows, b.cols, b.alive, b._rays, b._active, b.lineality))
+        assert a.rows[-2:] == [eq, tuple(-x for x in eq)]
 
 
 def test_random_cones_match_brute_force():
@@ -244,13 +252,18 @@ def test_pair_filter_matches_brute_count(monkeypatch):
     # exactly the rays of the other sign side sharing at least `need` tight
     # rows with it, as the plain pairwise count finds them; the other side
     # it is handed must be exactly the rays of the other sign.  Covered:
-    # need 0 (dimension 2), ids left sparse after a renumbering, and either
-    # side being the smaller one that drives.
+    # need 0 (dimension 2), ids left sparse after a renumbering, either side
+    # being the smaller one that drives, and an empty drive side, which
+    # yields nothing.
     original = DDPair._partners
     current = {}
     seen = set()
 
     def checked(pair, drive, others, need):
+        if not drive:
+            assert list(original(pair, drive, others, need)) == []
+            seen.add("empty drive side")
+            return iter([])
         row = current["row"]
         vals = {i: sum(a * b for a, b in zip(row, pair._rays[i]))
                 for i in polyhedra._ids(pair.alive)}
@@ -297,7 +310,7 @@ def test_pair_filter_matches_brute_count(monkeypatch):
             current["renumbered"] |= len(pair._rays) < before
         assert cone_signature(pair) == brute_force_cone(rows, dim), rows
     assert seen == {"need 0", "need > 0", "positive drives", "negative drives",
-                    "dead ids after renumbering"}
+                    "dead ids after renumbering", "empty drive side"}
 
 
 def test_witness_refutation_matches_full_and(monkeypatch):
