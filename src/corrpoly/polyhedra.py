@@ -352,31 +352,53 @@ class DDPair:
                 yield d, others
             return
         # A saturating counter, bit-sliced over the other side's ids: plane
-        # j holds bit j of every lane's count.  Invariant: a lane in ``live``
-        # reads 2**w - need plus the number of the drive ray's rows walked
-        # so far that it is tight on.  Its count reaching ``need`` is a
-        # carry out of the top plane, which moves it from ``live`` to
-        # ``hit``; its planes wrap to 0 but no longer count.
-        w = need.bit_length()
+        # j holds bit j of every lane's count.  The drive ray's tight-row
+        # columns enter it four at a time, zero columns filling the last group.
+        # Invariant, after every group: a lane in ``live`` reads 2**w - need
+        # plus the number of the drive ray's rows walked so far that it is
+        # tight on.  Its count reaching ``need`` is a carry out of the top
+        # plane, which moves it from ``live`` to ``hit``.  A group adds at
+        # most 4 <= 2**w, so it carries a live lane out at most once.  Every
+        # other lane counts on unmasked, but its carries are dropped.
+        w = max(need.bit_length(), 2)
         start = [others if (2 ** w - need) >> j & 1 else 0 for j in range(w)]
         for d in drive:
-            a = active[d]
-            planes = start.copy()
+            p0, p1, *upper = start
             live = others
             hit = 0
-            while a and live:
+            # Popped: ``_ids`` would format the whole bit set as a string.
+            a = active[d]
+            rows = []
+            while a:
                 low = a & -a
                 a ^= low
-                carry = cols[low.bit_length() - 1] & live
-                for j in range(w):
-                    p = planes[j]
-                    planes[j] = p ^ carry
+                rows.append(cols[low.bit_length() - 1])
+            rows += 0, 0, 0
+            rows = iter(rows)
+            for r0, r1, r2, r3 in zip(rows, rows, rows, rows):
+                # Carry-save adders: two fold the rows into plane 0, a third
+                # folds their weight-2 carries into plane 1; one carry ripples
+                # on from plane 2.
+                s = p0 ^ r0
+                c0 = p0 & r0 | s & r1
+                s ^= r1
+                t = s ^ r2
+                c1 = s & r2 | t & r3
+                p0 = t ^ r3
+                s = p1 ^ c0
+                carry = p1 & c0 | s & c1
+                p1 = s ^ c1
+                for j, p in enumerate(upper):
+                    upper[j] = p ^ carry
                     carry &= p
                     if not carry:
                         break
                 else:
+                    carry &= live
                     live ^= carry
                     hit |= carry
+                    if not live:
+                        break
             if hit:
                 yield d, hit
 

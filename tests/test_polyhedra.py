@@ -254,7 +254,11 @@ def test_pair_filter_matches_brute_count(monkeypatch):
     # it is handed must be exactly the rays of the other sign.  Covered:
     # need 0 (dimension 2), ids left sparse after a renumbering, either side
     # being the smaller one that drives, and an empty drive side, which
-    # yields nothing.
+    # yields nothing.  The filter adds a drive ray's rows four at a time
+    # into 2-5 counter planes, so also covered: every residue mod 4 of the
+    # drive ray's tight count, a partner reaching `need` inside a zero-padded
+    # last group, and a drive ray whose partners all reach it before its
+    # last group.
     original = DDPair._partners
     current = {}
     seen = set()
@@ -282,10 +286,39 @@ def test_pair_filter_matches_brute_count(monkeypatch):
         assert need == max(pair.dimension - len(pair.lineality) - 2, 0)
         assert len(drive) <= len(other)
         seen.add("need 0" if need == 0 else "need > 0")
+        if need:
+            seen.add(f"{max(need.bit_length(), 2)} planes")
+            for d in drive:
+                n = active[d].bit_count()
+                seen.add(f"tight count {n % 4} mod 4")
+                # The 0-based group of d's rows in which each partner's count
+                # reaches need: the group of its need-th common row.
+                groups = []
+                for o in polyhedra._ids(expected.get(d, 0)):
+                    common = active[d] & active[o]
+                    for _ in range(need - 1):
+                        common &= common - 1
+                    upto = active[d] & ((common & -common) * 2 - 1)
+                    groups.append((upto.bit_count() - 1) // 4)
+                last = (n - 1) // 4
+                if n % 4 and last in groups:
+                    seen.add("need reached in a padded last group")
+                if others and expected.get(d) == others and max(groups) < last:
+                    seen.add("every partner hit before the last group")
         seen.add("positive drives" if positive else "negative drives")
         if current["renumbered"] and any(c & ~pair.alive for c in pair.cols):
             seen.add("dead ids after renumbering")
         return iter(got)
+
+    def run(dim, rows):
+        pair = DDPair(dim)
+        current["renumbered"] = False
+        for r in rows:
+            current["row"] = r
+            before = len(pair._rays)
+            pair.insert(r)
+            current["renumbered"] |= len(pair._rays) < before
+        return pair
 
     monkeypatch.setattr(DDPair, "_partners", checked)
     rng = random.Random(4242)
@@ -301,16 +334,27 @@ def test_pair_filter_matches_brute_count(monkeypatch):
                 (rng.randint(3, 9),) + tuple(rng.randint(-3, 3) for _ in range(3))
                 for _ in range(18)
             ]
-        pair = DDPair(dim)
-        current["renumbered"] = False
-        for r in rows:
-            current["row"] = r
-            before = len(pair._rays)
-            pair.insert(r)
-            current["renumbered"] |= len(pair._rays) < before
-        assert cone_signature(pair) == brute_force_cone(rows, dim), rows
+        assert cone_signature(run(dim, rows)) == brute_force_cone(rows, dim), rows
+    # Realistic widths, checked by the pairwise count alone: the 2x2 truth
+    # table (need up to 7, 3 planes), random 0/1 generators in dimension
+    # 10-12 (4 planes), the first 32 3x2 truth-table generators in hull
+    # order (need up to 16, 5 planes) and random integer points in dimension
+    # 5-6, whose simple polytopes leave the filter the most partners to reject.
+    for layout, count in (((2, 2), 16), ((3, 2), 32)):
+        gens = polyhedra._order_rows(
+            truth_table(Configuration.uniform(*layout)).integer_rows, polyhedra.HULL_ORDER)
+        run(len(gens[0]), gens[:count])
+    for dim in (10, 11, 12):
+        points = {tuple(rng.randint(0, 1) for _ in range(dim)) for _ in range(20)}
+        run(dim + 1, [(1, *p) for p in sorted(points)])
+    for dim, count in ((5, 24), (6, 16)):
+        run(dim + 1, [(1, *(rng.randint(-9, 9) for _ in range(dim))) for _ in range(count)])
     assert seen == {"need 0", "need > 0", "positive drives", "negative drives",
-                    "dead ids after renumbering", "empty drive side"}
+                    "dead ids after renumbering", "empty drive side",
+                    "2 planes", "3 planes", "4 planes", "5 planes",
+                    *(f"tight count {r} mod 4" for r in range(4)),
+                    "need reached in a padded last group",
+                    "every partner hit before the last group"}
 
 
 def test_witness_refutation_matches_full_and(monkeypatch):
@@ -929,6 +973,14 @@ def test_hull_output_is_sound_and_facets(hull_2_2, config_2_2):
 def test_debug_mode_cross_checks_adjacency(config_2_2):
     h = hull(truth_table(config_2_2), debug=True)
     assert len(h.rows) == 24
+
+
+@pytest.mark.extended
+def test_debug_mode_cross_checks_2x3_hull(config_2_3, hull_2_3):
+    # The forward direction on the degenerate 2x3 truth table, whose drive
+    # rays have up to 44 tight rows: every count filter decision is checked
+    # against the pairwise counts and every adjacency against exact rank.
+    assert hull(truth_table(config_2_3), debug=True) == hull_2_3
 
 
 def test_dd_insert_zero_row_and_wrong_length():
