@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from .core import Configuration, ParseError, ProbabilityVector, enumerate_events
+from .core import CapacityError, Configuration, ParseError, ProbabilityVector, enumerate_events
 # from_hrep is not called here, but perfbench/tracer.py patches it by this
 # module's name, so it stays imported.
 from .inequalities import Inequality, from_hrep, numbered_rows, to_text  # noqa: F401
@@ -22,6 +22,11 @@ from .polyhedra import HRepresentation
 
 #: Absolute guard for float violation comparisons.
 VIOLATION_EPS = 1e-9
+
+#: Most points a curve or grid samples: 256 x 256.  Peak RSS grows by
+#: about 5.2 KB a point on the 2x3 singlet contour (94 rows kept) and 29 KB
+#: with all 684 rows kept (CPython 3.11, 64-bit), 0.34 and 1.9 GB here.
+MAX_POINTS = 2**16
 
 
 @dataclass(frozen=True)
@@ -191,32 +196,40 @@ class ViolationReport:
 
 def _violated(selected: list[tuple[int, tuple[int, ...], int]],
               config: Configuration,
+              threshold: float,
               columns: Sequence[Sequence],
-              threshold: float) -> list[tuple[int, Inequality, tuple]]:
+              tiles: Sequence[tuple[int, int]],
+              where: Sequence[int]) -> list[tuple[int, Inequality, tuple]]:
     """``(row, inequality, values)`` for the rows whose largest value of
     ``sum(c_e p_e) - rhs`` over the points exceeds the threshold.
 
     ``columns`` holds one column per event, ``p_e`` at every point, as
     ``_event_columns`` gives them.  ``selected`` holds ``numbered_rows``
     triples; only a kept row becomes an ``Inequality``, in the layout
-    ``config``.
+    ``config``.  ``tiles`` cuts the points into contiguous ``(start, stop)``
+    slices, in order (a scan passes one tile), and ``values[i]`` is the
+    value at point ``where[i]``.
 
     Each scaled column ``c * p_e`` is built once and shared by every row
     with coefficient ``c`` on event ``e`` (``1 * p_e`` is the column
-    itself).  A row is then summed at all points at once, with ``sum``
-    over its zipped scaled columns: per point this adds the same terms
+    itself).  A row is summed at many points at once, with ``sum`` over
+    its zipped scaled columns: per point this adds the same terms
     ``c_e p_e`` in event order, starting from the int 0, as a plain loop
     would, so floats are bit-identical (``0 + -0.0`` is ``0.0``) and exact
     columns give exact values.
 
-    Before that, each row gets an upper bound ``B`` on its sums at every
-    point, read from the columns' extremes alone: ``c * p_e`` is largest
-    at the largest ``p_e`` for ``c > 0`` and at the smallest for ``c < 0``,
-    so ``B`` adds ``c * max(p_e)`` or ``c * min(p_e)`` in event order.  A
-    row with ``B - rhs <= cut`` cannot be kept (subtracting ``rhs`` is
-    monotone too) and is never summed; any other row is summed once and
-    kept if its largest value exceeds the cut.  So the kept rows and their
-    values are exactly those of summing every row.
+    Before that, a row gets an upper bound ``B`` on its sums over a box of
+    points, read from the columns' extremes on the box alone: ``c * p_e``
+    is largest at the largest ``p_e`` for ``c > 0`` and at the smallest for
+    ``c < 0``, so ``B`` adds ``c * max(p_e)`` or ``c * min(p_e)`` in event
+    order.  No point of a box with ``B - rhs <= cut`` keeps the row
+    (subtracting ``rhs`` is monotone too).  The first box holds every point
+    and drops most rows unsummed.  With more than one tile, a row that
+    passes it is summed only on the tiles whose own ``B`` passes, up to the
+    first point above the cut, and dropped if there is none; one tile is
+    the first box again.  A row that is not dropped is summed once at every
+    point.  So the kept rows and their values are exactly those of summing
+    every row.
 
     ``B`` bounds every sum because exact sums grow with each term, and so
     do floats added one rounding at a time, each rounding being monotone.
@@ -225,7 +238,9 @@ def _violated(selected: list[tuple[int, tuple[int, ...], int]],
     ``pad = n * 2**-48`` (n events), which adds ``pad * sum(|c|)`` to ``B``:
     with every ``p`` in [0, 1], any way of summing n float terms is off the
     exact sum by less than ``2 * n * 2**-53 * sum(|c|)``, and rounding exact
-    extremes to floats adds less than ``2**-52 * sum(|c|)``: far below the pad.
+    extremes to floats adds less than ``2**-52 * sum(|c|)``: far below the
+    pad.  That holds at each point, so it holds on every box, a tile or all
+    the points.
 
     A NaN threshold would compare false against every value and hide all
     violations, so it is rejected.
@@ -233,28 +248,38 @@ def _violated(selected: list[tuple[int, tuple[int, ...], int]],
     if math.isnan(threshold):
         raise ValueError("threshold must be a number, not NaN")
     cut = threshold + VIOLATION_EPS
-    scaled = [{1: col} for col in columns]  # scaled[e][c] is c * p_e
     pad = len(columns) * 2.0**-48
-    lows = [min(col) - pad for col in columns]
-    highs = [max(col) + pad for col in columns]
+    # lows[e][t], highs[e][t]: the padded extremes of p_e on tile t
+    lows = list(zip(*[[min(col[a:b]) - pad for col in columns] for a, b in tiles]))
+    highs = list(zip(*[[max(col[a:b]) + pad for col in columns] for a, b in tiles]))
+    low, high = list(map(min, lows)), list(map(max, highs))
+    # scaled[e][c]: c * p_e at every point, and its padded largest value per tile
+    scaled = [{1: (col, hi)} for col, hi in zip(columns, highs)]
 
     kept = []
     for row, coefficients, rhs in selected:
         bound = sum([c * (hi if c > 0 else lo) for c, lo, hi
-                     in zip(coefficients, lows, highs) if c])
+                     in zip(coefficients, low, high) if c])
         if bound - rhs <= cut:
             continue
-        terms = []
+        pairs = []
         for k, c in enumerate(coefficients):
             if c:
-                col = scaled[k].get(c)
-                if col is None:
-                    col = scaled[k][c] = [c * p for p in columns[k]]
-                terms.append(col)
+                pair = scaled[k].get(c)
+                if pair is None:
+                    pair = scaled[k][c] = ([c * p for p in columns[k]],
+                                           [c * x for x in (highs[k] if c > 0 else lows[k])])
+                pairs.append(pair)
+        terms, tops = zip(*pairs)
+        if len(tiles) > 1 and not any(
+                b - rhs > cut
+                and any(s - rhs > cut for s in map(sum, zip(*[t[a:z] for t in terms])))
+                for b, (a, z) in zip(map(sum, zip(*tops)), tiles)):
+            continue
         sums = list(map(sum, zip(*terms)))
         if max(sums) - rhs > cut:
             kept.append((row, Inequality(coefficients, rhs, config),
-                         tuple([s - rhs for s in sums])))
+                         tuple([sums[i] - rhs for i in where])))
     return kept
 
 
@@ -269,7 +294,8 @@ def scan_probability_vector(
         raise ValueError("threshold must be nonnegative")
     config = probabilities.config
     columns = [[p] for p in probabilities.values]
-    kept = _violated(numbered_rows(source, config, rows), config, columns, threshold)
+    kept = _violated(numbered_rows(source, config, rows), config, threshold,
+                     columns, [(0, 1)], [0])
     reports = [ViolationReport(row=row, inequality=ineq, amount=values[0])
                for row, ineq, values in kept]
     reports.sort(key=lambda r: (-r.amount, r.row))
@@ -330,6 +356,34 @@ def _linspace(lo: float, hi: float, samples: int) -> tuple[float, ...]:
     return tuple(lo + i * step for i in range(samples - 1)) + (hi,)
 
 
+def _spans(samples: int) -> list[tuple[int, int]]:
+    """``isqrt(samples)`` runs of about ``sqrt(samples)`` samples, as slices."""
+    k = math.isqrt(samples)
+    return [(samples * i // k, samples * (i + 1) // k) for i in range(k)]
+
+
+def _tiled_columns(model: ProbabilityModel, angles: AngleAssignment,
+                   xs: Sequence[float], ys: Sequence[float]
+                   ) -> tuple[list[list], list[tuple[int, int]], list[int]]:
+    """``(columns, tiles, where)``: ``_event_columns`` at the points ``(x,
+    y)``, taken tile by tile with ``_spans`` of each axis, the tiles as
+    slices of the columns, and ``where[k]``, the column position of the
+    point ``k`` in row-major order (x fastest)."""
+    order, tiles = [], []  # order[j]: the row-major index of the j-th point
+    for y0, y1 in _spans(len(ys)):
+        for x0, x1 in _spans(len(xs)):
+            tiles.append((len(order), len(order) + (y1 - y0) * (x1 - x0)))
+            order += [iy * len(xs) + ix for iy in range(y0, y1) for ix in range(x0, x1)]
+    points = [(xs[i % len(xs)], ys[i // len(xs)]) for i in order]
+    return (_event_columns(model, angles, points), tiles,
+            sorted(range(len(order)), key=order.__getitem__))
+
+
+def _check_points(count: int) -> None:
+    if count > MAX_POINTS:
+        raise CapacityError(f"{count} sample points exceed the cap of {MAX_POINTS}")
+
+
 def sample_violation_curve(
     source: HRepresentation | Sequence[Inequality],
     model: ProbabilityModel,
@@ -343,16 +397,18 @@ def sample_violation_curve(
 
     Only inequalities whose sampled maximum exceeds the threshold are
     returned (the violated ones, for plotting).  Probabilities take the
-    layout of ``angles``; the source must be over it, or have none.
+    layout of ``angles``; the source must be over it, or have none.  More
+    than ``MAX_POINTS`` samples are a ``CapacityError``.
     """
     if "y" in angles.free_variables:
         raise ValueError("curve sampling allows only the free variable x")
+    _check_points(samples)
     selected = numbered_rows(source, angles.config, rows)
     xs = _linspace(*x_range, samples)
-    columns = _event_columns(model, angles, [(x, 0.0) for x in xs])
     return [
         CurveSamples(row=row, inequality=ineq, xs=xs, values=values)
-        for row, ineq, values in _violated(selected, angles.config, columns, threshold)
+        for row, ineq, values in _violated(selected, angles.config, threshold,
+                                           *_tiled_columns(model, angles, xs, (0.0,)))
     ]
 
 
@@ -368,13 +424,14 @@ def sample_violation_grid(
     threshold: float = 0.0,
 ) -> list[GridSamples]:
     """Two-variable analogue of ``sample_violation_curve``."""
+    _check_points(samples_x * samples_y)
     selected = numbered_rows(source, angles.config, rows)
     xs = _linspace(*x_range, samples_x)
     ys = _linspace(*y_range, samples_y)
-    columns = _event_columns(model, angles, [(x, y) for y in ys for x in xs])
     return [
         GridSamples(row=row, inequality=ineq, xs=xs, ys=ys, values=values)
-        for row, ineq, values in _violated(selected, angles.config, columns, threshold)
+        for row, ineq, values in _violated(selected, angles.config, threshold,
+                                           *_tiled_columns(model, angles, xs, ys))
     ]
 
 

@@ -611,6 +611,27 @@ def test_contour_svg_and_empty_results(tmp_path, capsys):
     assert not list(tmp_path.glob("none*"))
 
 
+def test_sample_counts_above_the_cap_exit_3(tmp_path, capsys):
+    # The count is checked before any point is built: a billion samples
+    # per axis would otherwise run out of memory.
+    ine = tmp_path / "2_2.ine"
+    run(capsys, "hull", "-n", "2", "-m", "2", "-o", str(ine), "-q")
+    common = ("--ine", str(ine), "--model", "singlet")
+    for argv, points in (
+        (("contour", *common, "--angles=x,0;0,y", "--samples", "257", "--svg",
+          "-o", str(tmp_path / "g")), 257 * 257),
+        (("contour", *common, "--angles=x,0;0,y", "--samples", "1000000000",
+          "-o", str(tmp_path / "g")), 10**18),
+        (("plot", *common, "--angles=x,0;0,0", "--samples", "65537",
+          "-o", str(tmp_path / "c.csv"), "--svg", str(tmp_path / "c.svg")), 65537),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == (f"corrpoly: capacity exceeded: {points} sample points "
+                       f"exceed the cap of 65536\n")
+    assert list(tmp_path.iterdir()) == [ine]
+
+
 def test_usage_errors_of_the_shared_flags(tmp_path, capsys, monkeypatch):
     ine = tmp_path / "2_2.ine"
     run(capsys, "hull", "-n", "2", "-m", "2", "-o", str(ine), "-q")

@@ -25,8 +25,15 @@ from corrpoly import (
     scan_violations,
     to_text,
 )
-from corrpoly.core import ParseError
-from corrpoly.quantum import VIOLATION_EPS, parse_angle_expression
+from corrpoly.core import CapacityError, ParseError
+from corrpoly.quantum import (
+    MAX_POINTS,
+    VIOLATION_EPS,
+    _linspace,
+    _singlet_pair,
+    _spans,
+    parse_angle_expression,
+)
 
 C22 = Configuration.uniform(2, 2)
 C23 = Configuration.uniform(2, 3)
@@ -420,6 +427,91 @@ def test_grid_and_curve_bit_identical_to_event_order_loop(hull_2_3):
                               for r in scan_probability_vector(ineqs, vec, threshold=t)],
             rows, [vec], floor=0.0)
         assert sum(len(tops[top]) for top in tops if top > 0) == 12
+
+
+def exact_singlet(a):
+    """The singlet law rounded to eighths, as ``Fraction`` values."""
+    return Fraction(1, 2) if len(a) == 1 else Fraction(round(8 * _singlet_pair(a)), 8)
+
+
+MODELS = {"singlet": builtin_model("singlet"), "uniform": builtin_model("uniform"),
+          "exact": ProbabilityModel("exact", {}, default=exact_singlet)}
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_tiled_grid_and_curve_match_the_oracle_at_every_edge(hull_2_3, name):
+    # 13 and 11 samples cut into 3 uneven tiles per axis, 41 into 6 runs
+    assert [b - a for a, b in _spans(13)] == [4, 4, 5]
+    assert [b - a for a, b in _spans(11)] == [3, 4, 4]
+    assert [b - a for a, b in _spans(41)] == [6, 7, 7, 7, 7, 7]
+    model = MODELS[name]
+    # every third row for the exact law, whose Fraction sums are slow
+    rows = from_hrep(hull_2_3, C23)[::3 if name == "exact" else 1]
+    angles = parse_angles("x,0,2pi/3;0,y,4pi/3", C23)
+    grid = dict(angles=angles, samples_x=13, samples_y=11)
+    vectors = [probability_vector(model, angles, x=x, y=y)
+               for y in _linspace(0.0, math.pi, 11) for x in _linspace(0.0, math.pi, 13)]
+    tops = assert_edges(
+        lambda ineqs, t: [(g.inequality, g.values) for g in sample_violation_grid(
+            ineqs, model, threshold=t, **grid)],
+        rows, vectors)
+    assert len(tops) > {"singlet": 200, "uniform": 2, "exact": 10}[name]  # distinct maxima
+    assert (max(tops) > 0) == (name != "uniform")  # the product measure violates nothing
+
+    angles = parse_angles("x,0,2pi/3;0,2pi/3,4pi/3", C23)
+    assert_edges(
+        lambda ineqs, t: [(c.inequality, c.values) for c in sample_violation_curve(
+            ineqs, model, angles=angles, samples=41, threshold=t)],
+        rows, [probability_vector(model, angles, x=x) for x in _linspace(0.0, math.pi, 41)])
+
+
+def needle(at):
+    """Pairs 3/4 at the angle tuple ``at``, 1/4 elsewhere; singles 1/2."""
+    return ProbabilityModel("needle", {1: lambda a: 0.5},
+                            default=lambda a: 0.75 if a == at else 0.25)
+
+
+def test_a_needle_inside_one_tile_is_found():
+    # 2 p - 1 is 1/2 at the needle and -1/2 at every other point, so the
+    # row passes the bound of one tile alone.  13 samples make 3 tiles per
+    # axis, (0, 4), (4, 8) and (8, 13); (5, 6) lies inside the middle one.
+    grid_angles = parse_angles("x,0;0,y", C22)  # event a1b2 sees (x, y)
+    curve_angles = parse_angles("x,0;0,0", C22)  # event a1b1 sees (x, 0)
+    xs = _linspace(0.0, math.pi, 13)
+    for ix, iy in ((5, 6), (0, 0), (12, 12), (4, 3), (7, 11)):
+        model = needle((xs[ix], xs[iy]))
+        row = parse_text("2 a1b2 <= 1", C22)
+        vectors = [probability_vector(model, grid_angles, x=x, y=y) for y in xs for x in xs]
+        tops = assert_edges(
+            lambda ineqs, t: [(g.inequality, g.values) for g in sample_violation_grid(
+                ineqs, model, angles=grid_angles, samples_x=13, samples_y=13, threshold=t)],
+            [row], vectors)
+        assert list(tops) == [0.5]
+        model = needle((xs[ix], 0.0))
+        row = parse_text("2 a1b1 <= 1", C22)
+        vectors = [probability_vector(model, curve_angles, x=x) for x in xs]
+        tops = assert_edges(
+            lambda ineqs, t: [(c.inequality, c.values) for c in sample_violation_curve(
+                ineqs, model, angles=curve_angles, samples=13, threshold=t)],
+            [row], vectors)
+        assert list(tops) == [0.5]
+
+
+def test_sample_count_above_the_cap_is_a_capacity_error(hull_2_2):
+    def law(a):
+        raise AssertionError("a point was evaluated")
+
+    refuse = ProbabilityModel("refuse", {}, default=law)
+    grid = parse_angles("x,0;0,y", C22)
+    with pytest.raises(CapacityError, match="65537 sample points exceed the cap of 65536"):
+        sample_violation_curve(hull_2_2, refuse, angles=parse_angles("x,0;0,0", C22),
+                               samples=MAX_POINTS + 1)
+    with pytest.raises(CapacityError, match="66049 sample points"):
+        sample_violation_grid(hull_2_2, refuse, angles=grid, samples_x=257, samples_y=257)
+    with pytest.raises(CapacityError):
+        sample_violation_grid(hull_2_2, refuse, angles=grid, samples_x=2, samples_y=10**15)
+    with pytest.raises(AssertionError):
+        sample_violation_grid(hull_2_2, refuse, angles=grid, samples_x=256, samples_y=256)
 
 
 def test_model_called_once_per_distinct_angle_tuple(hull_2_3):
