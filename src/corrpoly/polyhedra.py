@@ -272,19 +272,22 @@ class DDPair:
         # column, by a column or two, so checking for it costs more than it saves.
         # Only the partners that ``_partners`` finds for the rays of the
         # smaller side (``pos`` and ``neg`` are bit sets of live ids) are
-        # tested, in ascending id order.
+        # tested, in ascending id order, which fixes the new rays' order.
         #
         # Most candidates are not adjacent, and a ray that refutes one pair
         # of a drive ray ``d`` often refutes many more.  So when a full AND
         # finds a pair not adjacent, each of the ids it leaves besides the
-        # pair's own two strips from ``d``'s remaining partners every one it
-        # refutes, until none remain.  A ray ``w`` refutes ``(d, o)`` iff
-        # it is tight on every common row and ``w != o``, that is, iff ``o``
-        # is tight on none of the rows of ``d`` that ``w`` misses: the OR of
-        # those rows' columns, plus ``w`` itself, is what stays.  ``w`` is
-        # never ``d``, which the AND left as one of the pair's own ids.
-        # Adjacency is only ever concluded by the full AND.  Returns each
-        # new ray with its tight rows.
+        # pair's own two, highest first, strips from ``d``'s remaining
+        # partners every one it refutes, until none remain.  A ray ``w``
+        # refutes ``(d, o)`` iff it is tight on every common row and
+        # ``w != o``, that is, iff ``o`` is tight on none of the rows of ``d``
+        # that ``w`` misses: the OR of those rows' columns, plus ``w`` itself,
+        # is what stays.  ``w`` is never ``d``, which the AND left as one of
+        # the pair's own ids.
+        # Adjacency is only ever concluded by the full AND.  The common rows,
+        # the witnesses and the rows they miss are popped from the top bit,
+        # which leaves a smaller int at each step; a low-bit pop negates the
+        # whole rest of the set.  Returns each new ray with its tight rows.
         drive, others = (neg, pos) if neg.bit_count() < pos.bit_count() else (pos, neg)
         rays, active, cols, alive = self._rays, self._active, self.cols, self.alive
         debug = self.debug
@@ -307,9 +310,9 @@ class DDPair:
                 tight = alive
                 c = common
                 while c:
-                    low = c & -c
-                    tight &= cols[low.bit_length() - 1]
-                    c ^= low
+                    k = c.bit_length() - 1
+                    tight &= cols[k]
+                    c ^= 1 << k
                 if tight == own:
                     joined |= bo
                     # |v_d| r_o + |v_o| r_d, which is v_p r_m - v_m r_p for
@@ -320,13 +323,14 @@ class DDPair:
                     continue
                 tight ^= own
                 while tight and hit:
-                    keep = tight & -tight
+                    k = tight.bit_length() - 1
+                    keep = 1 << k
                     tight ^= keep
-                    missed = a & ~active[keep.bit_length() - 1]
+                    missed = a & ~active[k]
                     while missed:
-                        low = missed & -missed
-                        keep |= cols[low.bit_length() - 1]
-                        missed ^= low
+                        k = missed.bit_length() - 1
+                        keep |= cols[k]
+                        missed ^= 1 << k
                     hit &= keep
             if debug:
                 # Every candidate, the stripped ones included, is checked
@@ -353,7 +357,8 @@ class DDPair:
             return
         # A saturating counter, bit-sliced over the other side's ids: plane
         # j holds bit j of every lane's count.  The drive ray's tight-row
-        # columns enter it four at a time, zero columns filling the last group.
+        # columns enter it four at a time, highest row first, zero columns
+        # filling the last group.
         # Invariant, after every group: a lane in ``live`` reads 2**w - need
         # plus the number of the drive ray's rows walked so far that it is
         # tight on.  Its count reaching ``need`` is a carry out of the top
@@ -366,13 +371,14 @@ class DDPair:
             p0, p1, *upper = start
             live = others
             hit = 0
-            # Popped: ``_ids`` would format the whole bit set as a string.
+            # Popped from the top bit: ``_ids`` would format the whole bit
+            # set as a string.
             a = active[d]
             rows = []
             while a:
-                low = a & -a
-                a ^= low
-                rows.append(cols[low.bit_length() - 1])
+                k = a.bit_length() - 1
+                a ^= 1 << k
+                rows.append(cols[k])
             rows += 0, 0, 0
             rows = iter(rows)
             for r0, r1, r2, r3 in zip(rows, rows, rows, rows):
@@ -580,13 +586,19 @@ def _tidy(f: Fraction) -> NumberLike:
 
 
 def contains(hrep: HRepresentation, point: Sequence[NumberLike]) -> bool:
-    """Exact membership test: every row satisfied, equalities exactly."""
+    """Exact membership test: every row satisfied, equalities exactly.
+
+    Row entries and coordinates must be exact numbers; a float raises
+    ``TypeError``.  Each row and the homogenized point are scaled by a
+    positive factor to integers, which keeps every sign.
+    """
     if len(point) != hrep.dimension:
         raise ValueError(
             f"point of length {len(point)} in dimension {hrep.dimension}"
         )
+    point = clear_to_int((1, *point))
     for i, row in enumerate(hrep.rows):
-        value = dot(row, (1, *point))
+        value = dot(clear_to_int(row), point)
         if value < 0 or value and i in hrep.linearity:
             return False
     return True

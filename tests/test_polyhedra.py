@@ -291,14 +291,15 @@ def test_pair_filter_matches_brute_count(monkeypatch):
             for d in drive:
                 n = active[d].bit_count()
                 seen.add(f"tight count {n % 4} mod 4")
-                # The 0-based group of d's rows in which each partner's count
-                # reaches need: the group of its need-th common row.
+                # The 0-based group of d's rows, added highest first, in which
+                # each partner's count reaches need: the group of its need-th
+                # common row counted from the top.
                 groups = []
                 for o in polyhedra._ids(expected.get(d, 0)):
                     common = active[d] & active[o]
                     for _ in range(need - 1):
-                        common &= common - 1
-                    upto = active[d] & ((common & -common) * 2 - 1)
+                        common ^= 1 << common.bit_length() - 1
+                    upto = active[d] >> common.bit_length() - 1
                     groups.append((upto.bit_count() - 1) // 4)
                 last = (n - 1) // 4
                 if n % 4 and last in groups:
@@ -899,6 +900,19 @@ def test_contains_urn_examples():
     assert not contains(h, (Fraction(1, 2), Fraction(9, 10), Fraction(1, 10)))
     with pytest.raises(ValueError):
         contains(h, (0, 0))
+
+
+def test_contains_refuses_floats():
+    # At the exact value of the float 0.3 the row -3 + 10x is -2**-53, which
+    # a float product rounds to 0, so 0.3 would be accepted; a NaN compares
+    # false against 0 and would count as contained.
+    h = HRepresentation(1, ((-3, 10),))
+    assert contains(h, (Fraction(3, 10),))
+    for point in ((0.3,), (float("nan"),)):
+        with pytest.raises(TypeError, match="expected an exact number, got float"):
+            contains(h, point)
+    with pytest.raises(TypeError, match="expected an exact number, got float"):
+        contains(HRepresentation(1, ((-0.3, 1),)), (1,))
 
 
 def test_contains_accepts_vertices_and_midpoints(hull_2_2, config_2_2):

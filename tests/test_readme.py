@@ -9,7 +9,7 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_readme_library_block_runs():
-    text = README.read_text()
+    text = README.read_text(encoding="utf-8")
     block = re.search(r"## Library\n\n```python\n(.*?)```", text, re.S).group(1)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
