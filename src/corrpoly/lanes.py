@@ -3,18 +3,25 @@
 A row's dot product with every packed vector then takes a few big-int
 operations instead of one interpreted loop per vector, which is how the
 double description kernel classifies its rays against a new constraint.
-The signs come back as bit sets, read from the same bytes without a loop
-over the vectors.
+The values are read in place from the bytes of the result, and the signs
+come back as bit sets, read from the same bytes without a loop over the
+vectors.
 """
 
 from __future__ import annotations
 
 import struct
+import sys
 from itertools import chain
 from typing import Sequence
 
 #: ``struct`` code of each signed lane width it has.
 _CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
+#: ``memoryview.cast`` code of each signed lane width a native code has, and
+#: the host's byte order: lanes are little-endian, so only a little-endian
+#: host reads them in place.
+_VIEWS = {struct.calcsize(c): c for c in "bhilq"}
+_BYTEORDER = sys.byteorder
 #: ``bytes.translate`` tables to ASCII binary digits: ``_BITS[j]`` gives ``1``
 #: for a byte with bit ``j`` set, ``_NONZERO`` for a nonzero byte.
 _BITS = [(b"0" * (1 << j) + b"1" * (1 << j)) * (128 >> j) for j in range(8)]
@@ -47,6 +54,17 @@ def _from_lanes(data: bytes, width: int) -> Sequence[int]:
             for i in range(0, len(data), width)]
 
 
+def _values(data: bytes, width: int) -> Sequence[int]:
+    """``_from_lanes(data, width)``, read in place where the host can."""
+    code = _VIEWS.get(width) if _BYTEORDER == "little" else None
+    return memoryview(data).cast(code) if code else _from_lanes(data, width)
+
+
+def _halves(count: int, width: int) -> int:
+    """``count`` lanes of ``width`` bytes, each holding ``2**(8*width - 1)``."""
+    return int.from_bytes((1 << 8 * width - 1).to_bytes(width, "little") * count, "little")
+
+
 def _bit_set(data: bytes, width: int, k: int) -> int:
     """Bit set of the lanes of ``width`` bytes in ``data`` whose bit ``k`` is set.
 
@@ -75,8 +93,10 @@ def _signs(data: bytes, width: int) -> tuple[int, int]:
 class Lanes:
     """The coordinates of integer vectors ``0, 1, 2, ...``, packed.
 
-    ``planes[j]`` holds coordinate ``j`` of vector ``i`` in lane ``i``, a
-    two's complement integer of ``width`` bytes, little-endian.  No lane's
+    ``planes[j]`` is one integer whose lane ``i``, ``width`` bytes from bit
+    ``8 * width * i`` on, holds coordinate ``j`` of vector ``i`` plus
+    ``half = 2**(8*width - 1)``, so every lane is in ``[0, 2 * half)``;
+    ``halves`` holds ``half`` in each of the ``count`` lanes.  No lane's
     value has more than ``coord_bits`` bits and ``coord_bits + 1 < 8 *
     width``.  A row whose absolute values sum to ``s`` has exact dot
     products with every lane while ``s.bit_length() + coord_bits < 8 *
@@ -85,10 +105,12 @@ class Lanes:
     fresh lanes are how a new set of vectors starts again from 1 byte.
     """
 
-    __slots__ = ("planes", "width", "coord_bits")
+    __slots__ = ("planes", "halves", "count", "width", "coord_bits")
 
     def __init__(self, dimension: int):
-        self.planes = [bytearray() for _ in range(dimension)]
+        self.planes = [0] * dimension
+        self.halves = 0
+        self.count = 0
         self.width = 1
         self.coord_bits = 0
 
@@ -99,10 +121,16 @@ class Lanes:
             flat = list(chain.from_iterable(zip(*block)))  # plane by plane
             self.coord_bits = max(self.coord_bits, _bits(flat))
             self._widen(self.coord_bits + 1)
-            data = memoryview(_to_lanes(flat, self.width))
+            data = _to_lanes(flat, self.width)
             size = len(block) * self.width
-            for j, plane in enumerate(self.planes):
-                plane += data[j * size:(j + 1) * size]
+            halves = _halves(len(block), self.width)
+            shift = 8 * self.width * self.count
+            planes = self.planes  # one plane at a time: no second list holds them all
+            for j in range(len(planes)):
+                planes[j] |= (int.from_bytes(data[j * size:(j + 1) * size], "little")
+                              ^ halves) << shift
+            self.halves |= halves << shift
+            self.count += len(block)
 
     def dot(self, row: Sequence[int]) -> tuple[Sequence[int], int, int]:
         """The dot product of ``row`` with every vector, in lane order.
@@ -111,23 +139,18 @@ class Lanes:
         on which it is nonzero.
         """
         self._widen(sum(map(abs, row)).bit_length() + self.coord_bits)
-        w = self.width
-        size = len(self.planes[0])
-        half = 1 << (8 * w - 1)
-        halves = int.from_bytes(half.to_bytes(w, "little") * (size // w), "little")
-        # Flipping the top bit of a two's complement lane turns its value c
-        # into c + half, in [0, 2 * half), so acc is the sum over i of
-        # (dot(row, vector i) + half * sum(row)) << 8 * w * i.  Adding
-        # (1 - sum(row)) * halves leaves dot + half in every term, which the
-        # width bound keeps within a lane, so no lane carries into the next;
-        # flipping the top bits back gives two's complement lanes.
-        acc = 0
+        # Lane i of the sum of x * plane over the row holds dot(row, vector
+        # i) + half * sum(row).  Adding (1 - sum(row)) * halves leaves dot +
+        # half in every lane, which the width bound keeps in [0, 2 * half),
+        # so no lane carries into the next; flipping the top bits gives two's
+        # complement lanes.
+        halves = self.halves
+        acc = (1 - sum(row)) * halves
         for x, plane in zip(row, self.planes):
             if x:
-                acc += x * (int.from_bytes(plane, "little") ^ halves)
-        acc = (acc + (1 - sum(row)) * halves) ^ halves
-        data = acc.to_bytes(size, "little")
-        return (_from_lanes(data, w), *_signs(data, w))
+                acc += x * plane
+        data = (acc ^ halves).to_bytes(self.count * self.width, "little")
+        return (_values(data, self.width), *_signs(data, self.width))
 
     def _widen(self, bits: int) -> None:
         """Double ``width`` until lanes hold ``bits``-bit values, then repack."""
@@ -135,5 +158,9 @@ class Lanes:
         while bits >= 8 * self.width:
             self.width *= 2
         if self.width != old:
-            self.planes = [bytearray(_to_lanes(_from_lanes(p, old), self.width))
-                           for p in self.planes]
+            size, halves = self.count * old, self.halves
+            self.halves = _halves(self.count, self.width)
+            for j, p in enumerate(self.planes):
+                values = _from_lanes((p ^ halves).to_bytes(size, "little"), old)
+                self.planes[j] = (int.from_bytes(_to_lanes(values, self.width), "little")
+                                  ^ self.halves)

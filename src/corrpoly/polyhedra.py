@@ -435,7 +435,7 @@ class DDPair:
 
     def _check_columns(self) -> None:
         rays, active, lanes, alive = self._rays, self._active, self.lanes, self.alive
-        if not len(rays) == len(active) == len(lanes.planes[0]) // lanes.width:
+        if not len(rays) == len(active) == lanes.count:
             raise AssertionError("ray lists and lanes do not hold one entry per id")
         if any(alive != _id_set(i for i, x in enumerate(slots) if x is not None)
                for slots in (rays, active)):

@@ -1,7 +1,9 @@
 import random
+import sys
 
 import pytest
 
+from corrpoly import lanes as lanes_module
 from corrpoly.lanes import _BLOCK, Lanes, _signs, _to_lanes
 
 
@@ -75,9 +77,37 @@ def test_append_packs_a_long_batch_block_by_block():
     lanes = Lanes(3)
     lanes.append(vectors)
     assert (lanes.width, lanes.coord_bits) == (8, 41)
-    assert [len(p) for p in lanes.planes] == [8 * len(vectors)] * 3
+    assert lanes.count == len(vectors)
+    assert all(p.bit_length() <= 64 * len(vectors) for p in lanes.planes)
     for row in ((1, 1, 1), (0, -2, 1), (0, 0, 1)):
         assert checked_dot(lanes, row, vectors) == plain(row, vectors)
+
+
+@pytest.mark.parametrize("reader", ["view", "fallback"])
+@pytest.mark.parametrize("width", [1, 2, 4, 8, 16])
+def test_values_read_in_place_or_unpacked(width, reader, monkeypatch):
+    # On a little-endian host, lanes of a native code's size are read in
+    # place; a big-endian host and wider lanes unpack them.  Both readers
+    # must give the plain dot products up to the edges of the lanes:
+    # coordinates of 4 * width - 1 bits and a row whose absolute values sum
+    # to 4 * width bits fill all but the top bit.  Empty lanes give no values.
+    if reader == "fallback":
+        monkeypatch.setattr(lanes_module, "_BYTEORDER", "big")
+    top = 2 ** (4 * width - 1) - 1
+    row = (top, -top, 0)
+    lanes = Lanes(3)
+    values, negative, nonzero = lanes.dot(row)
+    assert (len(values), negative, nonzero) == (0, 0, 0)
+    rng = random.Random(width)
+    vectors = [(top, -top, 0), (-top, top, 1), (0, 0, 0)]
+    vectors += [tuple(rng.randint(-top, top) for _ in range(3)) for _ in range(20)]
+    lanes.append(vectors)
+    for r in (row, (-top, -top, 0), (1, 0, -1), (0, 0, 1)):
+        values = lanes.dot(r)[0]
+        assert isinstance(values, memoryview) == (
+            reader == "view" and width <= 8 and sys.byteorder == "little")
+        assert checked_dot(lanes, r, vectors) == plain(r, vectors)
+    assert lanes.width == width
 
 
 @pytest.mark.parametrize("width", [1, 2, 4, 8, 16])

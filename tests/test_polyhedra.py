@@ -474,7 +474,7 @@ def test_debug_cross_checks_packed_values():
     for row in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
         pair.insert(row)
     i = pair._rays.index((1, 0, 0))
-    pair.lanes.planes[0][i * pair.lanes.width] ^= 1  # low byte of its first coordinate
+    pair.lanes.planes[0] ^= 1 << 8 * pair.lanes.width * i  # low bit of its first coordinate
     with pytest.raises(AssertionError, match="packed lanes"):
         pair.insert((1, -1, 0))
 
@@ -995,6 +995,26 @@ def test_debug_mode_cross_checks_2x3_hull(config_2_3, hull_2_3):
     # rays have up to 44 tight rows: every count filter decision is checked
     # against the pairwise counts and every adjacency against exact rank.
     assert hull(truth_table(config_2_3), debug=True) == hull_2_3
+
+
+@pytest.mark.extended
+def test_debug_mode_cross_checks_2x3_enum(config_2_3, hull_2_3, monkeypatch):
+    # The reverse direction on the 684 facets: every lane value and sign set
+    # of all 685 steps is checked against plain dot products, on lanes of 1
+    # byte and, once the coordinates grow, of 2 bytes.
+    widths = set()
+    original = polyhedra.Lanes.dot
+
+    def recorded(lanes, row):
+        result = original(lanes, row)
+        widths.add(lanes.width)
+        return result
+
+    monkeypatch.setattr(polyhedra.Lanes, "dot", recorded)
+    back = enumerate_vertices(hull_2_3, debug=True)
+    assert set(back.vertices) == set(truth_table(config_2_3).vertices)
+    assert len(back.vertices) == 64 and not back.rays
+    assert widths == {1, 2}
 
 
 def test_dd_insert_zero_row_and_wrong_length():
