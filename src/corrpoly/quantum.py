@@ -12,6 +12,7 @@ import ast
 import math
 import re
 from dataclasses import dataclass
+from operator import getitem
 from typing import Callable, Mapping, Sequence
 
 from .core import CapacityError, Configuration, ParseError, ProbabilityVector, enumerate_events
@@ -194,6 +195,19 @@ class ViolationReport:
         return f"row {self.row}: {to_text(self.inequality)}   [{self.amount}]"
 
 
+class _Terms(dict):
+    """``c`` -> ``c * hi`` for ``c > 0``, ``c * lo`` for ``c < 0``, int 0 for 0, filled on use."""
+
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, lo, hi) -> None:
+        self.lo, self.hi = lo, hi
+
+    def __missing__(self, c: int):
+        term = self[c] = c * self.hi if c > 0 else c * self.lo if c else 0
+        return term
+
+
 def _violated(selected: list[tuple[int, tuple[int, ...], int]],
               config: Configuration,
               threshold: float,
@@ -224,8 +238,13 @@ def _violated(selected: list[tuple[int, tuple[int, ...], int]],
     ``c < 0``, so ``B`` adds ``c * max(p_e)`` or ``c * min(p_e)`` in event
     order.  No point of a box with ``B - rhs <= cut`` keeps the row
     (subtracting ``rhs`` is monotone too).  The first box holds every point
-    and drops most rows unsummed.  With more than one tile, a row that
-    passes it is summed only on the tiles whose own ``B`` passes, up to the
+    and drops most rows unsummed: its ``B`` is one ``sum(map(...))`` over
+    a ``_Terms`` table per event, which works out each coefficient's term
+    once per call, so no bytecode runs per coefficient.  A zero's term is
+    the int 0; it leaves a float sum as it was but for ``-0.0`` turning
+    ``0.0``, which compares equal, so ``B`` is ``==`` the sum of the
+    nonzero terms alone.  With more than one tile, a row that passes the
+    first box is summed only on the tiles whose own ``B`` passes, up to the
     first point above the cut, and dropped if there is none; one tile is
     the first box again.  A row that is not dropped is summed once at every
     point.  So the kept rows and their values are exactly those of summing
@@ -252,15 +271,13 @@ def _violated(selected: list[tuple[int, tuple[int, ...], int]],
     # lows[e][t], highs[e][t]: the padded extremes of p_e on tile t
     lows = list(zip(*[[min(col[a:b]) - pad for col in columns] for a, b in tiles]))
     highs = list(zip(*[[max(col[a:b]) + pad for col in columns] for a, b in tiles]))
-    low, high = list(map(min, lows)), list(map(max, highs))
+    box = list(map(_Terms, map(min, lows), map(max, highs)))
     # scaled[e][c]: c * p_e at every point, and its padded largest value per tile
     scaled = [{1: (col, hi)} for col, hi in zip(columns, highs)]
 
     kept = []
     for row, coefficients, rhs in selected:
-        bound = sum([c * (hi if c > 0 else lo) for c, lo, hi
-                     in zip(coefficients, low, high) if c])
-        if bound - rhs <= cut:
+        if sum(map(getitem, box, coefficients)) - rhs <= cut:
             continue
         pairs = []
         for k, c in enumerate(coefficients):
@@ -348,8 +365,6 @@ class GridSamples:
 
 
 def _linspace(lo: float, hi: float, samples: int) -> tuple[float, ...]:
-    if samples < 2:
-        raise ValueError("need at least 2 samples")
     if not 0 < hi - lo < math.inf:
         raise ValueError(f"range [{lo}, {hi}] is empty or not finite")
     step = (hi - lo) / (samples - 1)
@@ -379,7 +394,11 @@ def _tiled_columns(model: ProbabilityModel, angles: AngleAssignment,
             sorted(range(len(order)), key=order.__getitem__))
 
 
-def _check_points(count: int) -> None:
+def _check_points(*samples: int) -> None:
+    """Refuse an axis under 2 samples, then too many points, before any is built."""
+    if min(samples) < 2:
+        raise ValueError("need at least 2 samples")
+    count = math.prod(samples)
     if count > MAX_POINTS:
         raise CapacityError(f"{count} sample points exceed the cap of {MAX_POINTS}")
 
@@ -424,7 +443,7 @@ def sample_violation_grid(
     threshold: float = 0.0,
 ) -> list[GridSamples]:
     """Two-variable analogue of ``sample_violation_curve``."""
-    _check_points(samples_x * samples_y)
+    _check_points(samples_x, samples_y)
     selected = numbered_rows(source, angles.config, rows)
     xs = _linspace(*x_range, samples_x)
     ys = _linspace(*y_range, samples_y)

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -514,6 +515,29 @@ def test_sample_count_above_the_cap_is_a_capacity_error(hull_2_2):
         sample_violation_grid(hull_2_2, refuse, angles=grid, samples_x=256, samples_y=256)
 
 
+def test_a_count_below_two_is_refused_before_any_axis_is_built(hull_2_2):
+    def law(a):
+        raise AssertionError("a point was evaluated")
+
+    refuse = ProbabilityModel("refuse", {}, default=law)
+    grid = parse_angles("x,0;0,y", C22)
+    tracemalloc.start()
+    try:
+        # a negative count makes the product pass the cap
+        for counts in ((2**20, -1), (-1, 2**20), (2**20, 1), (0, 0)):
+            with pytest.raises(ValueError, match="need at least 2 samples"):
+                sample_violation_grid(hull_2_2, refuse, angles=grid,
+                                      samples_x=counts[0], samples_y=counts[1])
+        for samples in (-1, 0, 1):
+            with pytest.raises(ValueError, match="need at least 2 samples"):
+                sample_violation_curve(hull_2_2, refuse, angles=parse_angles("x,0;0,0", C22),
+                                       samples=samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # an x axis of 2**20 floats alone takes about 40 MB
+
+
 def test_model_called_once_per_distinct_angle_tuple(hull_2_3):
     angles = parse_angles("x,0,2pi/3;0,y,4pi/3", C23)
     singlet = builtin_model("singlet")
@@ -611,6 +635,66 @@ def test_scaled_rows_give_the_same_reports(hull_2_3):
 
 
 SYMMETRIC_2_3 = "0,2pi/3,4pi/3;0,2pi/3,4pi/3"
+
+
+def random_rows(seed, count):
+    """Seeded 2x3 rows: coefficients in -9..9, zeros included, and a random rhs."""
+    rng = random.Random(seed)
+    events = len(list(enumerate_events(C23)))
+    rows = []
+    while len(rows) < count:
+        coefficients = [rng.randint(-9, 9) if rng.random() < 0.7 else 0 for _ in range(events)]
+        if any(coefficients):
+            rows.append(Inequality(tuple(coefficients), rng.randint(-8, 8), C23))
+    return rows
+
+
+def test_random_rows_match_the_oracle_at_every_edge():
+    # Many rows share a coefficient on an event, so the first-box bound
+    # reads most of its terms from entries an earlier row filled.
+    rows = random_rows(3501, 60)
+    assert sum(c == 0 for q in rows for c in q.coefficients) > 100
+    model = builtin_model("singlet")
+    floats = probability_vector(model, parse_angles("0.3,1.9,4;2.2,0.1,5.5", C23))
+    exact = ProbabilityVector(tuple(Fraction(round(8 * p), 8) for p in floats), C23)
+    for vec in (floats, exact):
+        tops = assert_edges(
+            lambda ineqs, t: [(r.inequality, [r.amount])
+                              for r in scan_probability_vector(ineqs, vec, threshold=t)],
+            rows, [vec], floor=0.0)
+        assert sum(len(group) for top, group in tops.items() if top > 0) > 10
+
+    angles = parse_angles("x,0,2pi/3;0,2pi/3,4pi/3", C23)
+    assert_edges(
+        lambda ineqs, t: [(c.inequality, c.values) for c in sample_violation_curve(
+            ineqs, model, angles=angles, samples=17, threshold=t)],
+        rows, [probability_vector(model, angles, x=x) for x in _linspace(0.0, math.pi, 17)])
+
+    # 13 x 11 samples make 3 x 3 tiles
+    angles = parse_angles("x,0,2pi/3;0,y,4pi/3", C23)
+    tops = assert_edges(
+        lambda ineqs, t: [(g.inequality, g.values) for g in sample_violation_grid(
+            ineqs, model, angles=angles, samples_x=13, samples_y=11, threshold=t)],
+        rows, [probability_vector(model, angles, x=x, y=y)
+               for y in _linspace(0.0, math.pi, 11) for x in _linspace(0.0, math.pi, 13)])
+    assert min(tops) < 0 < max(tops)
+
+
+def test_back_to_back_scans_use_their_own_extremes():
+    # At equal angles every pair has probability 0, so a row violated at
+    # the symmetric setting alone would be missed if the second scan read
+    # bounds left over from the first.
+    rows = random_rows(3502, 80)
+    model = builtin_model("singlet")
+    reported = []
+    for text in ("0,0,0;0,0,0", SYMMETRIC_2_3):
+        vec = probability_vector(model, parse_angles(text, C23))
+        want = [(i, repr(v)) for i, q in enumerate(rows, 1)
+                if (v := event_order_value(q, vec)) > VIOLATION_EPS]
+        got = sorted((r.row, repr(r.amount)) for r in scan_probability_vector(rows, vec))
+        assert got == want
+        reported.append({i for i, _ in got})
+    assert reported[0] and reported[1] - reported[0]
 
 
 def test_scans_read_rows_without_from_hrep(hull_2_3, monkeypatch):
