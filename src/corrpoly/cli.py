@@ -11,6 +11,7 @@ import json
 import os
 import sys
 import traceback
+from dataclasses import asdict
 
 from . import io as cpio
 from .core import (
@@ -139,6 +140,18 @@ def _progress(done: int, total: int, rays: int) -> None:
         print(f"  {done}/{total} constraints, {rays} rays", file=sys.stderr)
 
 
+def _dd_options(args) -> dict:
+    """The ``order``, ``ray_cap`` and ``progress`` of ``hull`` and ``enum``."""
+    return {"order": args.order, "ray_cap": _ray_cap(args),
+            "progress": None if args.quiet else _progress}
+
+
+def _emit(args, record: dict, lines) -> None:
+    """Print ``record`` as one line of JSON under ``--json``, else ``lines``."""
+    for line in [json.dumps(record)] if args.json else lines:
+        print(line)
+
+
 def _load_hrep(args) -> HRepresentation:
     """Read ``--ine``; -n/-m/--config fill in a layout the file does not give."""
     hrep = with_layout(cpio.read_ine(args.ine), _resolve_config(args), args.ine)
@@ -153,7 +166,7 @@ def _load_model_inputs(args):
     return hrep, builtin_model(args.model), parse_angles(args.angles, hrep.config)
 
 
-def cmd_events(args) -> int:
+def cmd_events(args) -> None:
     config = _resolve_config(args)
     # Every label is built before the first prints; a layout has fewer
     # events than truth-table rows, so the vertex cap bounds them too.
@@ -163,23 +176,21 @@ def cmd_events(args) -> int:
                             f"{DEFAULT_VERTEX_CAP}")
     for ev in enumerate_events(config):
         print(ev.label())
-    return EXIT_OK
 
 
-def cmd_vertices(args) -> int:
+def cmd_vertices(args) -> None:
     config = _resolve_config(args)
     vrep = truth_table(config, max_rows=args.vertex_cap)
     if args.output:
         path = cpio.write_ext(vrep, args.output)
         print(f"wrote {path} ({len(vrep.vertices)} vertices)")
-        return EXIT_OK
+        return
     print(" ".join(ev.label() for ev in enumerate_events(config)))
     for row in vrep.vertices:
         print(" ".join(str(x) for x in row))
-    return EXIT_OK
 
 
-def cmd_hull(args) -> int:
+def cmd_hull(args) -> None:
     if args.ext:
         if args.particles is not None or args.settings is not None or args.config:
             raise ValueError("--ext and -n/-m/--config are mutually exclusive")
@@ -189,38 +200,32 @@ def cmd_hull(args) -> int:
         if config is None:
             raise ValueError("give either --ext FILE or a configuration")
         vrep = truth_table(config, max_rows=args.vertex_cap)
-    progress = None if args.quiet else _progress
-    hrep = hull(vrep, order=args.order, ray_cap=_ray_cap(args), progress=progress)
+    hrep = hull(vrep, **_dd_options(args))
     facets = len(hrep.inequality_indices)
     if args.output:
         path = cpio.write_ine(hrep, args.output)
         print(f"wrote {path}")
     extra = f" and {len(hrep.linearity)} equalities" if hrep.linearity else ""
     print(f"{facets} facets{extra}")
-    return EXIT_OK
 
 
-def cmd_enum(args) -> int:
+def cmd_enum(args) -> None:
     hrep = cpio.read_ine(args.ine)
-    progress = None if args.quiet else _progress
-    vrep = enumerate_vertices(hrep, order=args.order, ray_cap=_ray_cap(args),
-                              progress=progress)
+    vrep = enumerate_vertices(hrep, **_dd_options(args))
     if args.output:
         path = cpio.write_ext(vrep, args.output)
         print(f"wrote {path}")
     print("empty polyhedron" if vrep.is_empty
           else f"{len(vrep.vertices)} vertices, {len(vrep.rays)} rays")
-    return EXIT_OK
 
 
-def cmd_inequalities(args) -> int:
+def cmd_inequalities(args) -> None:
     hrep = _load_hrep(args)
     for _, c, rhs in numbered_rows(hrep, rows=_parse_rows(args.rows)):
         print(to_text(Inequality(c, rhs, hrep.config)))
-    return EXIT_OK
 
 
-def cmd_violations(args) -> int:
+def cmd_violations(args) -> None:
     hrep, model, angles = _load_model_inputs(args)
     reports = scan_violations(
         hrep, model, angles=angles,
@@ -228,22 +233,17 @@ def cmd_violations(args) -> int:
     )
     if args.csv:
         cpio.write_violation_csv(reports, args.csv)
+    found = [{"row": r.row, "inequality": to_text(r.inequality), "amount": r.amount}
+             for r in reports]
+    _emit(args, {"violations": found},
+          (f"{v['row']}\t{v['amount']:.9g}\t{v['inequality']}" for v in found))
     if args.json:
-        print(json.dumps({
-            "violations": [
-                {"row": r.row, "inequality": to_text(r.inequality),
-                 "amount": r.amount}
-                for r in reports
-            ]
-        }))
-        return EXIT_OK
-    for r in reports:
-        print(f"{r.row}\t{r.amount:.9g}\t{to_text(r.inequality)}")
+        return
+    sys.stdout.flush()  # on one merged stream, the count follows the rows
     print(f"{len(reports)} violated", file=sys.stderr)
-    return EXIT_OK
 
 
-def cmd_plot(args) -> int:
+def cmd_plot(args) -> None:
     hrep, model, angles = _load_model_inputs(args)
     curves = sample_violation_curve(
         hrep, model, angles=angles,
@@ -252,15 +252,14 @@ def cmd_plot(args) -> int:
     )
     if not curves:
         print("no violated inequalities in range")
-        return EXIT_OK
+        return
     path = cpio.write_curve_csv(curves, args.output)
     print(f"wrote {path} ({len(curves)} curves)")
     if args.svg:
         print(f"wrote {cpio.render_svg(curves, args.svg)}")
-    return EXIT_OK
 
 
-def cmd_contour(args) -> int:
+def cmd_contour(args) -> None:
     hrep, model, angles = _load_model_inputs(args)
     grids = sample_violation_grid(
         hrep, model, angles=angles,
@@ -270,43 +269,30 @@ def cmd_contour(args) -> int:
     )
     if not grids:
         print("no violated inequalities in range")
-        return EXIT_OK
+        return
     for grid in grids:
         path = cpio.write_grid_csv(grid, f"{args.output}_row{grid.row}.csv")
         print(f"wrote {path}")
         if args.svg:
             print(f"wrote {cpio.render_svg(grid, f'{args.output}_row{grid.row}.svg')}")
-    return EXIT_OK
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> None:
     config = _resolve_config(args)
     # The cap check comes first: parsing builds every event label.
     vrep = truth_table(config, max_rows=args.vertex_cap)
     ineq = parse_text(args.ineq, config)
     report = verify_facet(ineq.to_hrow(), vrep)
-    if args.json:
-        print(json.dumps({
-            "valid": report.valid,
-            "tight_count": report.tight_count,
-            "is_facet": report.is_facet,
-        }))
-    else:
-        print(f"valid: {'yes' if report.valid else 'no'}")
-        print(f"tight generators: {report.tight_count}")
-        print(f"facet: {'yes' if report.is_facet else 'no'}")
-    return EXIT_OK
+    _emit(args, asdict(report), [f"valid: {'yes' if report.valid else 'no'}",
+                                 f"tight generators: {report.tight_count}",
+                                 f"facet: {'yes' if report.is_facet else 'no'}"])
 
 
-def cmd_contains(args) -> int:
+def cmd_contains(args) -> None:
     hrep = cpio.read_ine(args.ine)
     point = tuple(parse_number(tok) for tok in args.point.split(","))
     inside = contains(hrep, point)
-    if args.json:
-        print(json.dumps({"contains": inside}))
-    else:
-        print("yes" if inside else "no")
-    return EXIT_OK
+    _emit(args, {"contains": inside}, ["yes" if inside else "no"])
 
 
 def _range_help(flag: str, axis: str) -> str:
@@ -429,7 +415,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        args.func(args)
     except ParseError as exc:
         print(f"corrpoly: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -445,6 +431,7 @@ def main(argv=None) -> int:
     except Exception:
         traceback.print_exc()
         return EXIT_INTERNAL
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -26,14 +26,14 @@ _BYTEORDER = sys.byteorder
 #: for a byte with bit ``j`` set, ``_NONZERO`` for a nonzero byte.
 _BITS = [(b"0" * (1 << j) + b"1" * (1 << j)) * (128 >> j) for j in range(8)]
 _NONZERO = bytes(b"01"[b != 0] for b in range(256))
-#: Vectors per flat pack in ``Lanes.append``: it never copies the coordinates
-#: of more vectors than this at once.
+#: Vectors per flat pack in ``Lanes.append``: it never holds the coordinates
+#: of more vectors than this in one list.
 _BLOCK = 256
 
 
-def _bits(values: Sequence[int]) -> int:
-    """The largest bit length of the absolute values, 0 if there are none."""
-    distinct = set(values)  # few distinct values in practice: cheaper to scan twice
+def _bits(vectors: Sequence[Sequence[int]]) -> int:
+    """The largest bit length of the absolute coordinates, 0 if there are none."""
+    distinct = set(chain.from_iterable(vectors))  # few in practice: cheaper to scan twice
     return max(max(distinct, default=0), -min(distinct, default=0)).bit_length()
 
 
@@ -115,22 +115,22 @@ class Lanes:
         self.coord_bits = 0
 
     def append(self, vectors: Sequence[Sequence[int]]) -> None:
-        """Pack ``vectors`` into the next lanes, one flat pack per block."""
+        """Pack ``vectors`` into the next lanes, a block at a time at one width."""
+        self.coord_bits = max(self.coord_bits, _bits(vectors))
+        self._widen(self.coord_bits + 1)
+        parts = [bytearray() for _ in self.planes]  # each plane's new lanes, ORed in once
         for start in range(0, len(vectors), _BLOCK):
             block = vectors[start:start + _BLOCK]
-            flat = list(chain.from_iterable(zip(*block)))  # plane by plane
-            self.coord_bits = max(self.coord_bits, _bits(flat))
-            self._widen(self.coord_bits + 1)
-            data = _to_lanes(flat, self.width)
+            data = _to_lanes(list(chain.from_iterable(zip(*block))), self.width)
             size = len(block) * self.width
-            halves = _halves(len(block), self.width)
-            shift = 8 * self.width * self.count
-            planes = self.planes  # one plane at a time: no second list holds them all
-            for j in range(len(planes)):
-                planes[j] |= (int.from_bytes(data[j * size:(j + 1) * size], "little")
-                              ^ halves) << shift
-            self.halves |= halves << shift
-            self.count += len(block)
+            for j, part in enumerate(parts):
+                part += data[j * size:(j + 1) * size]
+        halves = _halves(len(vectors), self.width)
+        shift = 8 * self.width * self.count
+        for j, part in enumerate(parts):
+            self.planes[j] |= (int.from_bytes(part, "little") ^ halves) << shift
+        self.halves |= halves << shift
+        self.count += len(vectors)
 
     def dot(self, row: Sequence[int]) -> tuple[Sequence[int], int, int]:
         """The dot product of ``row`` with every vector, in lane order.

@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import corrpoly
 from corrpoly import (
     Configuration,
     VRepresentation,
@@ -178,6 +183,25 @@ def test_violations_json_and_csv(tmp_path, capsys):
     assert len(payload["violations"]) == 1
     assert payload["violations"][0]["amount"] == pytest.approx(1 / 8)
     assert csv_path.read_text().splitlines()[0] == "row,inequality,violation"
+
+
+def test_violations_count_follows_the_rows_on_one_stream(tmp_path, capsys):
+    # A piped stdout is block-buffered and stderr is not, so the rows must be
+    # flushed before the count goes to stderr for a caller that merges both
+    # streams into one pipe to read the count as its last line.
+    ine = tmp_path / "2_2.ine"
+    run(capsys, "hull", "-n", "2", "-m", "2", "-o", str(ine), "-q")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (
+        str(Path(corrpoly.__file__).parents[1]), env.get("PYTHONPATH"))))
+    merged = subprocess.run(
+        [sys.executable, "-m", "corrpoly.cli", "violations", "--ine", str(ine),
+         "--model", "singlet", "--angles", "0,pi/2;pi/4,-pi/4"],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, env=env, check=True,
+        timeout=60,
+    ).stdout.decode().splitlines()
+    assert merged[-1] == "1 violated"
+    assert [line.split("\t")[:2] for line in merged[:-1]] == [["18", "0.207106781"]]
 
 
 def sha256(text: str) -> str:

@@ -82,6 +82,7 @@ def test_joint_support_contains_singles():
 def test_non_uniform_configuration():
     config = Configuration((1, 2))
     assert labels(config) == ["a1", "b1", "b2", "a1b1", "a1b2"]
+    assert [str(ev) for ev in enumerate_events(config)] == labels(config)
     assert event_count(config) == 5
 
 

@@ -69,16 +69,22 @@ def test_width_follows_the_exact_bound():
 
 
 def test_append_packs_a_long_batch_block_by_block():
-    # A batch longer than one block is packed a block at a time; a wide
-    # vector in its last block widens, and so repacks, the blocks before it.
+    # A batch longer than one block is packed a block at a time, at the
+    # width that its widest vector, here in the last block, needs from the
+    # start.  The lanes must be those of the same vectors appended one per
+    # call, where that last vector widens, and so repacks, all before it.
     rng = random.Random(7)
     vectors = [(rng.randint(-3, 3), rng.randint(-3, 3), 0) for _ in range(2 * _BLOCK + 5)]
     vectors[-1] = (2**40, -1, 7)
-    lanes = Lanes(3)
+    lanes, one_by_one = Lanes(3), Lanes(3)
     lanes.append(vectors)
+    for v in vectors:
+        one_by_one.append([v])
     assert (lanes.width, lanes.coord_bits) == (8, 41)
     assert lanes.count == len(vectors)
     assert all(p.bit_length() <= 64 * len(vectors) for p in lanes.planes)
+    assert {s: getattr(lanes, s) for s in Lanes.__slots__} == {
+        s: getattr(one_by_one, s) for s in Lanes.__slots__}
     for row in ((1, 1, 1), (0, -2, 1), (0, 0, 1)):
         assert checked_dot(lanes, row, vectors) == plain(row, vectors)
 

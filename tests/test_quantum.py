@@ -69,6 +69,7 @@ def test_unknown_model_and_missing_arity():
     with pytest.raises(ValueError):
         builtin_model("bogus")
     singlet = builtin_model("singlet")
+    assert repr(singlet) == "ProbabilityModel('singlet')"
     with pytest.raises(ValueError):
         singlet.probability((1.0, 2.0, 3.0))
 
