@@ -64,19 +64,21 @@ class Inequality:
         return to_text(self)
 
 
-def numbered_rows(
-    source: HRepresentation | Sequence[Inequality],
-    config: Configuration | None = None,
-    rows: tuple[int, int] | None = None,
-) -> list[tuple[int, tuple[int, ...], int]]:
-    """``(1-based row, coefficients, rhs)`` of each inequality within ``rows``.
+def numbered_rows(source: HRepresentation | Sequence[Inequality],
+                  config: Configuration | None = None, rows: tuple[int, int] | None = None,
+                  ) -> list[tuple[int, tuple[int, ...], int]]:
+    """``(row, coefficients, rhs)``: ``selected_rows``, each read by ``normalised_row``."""
+    return [(i, *normalised_row(row)) for i, row in selected_rows(source, config, rows)]
+
+
+def selected_rows(source: HRepresentation | Sequence[Inequality],
+                  config: Configuration | None = None, rows: tuple[int, int] | None = None,
+                  ) -> list[tuple[int, tuple]]:
+    """``(1-based row, (b, a))`` of each inequality within ``rows``, as read.
 
     An H-representation's rows are numbered as in its file, equalities
-    included (they are skipped); a row ``(b, a)`` gives ``c = -a`` and
-    ``rhs = b``, divided by the row's gcd: the fields of its ``Inequality``,
-    without building one.  A row with an entry that is not an int, which
-    ``math.gcd`` rejects, is cleared of denominators first.  A list's
-    inequalities are numbered from 1 and read as they are.
+    included (they are skipped).  A list's inequalities are numbered from 1
+    and give their ``to_hrow``.
 
     A source's own layout wins; ``config`` only fills in a missing one, and
     a source over another layout is an error (see ``with_layout``).
@@ -87,34 +89,38 @@ def numbered_rows(
         source = with_layout(source, config, "the H-representation")
         if source.config is None:
             raise ValueError("no configuration attached; pass one explicitly")
-        numbered = []
-        for i in source.inequality_indices:
-            row = source.rows[i]
-            try:
-                g = math.gcd(*row)
-            except TypeError:  # a Fraction or other non-int entry
-                row, g = clear_to_int(row), 1
-            if g != 1:
-                row = [a // g for a in row]
-            coefficients = tuple([-a for a in row[1:]])
-            if not any(coefficients):
-                raise ValueError("inequality needs at least one nonzero coefficient")
-            numbered.append((i + 1, coefficients, row[0]))
+        selected = [(i + 1, source.rows[i]) for i in source.inequality_indices]
         total = len(source.rows)
     else:
-        numbered = []
+        selected = []
         for i, q in enumerate(source, 1):
             _check_layout(f"inequality {i}", q.config, config)
-            numbered.append((i, q.coefficients, q.rhs))
-        if not numbered:
+            selected.append((i, q.to_hrow()))
+        if not selected:
             raise ValueError("empty inequality list")
-        total = len(numbered)
+        total = len(selected)
     if rows is not None:
         lo, hi = rows
         if lo < 1 or hi > total or lo > hi:
             raise ValueError(f"row range {lo}:{hi} out of bounds (1..{total})")
-        numbered = [t for t in numbered if lo <= t[0] <= hi]
-    return numbered
+        selected = [t for t in selected if lo <= t[0] <= hi]
+    return selected
+
+
+def normalised_row(row: Sequence) -> tuple[tuple[int, ...], int]:
+    """``(c, rhs)`` of a row ``(b, a)``, the fields of its ``Inequality``:
+    ``c = -a`` and ``rhs = b`` divided by their gcd, denominators cleared
+    first; a row with no nonzero coefficient is a ``ValueError``."""
+    try:
+        g = math.gcd(*row)
+    except TypeError:  # a Fraction or other non-int entry
+        row, g = clear_to_int(row), 1
+    if g != 1:
+        row = [a // g for a in row]
+    coefficients = tuple([-a for a in row[1:]])
+    if not any(coefficients):
+        raise ValueError("inequality needs at least one nonzero coefficient")
+    return coefficients, row[0]
 
 
 def with_layout(hrep: HRepresentation, config: Configuration | None,

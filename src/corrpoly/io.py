@@ -372,8 +372,6 @@ def grid_svg(grid: GridSamples) -> str:
     width = 2 * margin + cell * nx
     height = 2 * margin + cell * ny
     f_max = max(grid.values)
-    levels = [round(255 * (1 - f / f_max)) if f > 0 and f_max > 0 else 255
-              for f in grid.values]
     # One join interleaves per cell: the x head, the y part, the fill.
     tail = f'" width="{cell}" height="{cell}" fill="#'
     cells = [""] * (3 * nx * ny)
@@ -381,7 +379,9 @@ def grid_svg(grid: GridSamples) -> str:
     # y axis points up: last sample row sits at the top
     cells[1::3] = [y for y in [f"{margin + (ny - 1 - iy) * cell}{tail}"
                                for iy in range(ny)] for _ in range(nx)]
-    cells[2::3] = map(_GREYS.__getitem__, levels)
+    white = _GREYS[255]  # every cell when f_max <= 0, as then no f is above 0
+    cells[2::3] = [_GREYS[round(255 * (1 - f / f_max))] if f > 0 else white
+                   for f in grid.values]
     return _svg(width, height, [
         "".join(cells)
         + f'<rect x="{margin}" y="{margin}" width="{cell * nx}" '

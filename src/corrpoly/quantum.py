@@ -12,13 +12,13 @@ import ast
 import math
 import re
 from dataclasses import dataclass
-from operator import getitem
 from typing import Callable, Mapping, Sequence
 
 from .core import CapacityError, Configuration, ParseError, ProbabilityVector, enumerate_events
 # from_hrep is not called here, but perfbench/tracer.py patches it by this
 # module's name, so it stays imported.
-from .inequalities import Inequality, from_hrep, numbered_rows, to_text  # noqa: F401
+from .inequalities import (  # noqa: F401
+    Inequality, from_hrep, normalised_row, selected_rows, to_text)
 from .polyhedra import HRepresentation
 
 #: Absolute guard for float violation comparisons.
@@ -208,7 +208,7 @@ class _Terms(dict):
         return term
 
 
-def _violated(selected: list[tuple[int, tuple[int, ...], int]],
+def _violated(selected: list[tuple[int, tuple]],
               config: Configuration,
               threshold: float,
               columns: Sequence[Sequence],
@@ -218,11 +218,11 @@ def _violated(selected: list[tuple[int, tuple[int, ...], int]],
     ``sum(c_e p_e) - rhs`` over the points exceeds the threshold.
 
     ``columns`` holds one column per event, ``p_e`` at every point, as
-    ``_event_columns`` gives them.  ``selected`` holds ``numbered_rows``
-    triples; only a kept row becomes an ``Inequality``, in the layout
-    ``config``.  ``tiles`` cuts the points into contiguous ``(start, stop)``
-    slices, in order (a scan passes one tile), and ``values[i]`` is the
-    value at point ``where[i]``.
+    ``_event_columns`` gives them.  ``selected`` holds ``selected_rows``
+    pairs, rows ``(b, a)`` as read; only a kept row becomes an
+    ``Inequality``, in the layout ``config``.  ``tiles`` cuts the points
+    into contiguous ``(start, stop)`` slices, in order (a scan passes one
+    tile), and ``values[i]`` is the value at point ``where[i]``.
 
     Each scaled column ``c * p_e`` is built once and shared by every row
     with coefficient ``c`` on event ``e`` (``1 * p_e`` is the column
@@ -238,17 +238,22 @@ def _violated(selected: list[tuple[int, tuple[int, ...], int]],
     ``c < 0``, so ``B`` adds ``c * max(p_e)`` or ``c * min(p_e)`` in event
     order.  No point of a box with ``B - rhs <= cut`` keeps the row
     (subtracting ``rhs`` is monotone too).  The first box holds every point
-    and drops most rows unsummed: its ``B`` is one ``sum(map(...))`` over
-    a ``_Terms`` table per event, which works out each coefficient's term
-    once per call, so no bytecode runs per coefficient.  A zero's term is
-    the int 0; it leaves a float sum as it was but for ``-0.0`` turning
-    ``0.0``, which compares equal, so ``B`` is ``==`` the sum of the
-    nonzero terms alone.  With more than one tile, a row that passes the
-    first box is summed only on the tiles whose own ``B`` passes, up to the
-    first point above the cut, and dropped if there is none; one tile is
-    the first box again.  A row that is not dropped is summed once at every
-    point.  So the kept rows and their values are exactly those of summing
-    every row.
+    and drops most rows unsummed, as read: ``B - rhs`` is ``sum(map(...,
+    first, (b, a))) - b``, over ``_Terms`` tables of the int 0 for ``b`` and
+    of ``c = -a`` (negation is exact) that work out each term once per call,
+    so no gcd, slice or bytecode runs per coefficient.  A zero's term is the
+    int 0; it leaves a float sum as it was but for ``-0.0`` turning ``0.0``,
+    which compares equal, so ``B`` is ``==`` the sum of the nonzero terms
+    alone, and a float unless the row is constant.  A row scaled by ``s``
+    has ``s`` times the bound, too low for ``s > 1`` below a negative cut or
+    ``s < 1`` (a ``Fraction`` row) above a positive one, so a row that is
+    not primitive, as one that passes, is normalised (``normalised_row``
+    rejects a constant row) and bounded again.  With more than one tile, a
+    row that passes the first box is summed only on the tiles whose own
+    ``B`` passes, up to the first point above the cut, and dropped if there
+    is none; one tile is the first box again.  A row that is not dropped is
+    summed once at every point.  So the kept rows and their values are
+    exactly those of summing every row.
 
     ``B`` bounds every sum because exact sums grow with each term, and so
     do floats added one rounding at a time, each rounding being monotone.
@@ -272,12 +277,22 @@ def _violated(selected: list[tuple[int, tuple[int, ...], int]],
     lows = list(zip(*[[min(col[a:b]) - pad for col in columns] for a, b in tiles]))
     highs = list(zip(*[[max(col[a:b]) + pad for col in columns] for a, b in tiles]))
     box = list(map(_Terms, map(min, lows), map(max, highs)))
+    first = [_Terms(0, 0), *[_Terms(-t.hi, -t.lo) for t in box]]
     # scaled[e][c]: c * p_e at every point, and its padded largest value per tile
-    scaled = [{1: (col, hi)} for col, hi in zip(columns, highs)]
+    scaled = [{1: (col, top)} for col, top in zip(columns, highs)]
 
     kept = []
-    for row, coefficients, rhs in selected:
-        if sum(map(getitem, box, coefficients)) - rhs <= cut:
+    gcd, lookup = math.gcd, dict.__getitem__  # faster than operator.getitem on a subclass
+    for row, read in selected:
+        try:  # a Fraction entry raises
+            if gcd(*read) == 1:
+                bound = sum(map(lookup, first, read)) - read[0]
+                if bound <= cut and type(bound) is float:  # an int: a constant row
+                    continue
+        except TypeError:
+            pass
+        coefficients, rhs = normalised_row(read)
+        if sum(map(lookup, box, coefficients)) - rhs <= cut:
             continue
         pairs = []
         for k, c in enumerate(coefficients):
@@ -310,13 +325,10 @@ def scan_probability_vector(
     if threshold < 0:
         raise ValueError("threshold must be nonnegative")
     config = probabilities.config
-    columns = [[p] for p in probabilities.values]
-    kept = _violated(numbered_rows(source, config, rows), config, threshold,
-                     columns, [(0, 1)], [0])
-    reports = [ViolationReport(row=row, inequality=ineq, amount=values[0])
-               for row, ineq, values in kept]
-    reports.sort(key=lambda r: (-r.amount, r.row))
-    return reports
+    kept = _violated(selected_rows(source, config, rows), config, threshold,
+                     [[p] for p in probabilities.values], [(0, 1)], [0])
+    return sorted((ViolationReport(row, ineq, values[0]) for row, ineq, values in kept),
+                  key=lambda r: (-r.amount, r.row))
 
 
 def scan_violations(
@@ -332,7 +344,7 @@ def scan_violations(
     computed; rows exceeding ``threshold`` (default 0) are reported, sorted
     by descending amount, then row number.  Probabilities take the layout
     of ``angles``; the source must be over it, or have none (see
-    ``numbered_rows``).  Angles with a free variable are a ``ValueError``.
+    ``selected_rows``).  Angles with a free variable are a ``ValueError``.
     """
     if angles.free_variables:
         raise ValueError("violation scans need concrete angles (no x or y)")
@@ -422,13 +434,10 @@ def sample_violation_curve(
     if "y" in angles.free_variables:
         raise ValueError("curve sampling allows only the free variable x")
     _check_points(samples)
-    selected = numbered_rows(source, angles.config, rows)
+    selected = selected_rows(source, angles.config, rows)
     xs = _linspace(*x_range, samples)
-    return [
-        CurveSamples(row=row, inequality=ineq, xs=xs, values=values)
-        for row, ineq, values in _violated(selected, angles.config, threshold,
-                                           *_tiled_columns(model, angles, xs, (0.0,)))
-    ]
+    return [CurveSamples(row, ineq, xs, values) for row, ineq, values in _violated(
+        selected, angles.config, threshold, *_tiled_columns(model, angles, xs, (0.0,)))]
 
 
 def sample_violation_grid(
@@ -444,14 +453,11 @@ def sample_violation_grid(
 ) -> list[GridSamples]:
     """Two-variable analogue of ``sample_violation_curve``."""
     _check_points(samples_x, samples_y)
-    selected = numbered_rows(source, angles.config, rows)
+    selected = selected_rows(source, angles.config, rows)
     xs = _linspace(*x_range, samples_x)
     ys = _linspace(*y_range, samples_y)
-    return [
-        GridSamples(row=row, inequality=ineq, xs=xs, ys=ys, values=values)
-        for row, ineq, values in _violated(selected, angles.config, threshold,
-                                           *_tiled_columns(model, angles, xs, ys))
-    ]
+    return [GridSamples(row, ineq, xs, ys, values) for row, ineq, values in _violated(
+        selected, angles.config, threshold, *_tiled_columns(model, angles, xs, ys))]
 
 
 _TOKEN_RE = re.compile(r"\s*(?:([0-9]+(?:\.[0-9]*)?|\.[0-9]+)|(pi|x|y|[+\-*/()]))\s*")

@@ -7,10 +7,15 @@ from corrpoly import (
     Configuration,
     HRepresentation,
     Inequality,
+    builtin_model,
     contains,
     from_hrep,
     hull,
+    parse_angles,
     parse_text,
+    sample_violation_curve,
+    sample_violation_grid,
+    scan_violations,
     to_text,
     truth_table,
 )
@@ -133,14 +138,26 @@ def test_from_hrep_integer_fraction_and_mixed_rows(hull_2_2, config_2_2):
 
 
 def test_constant_row_is_rejected():
-    # a row with every coefficient zero is no inequality over the events
+    # a row with every coefficient zero is no inequality over the events;
+    # scans, curves and grids reject it too, although (1, 0, 0), which
+    # holds everywhere, never passes their bound
     config = Configuration((2,))
+    model = builtin_model("singlet")
+    readers = (
+        from_hrep, numbered_rows,
+        lambda h: scan_violations(h, model, parse_angles("0,1", config)),
+        lambda h: sample_violation_curve(h, model, parse_angles("x,1", config), samples=3),
+        lambda h: sample_violation_grid(h, model, parse_angles("x,y", config),
+                                        samples_x=2, samples_y=2),
+    )
     for row in ((1, 0, 0), (Fraction(1, 2), 0, 0), (-3, 0, 0)):
         hrep = HRepresentation(2, ((0, 1, 0), row), config=config)
-        for read in (from_hrep, numbered_rows):
+        for read in readers:
             with pytest.raises(ValueError, match="^inequality needs at least one "
                                                  "nonzero coefficient$"):
                 read(hrep)
+        # a row outside the range is not read
+        assert numbered_rows(hrep, rows=(1, 1)) == [(1, (-1, 0), 0)]
     with pytest.raises(ValueError, match="no configuration attached"):
         numbered_rows(HRepresentation(2, ((0, 1, 0),)))
     with pytest.raises(ValueError, match="empty inequality list"):

@@ -27,6 +27,8 @@ from corrpoly import (
     to_text,
 )
 from corrpoly.core import CapacityError, ParseError
+from corrpoly.inequalities import numbered_rows
+from corrpoly.io import format_polyhedra_file, parse_polyhedra_file
 from corrpoly.quantum import (
     MAX_POINTS,
     VIOLATION_EPS,
@@ -622,17 +624,36 @@ def test_exact_law_keeps_fractions_at_zero_and_one():
 
 
 def test_scaled_rows_give_the_same_reports(hull_2_3):
-    # a row times 3 is the same inequality, read without clear_to_int
-    scaled = HRepresentation(hull_2_3.dimension,
-                             tuple(tuple(3 * v for v in row) for row in hull_2_3.rows),
-                             config=hull_2_3.config)
+    # The facets times 3, and halved as p/q tokens, are the same
+    # inequalities: bounded only once normalised, they give == reports,
+    # curves and grids with the same row numbers, at a negative cut too,
+    # within a range and around linearity rows, which keep their numbers.
     model = builtin_model("singlet")
-    for text in ("0,2pi/3,4pi/3;0,2pi/3,4pi/3", "0.3,1.9,4;2.2,0.1,5.5"):
-        angles = parse_angles(text, C23)
-        want = scan_violations(hull_2_3, model, angles=angles)
-        got = scan_violations(scaled, model, angles=angles)
-        assert want and [(r.row, r.inequality, r.amount) for r in got] == [
-            (r.row, r.inequality, r.amount) for r in want]
+    scan_angles = [parse_angles(text, C23) for text in (SYMMETRIC_2_3, "0.3,1.9,4;2.2,0.1,5.5")]
+    curve_angles = parse_angles("x,2pi/3,4pi/3;0,2pi/3,4pi/3", C23)
+    grid_angles = parse_angles("x,0,2pi/3;0,y,4pi/3", C23)
+    for linearity in (frozenset(), frozenset({0, 5, 17, 400})):
+        plain = replace(hull_2_3, linearity=linearity)
+        scaled = [replace(s, linearity=linearity) for s in scaled_sources(hull_2_3.rows)]
+        for rows in (None, (100, 600)):
+            lo, hi = rows or (1, len(hull_2_3.rows))
+            assert [i for i, _, _ in numbered_rows(plain, rows=rows)] == [
+                i for i in range(lo, hi + 1) if i - 1 not in linearity]
+            for t in (0.0, -0.5):
+                readers = [
+                    lambda s: sample_violation_curve(s, model, curve_angles, samples=9,
+                                                     rows=rows, threshold=t),
+                    lambda s: sample_violation_grid(s, model, grid_angles, samples_x=5,
+                                                    samples_y=4, rows=rows, threshold=t),
+                ]
+                if t == 0:  # scans take no negative threshold
+                    readers += [lambda s, a=a: scan_violations(s, model, a, rows)
+                                for a in scan_angles]
+                for read in readers:
+                    want = read(plain)
+                    assert want and all(lo <= w.row <= hi and w.row - 1 not in linearity
+                                        for w in want)
+                    assert all(read(source) == want for source in scaled)
 
 
 SYMMETRIC_2_3 = "0,2pi/3,4pi/3;0,2pi/3,4pi/3"
@@ -650,32 +671,59 @@ def random_rows(seed, count):
     return rows
 
 
+def scaled_sources(rows):
+    """``rows`` (``Inequality`` objects or H-rows) as two H-representations
+    of the same inequalities: every row times 3, and every row halved,
+    written and read back through its ``p/q`` tokens."""
+    rows = [q.to_hrow() if isinstance(q, Inequality) else q for q in rows]
+    tripled = HRepresentation(len(rows[0]) - 1, tuple(tuple(3 * v for v in r) for r in rows),
+                              config=C23)
+    text = format_polyhedra_file(replace(tripled, rows=tuple(
+        tuple(Fraction(v, 2) for v in r) for r in rows)))
+    assert "/2 " in text
+    return tripled, parse_polyhedra_file(text)
+
+
+def on_scaled_rows(sample):
+    """``sample`` on a list of inequalities, after checking that it gives
+    ``==`` results on the ``scaled_sources`` of the list."""
+    def run(ineqs, t):
+        got = sample(ineqs, t)
+        assert all(sample(source, t) == got for source in scaled_sources(ineqs))
+        return got
+    return run
+
+
 def test_random_rows_match_the_oracle_at_every_edge():
     # Many rows share a coefficient on an event, so the first-box bound
-    # reads most of its terms from entries an earlier row filled.
+    # reads most of its terms from entries an earlier row filled.  Each
+    # sample is checked on the rows scaled by 3 and by 1/2 too, at every
+    # edge: a row is bounded as read only when it is primitive.
     rows = random_rows(3501, 60)
     assert sum(c == 0 for q in rows for c in q.coefficients) > 100
     model = builtin_model("singlet")
     floats = probability_vector(model, parse_angles("0.3,1.9,4;2.2,0.1,5.5", C23))
     exact = ProbabilityVector(tuple(Fraction(round(8 * p), 8) for p in floats), C23)
     for vec in (floats, exact):
+        scan = on_scaled_rows(lambda source, t: scan_probability_vector(source, vec, threshold=t))
         tops = assert_edges(
-            lambda ineqs, t: [(r.inequality, [r.amount])
-                              for r in scan_probability_vector(ineqs, vec, threshold=t)],
+            lambda ineqs, t: [(r.inequality, [r.amount]) for r in scan(ineqs, t)],
             rows, [vec], floor=0.0)
         assert sum(len(group) for top, group in tops.items() if top > 0) > 10
 
     angles = parse_angles("x,0,2pi/3;0,2pi/3,4pi/3", C23)
+    curves = on_scaled_rows(lambda source, t: sample_violation_curve(
+        source, model, angles=angles, samples=17, threshold=t))
     assert_edges(
-        lambda ineqs, t: [(c.inequality, c.values) for c in sample_violation_curve(
-            ineqs, model, angles=angles, samples=17, threshold=t)],
+        lambda ineqs, t: [(c.inequality, c.values) for c in curves(ineqs, t)],
         rows, [probability_vector(model, angles, x=x) for x in _linspace(0.0, math.pi, 17)])
 
     # 13 x 11 samples make 3 x 3 tiles
     angles = parse_angles("x,0,2pi/3;0,y,4pi/3", C23)
+    grids = on_scaled_rows(lambda source, t: sample_violation_grid(
+        source, model, angles=angles, samples_x=13, samples_y=11, threshold=t))
     tops = assert_edges(
-        lambda ineqs, t: [(g.inequality, g.values) for g in sample_violation_grid(
-            ineqs, model, angles=angles, samples_x=13, samples_y=11, threshold=t)],
+        lambda ineqs, t: [(g.inequality, g.values) for g in grids(ineqs, t)],
         rows, [probability_vector(model, angles, x=x, y=y)
                for y in _linspace(0.0, math.pi, 11) for x in _linspace(0.0, math.pi, 13)])
     assert min(tops) < 0 < max(tops)
