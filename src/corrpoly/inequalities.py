@@ -23,7 +23,7 @@ from .core import (
     event_count,
     label_index,
 )
-from .linalg import clear_to_int, primitive
+from .linalg import clear_to_int
 from .polyhedra import HRepresentation
 
 
@@ -41,9 +41,11 @@ class Inequality:
         check_event_count(self.config, len(self.coefficients), "the inequality")
         if not any(self.coefficients):
             raise ValueError("inequality needs at least one nonzero coefficient")
-        rhs, *coefficients = primitive((self.rhs, *self.coefficients))
-        object.__setattr__(self, "coefficients", tuple(coefficients))
-        object.__setattr__(self, "rhs", rhs)
+        g = math.gcd(self.rhs, *self.coefficients)
+        # rows read by normalised_row are primitive tuples already
+        if g > 1 or type(self.coefficients) is not tuple:
+            object.__setattr__(self, "coefficients", tuple([c // g for c in self.coefficients]))
+            object.__setattr__(self, "rhs", self.rhs // g)
 
     def evaluate(self, probabilities) -> NumberLike:
         """Left-hand side minus right-hand side (positive means violated) at a

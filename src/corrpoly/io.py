@@ -12,6 +12,7 @@ byte-stable: one UTF-8 writer, LF line ends, canonical number rendering.
 
 from __future__ import annotations
 
+from array import array
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -293,7 +294,9 @@ def write_grid_csv(grid: GridSamples, path) -> Path:
     parts = [""] * (3 * len(grid.values))
     parts[::3] = [f"\n{x}," for x in grid.xs] * len(grid.ys)
     parts[1::3] = [y for y in [f"{y}," for y in grid.ys] for _ in grid.xs]
-    parts[2::3] = map(str, grid.values)
+    # an array holds floats, whose repr is their str but faster to call; a
+    # tuple may hold Fractions, whose repr is not
+    parts[2::3] = map(repr if isinstance(grid.values, array) else str, grid.values)
     return _write_text(path, "x,y,f" + "".join(parts) + "\n")
 
 

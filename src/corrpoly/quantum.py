@@ -11,7 +11,9 @@ from __future__ import annotations
 import ast
 import math
 import re
+from array import array
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Mapping, Sequence
 
 from .core import CapacityError, Configuration, ParseError, ProbabilityVector, enumerate_events
@@ -25,8 +27,9 @@ from .polyhedra import HRepresentation
 VIOLATION_EPS = 1e-9
 
 #: Most points a curve or grid samples: 256 x 256.  Peak RSS grows by
-#: about 5.2 KB a point on the 2x3 singlet contour (94 rows kept) and 29 KB
-#: with all 684 rows kept (CPython 3.11, 64-bit), 0.34 and 1.9 GB here.
+#: about 2.2 KB a point on the 2x3 singlet contour (94 rows kept, each
+#: row's values packed as doubles) and 7.0 KB with all 684 rows kept
+#: (CPython 3.11, 64-bit), 0.14 and 0.46 GB here.
 MAX_POINTS = 2**16
 
 
@@ -213,7 +216,7 @@ def _violated(selected: list[tuple[int, tuple]],
               threshold: float,
               columns: Sequence[Sequence],
               tiles: Sequence[tuple[int, int]],
-              where: Sequence[int]) -> list[tuple[int, Inequality, tuple]]:
+              where: Sequence[int]) -> list[tuple[int, Inequality, Sequence]]:
     """``(row, inequality, values)`` for the rows whose largest value of
     ``sum(c_e p_e) - rhs`` over the points exceeds the threshold.
 
@@ -222,7 +225,10 @@ def _violated(selected: list[tuple[int, tuple]],
     pairs, rows ``(b, a)`` as read; only a kept row becomes an
     ``Inequality``, in the layout ``config``.  ``tiles`` cuts the points
     into contiguous ``(start, stop)`` slices, in order (a scan passes one
-    tile), and ``values[i]`` is the value at point ``where[i]``.
+    tile), and ``values[i]`` is the value at point ``where[i]``.  When every
+    ``p_e`` is a float, ``values`` is an ``array('d')`` of the same doubles;
+    otherwise (an exact law, or floats mixed with exact values) it is a
+    tuple of the values as summed, ``Fraction``, int or float.
 
     Each scaled column ``c * p_e`` is built once and shared by every row
     with coefficient ``c`` on event ``e`` (``1 * p_e`` is the column
@@ -281,6 +287,7 @@ def _violated(selected: list[tuple[int, tuple]],
     # scaled[e][c]: c * p_e at every point, and its padded largest value per tile
     scaled = [{1: (col, top)} for col, top in zip(columns, highs)]
 
+    floats = set(map(type, chain.from_iterable(columns))) == {float}
     kept = []
     gcd, lookup = math.gcd, dict.__getitem__  # faster than operator.getitem on a subclass
     for row, read in selected:
@@ -310,8 +317,9 @@ def _violated(selected: list[tuple[int, tuple]],
             continue
         sums = list(map(sum, zip(*terms)))
         if max(sums) - rhs > cut:
+            values = [sums[i] - rhs for i in where]
             kept.append((row, Inequality(coefficients, rhs, config),
-                         tuple([sums[i] - rhs for i in where])))
+                         array("d", values) if floats else tuple(values)))
     return kept
 
 
@@ -354,12 +362,19 @@ def scan_violations(
 
 @dataclass(frozen=True)
 class CurveSamples:
-    """Violation profile of one inequality along a single free variable."""
+    """Violation profile of one inequality along a single free variable.
+
+    ``values[i]`` is ``sum(c_e p_e) - rhs`` at ``xs[i]``.  A law whose every
+    probability is a ``float`` gives an ``array('d')`` of those doubles (8
+    bytes a value, against a boxed float and a tuple slot); any other law
+    gives a tuple of the values as summed, ``Fraction``, int or float.  An
+    array-backed sample is not hashable, and its values must not be mutated.
+    """
 
     row: int
     inequality: Inequality
     xs: tuple[float, ...]
-    values: tuple[float, ...]
+    values: Sequence[float]
 
 
 @dataclass(frozen=True)
@@ -367,13 +382,16 @@ class GridSamples:
     """Violation surface of one inequality over two free variables.
 
     ``values`` is row-major with x fastest: entry ``iy * len(xs) + ix``.
+    It is an ``array('d')`` or a tuple, as in ``CurveSamples``, with the
+    same caveats: an array-backed sample is not hashable, and its values
+    must not be mutated.
     """
 
     row: int
     inequality: Inequality
     xs: tuple[float, ...]
     ys: tuple[float, ...]
-    values: tuple[float, ...]
+    values: Sequence[float]
 
 
 def _linspace(lo: float, hi: float, samples: int) -> tuple[float, ...]:

@@ -21,7 +21,7 @@ from corrpoly import (
 )
 from corrpoly.core import ParseError, event_count
 from corrpoly.inequalities import numbered_rows
-from corrpoly.linalg import clear_to_int
+from corrpoly.linalg import clear_to_int, primitive
 
 URN = Configuration((1, 1))
 
@@ -116,6 +116,27 @@ def test_canonicalization_gcd_and_scaling():
     assert Inequality((2, 4, -6), 8, c) == Inequality((1, 2, -3), 4, c)
     with pytest.raises(ValueError):
         Inequality((0, 0, 0), 1, c)
+
+
+def test_only_a_non_primitive_inequality_is_rewritten(hull_2_3, config_2_3):
+    # the gcd with the rhs is divided out, signs kept; a primitive row keeps
+    # the tuple it was given
+    q = Inequality((-4, 0, 6), -2, URN)
+    assert (q.coefficients, q.rhs) == ((-2, 0, 3), -1)
+    assert Inequality((0, 0, 5), 0, URN).coefficients == (0, 0, 1)
+    coefficients = (2, 4, -6)
+    assert Inequality(coefficients, 7, URN).coefficients is coefficients
+    listed = Inequality([2, 4, -6], 7, URN)  # a list still becomes a tuple
+    assert type(listed.coefficients) is tuple and listed.coefficients == coefficients
+    # from_hrep's inequalities have the fields of the primitive rows
+    got = [(q.coefficients, q.rhs) for q in from_hrep(hull_2_3)]
+    want = [(tuple(-a for a in row[1:]), row[0])
+            for row in map(primitive, hull_2_3.rows)]
+    assert got == want
+    tripled = HRepresentation(hull_2_3.dimension, tuple(tuple(3 * v for v in row)
+                                                        for row in hull_2_3.rows),
+                              config=config_2_3)
+    assert [(q.coefficients, q.rhs) for q in from_hrep(tripled)] == want
 
 
 def test_from_hrep_integer_fraction_and_mixed_rows(hull_2_2, config_2_2):

@@ -552,6 +552,43 @@ def test_violation_and_curve_csv_match_csv_writer(tmp_path, hull_2_3):
     assert any(type(v) is Fraction for v in curves[0].values)
 
 
+def test_exact_law_csv_text_is_unchanged(tmp_path, hull_2_3):
+    # Exact laws keep tuples of their values as summed: Fraction, int, or
+    # float where a float single meets a Fraction pair.  Their grid and
+    # curve CSV text is csv.writer's, and the digest pins it.
+    config = Configuration.uniform(2, 3)
+    singlet = builtin_model("singlet")
+
+    def eighths(a):
+        return Fraction(round(8 * singlet.probability(a)), 8)
+
+    laws = (ProbabilityModel("fraction", {}, default=eighths),
+            ProbabilityModel("mixed", {1: lambda a: 0.5, 2: eighths}),
+            ProbabilityModel("int", {}, default=lambda a: len(a) % 2))
+    sha = hashlib.sha256()
+    for model in laws:
+        grids = sample_violation_grid(hull_2_3, model, parse_angles("x,0,2pi/3;0,y,4pi/3", config),
+                                      samples_x=5, samples_y=4, rows=(1, 60), threshold=-10.0)
+        curves = sample_violation_curve(hull_2_3, model,
+                                        parse_angles("x,0,2pi/3;0,2pi/3,4pi/3", config),
+                                        samples=6, rows=(1, 60), threshold=-10.0)
+        assert len(grids) == len(curves) == 60
+        for grid in grids:
+            assert type(grid.values) is tuple
+            got = write_grid_csv(grid, tmp_path / "grid.csv").read_bytes()
+            values = iter(grid.values)
+            assert got == csv_writer_bytes(tmp_path / "oracle.csv", ["x", "y", "f"],
+                                           [[x, y, next(values)]
+                                            for y in grid.ys for x in grid.xs])
+            sha.update(got)
+        got = write_curve_csv(curves, tmp_path / "curve.csv").read_bytes()
+        assert got == csv_writer_bytes(tmp_path / "oracle.csv",
+                                       ["x"] + [f"row{c.row}" for c in curves],
+                                       zip(curves[0].xs, *(c.values for c in curves)))
+        sha.update(got)
+    assert sha.hexdigest() == "5f92ffae45f954b2389376774b436ca8976f33980597c5a387dcdbc06990d7ae"
+
+
 @pytest.mark.parametrize("layout,angles,samples,row,digest", [
     ((2, 2), "x,0;0,y", 9, 18,
      "069c2e4e632f997952873e43af1b60589f4d5330fd72a004a8a37f60628c32a5"),

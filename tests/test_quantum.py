@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+from array import array
 from dataclasses import replace
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from corrpoly import (
     contains,
     enumerate_events,
     from_hrep,
+    hull,
     parse_angles,
     parse_text,
     probability_vector,
@@ -25,6 +27,7 @@ from corrpoly import (
     scan_probability_vector,
     scan_violations,
     to_text,
+    truth_table,
 )
 from corrpoly.core import CapacityError, ParseError
 from corrpoly.inequalities import numbered_rows
@@ -621,6 +624,76 @@ def test_exact_law_keeps_fractions_at_zero_and_one():
     vec = probability_vector(law, parse_angles("0,1;0,1", C22))
     assert vec.values == (1,) * 4 + (0,) * 4
     assert all(type(p) is Fraction for p in vec.values)
+
+
+#: Exact laws on 2x3: ``Fraction`` values, float singles with ``Fraction``
+#: pairs, and the 0/1 int law of singles 1 and pairs 0.
+EXACT_LAWS = {
+    "fraction": ProbabilityModel("fraction", {}, default=exact_singlet),
+    "mixed": ProbabilityModel("mixed", {1: lambda a: 0.5, 2: exact_singlet}),
+    "int": ProbabilityModel("int", {}, default=lambda a: len(a) % 2),
+}
+#: Grid and curve angles on 2x3.
+GRID_2_3, CURVE_2_3 = "x,0,2pi/3;0,y,4pi/3", "x,0,2pi/3;0,2pi/3,4pi/3"
+
+
+def sampled(hrep, model, grid_angles=GRID_2_3, curve_angles=CURVE_2_3, **kwargs):
+    """``(sample, vectors)`` pairs: a 5x4 grid and a 6-sample curve of
+    every selected row, each with the probability vectors at its points."""
+    grid = parse_angles(grid_angles, hrep.config)
+    curve = parse_angles(curve_angles, hrep.config)
+    grids = sample_violation_grid(hrep, model, angles=grid, samples_x=5, samples_y=4,
+                                  threshold=-10.0, **kwargs)
+    curves = sample_violation_curve(hrep, model, angles=curve, samples=6,
+                                    threshold=-10.0, **kwargs)
+    xs, ys = _linspace(0.0, math.pi, 5), _linspace(0.0, math.pi, 4)
+    at_grid = [probability_vector(model, grid, x=x, y=y) for y in ys for x in xs]
+    at_curve = [probability_vector(model, curve, x=x) for x in _linspace(0.0, math.pi, 6)]
+    return [(g, at_grid) for g in grids] + [(c, at_curve) for c in curves]
+
+
+def test_float_laws_give_packed_doubles(hull_2_3):
+    # an array('d') of the summed doubles, 8 bytes a value
+    ghz = hull(truth_table(Configuration.uniform(3, 1)))
+    for hrep, name, angles in ((hull_2_3, "singlet", ()), (hull_2_3, "uniform", ()),
+                               (ghz, "ghz3", ("x;y;pi/3", "x;0;pi/2"))):
+        samples = sampled(hrep, builtin_model(name), *angles)
+        assert len(samples) == 2 * len(hrep.inequality_indices), name
+        for sample, vectors in samples:
+            assert type(sample.values) is array and sample.values.typecode == "d", name
+            assert len(sample.values) == len(vectors)
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(samples[0][0])
+
+
+@pytest.mark.parametrize("name", EXACT_LAWS)
+def test_exact_laws_keep_tuples_of_the_summed_values(hull_2_3, name):
+    # each value as the event-order sum gives it: Fraction, int, or float
+    # where a float single meets a Fraction pair
+    samples = sampled(hull_2_3, EXACT_LAWS[name], rows=(1, 60))
+    assert len(samples) == 2 * 60
+    for sample, vectors in samples:
+        assert type(sample.values) is tuple
+        want = [event_order_value(sample.inequality, v) for v in vectors]
+        assert list(map(repr, sample.values)) == list(map(repr, want))
+    kinds = {type(v) for sample, _ in samples for v in sample.values}
+    assert kinds == {"fraction": {Fraction}, "mixed": {Fraction, float}, "int": {int}}[name]
+
+
+def test_grid_peak_memory_stays_below_five_megabytes(hull_2_3):
+    # The 41x41 singlet contour of the benchmark keeps 94 rows of 1,681
+    # values; as boxed floats in tuples the traced peak was 7.2 MB.
+    angles = parse_angles(GRID_2_3, C23)
+    model = builtin_model("singlet")
+    tracemalloc.start()
+    try:
+        grids = sample_violation_grid(hull_2_3, model, angles=angles,
+                                      samples_x=41, samples_y=41)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(grids) == 94
+    assert peak < 5e6
 
 
 def test_scaled_rows_give_the_same_reports(hull_2_3):
