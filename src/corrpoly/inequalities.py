@@ -91,7 +91,8 @@ def selected_rows(source: HRepresentation | Sequence[Inequality],
         source = with_layout(source, config, "the H-representation")
         if source.config is None:
             raise ValueError("no configuration attached; pass one explicitly")
-        selected = [(i + 1, source.rows[i]) for i in source.inequality_indices]
+        selected = ([(i + 1, source.rows[i]) for i in source.inequality_indices]
+                    if source.linearity else list(enumerate(source.rows, 1)))
         total = len(source.rows)
     else:
         selected = []

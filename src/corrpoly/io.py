@@ -13,6 +13,7 @@ byte-stable: one UTF-8 writer, LF line ends, canonical number rendering.
 from __future__ import annotations
 
 from array import array
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -110,8 +111,8 @@ def parse_polyhedra_file(
     a ``Konfiguration`` whose event count is not the dimension included,
     raises ``ParseError`` naming ``source``.
     """
-    stripped = (ln.strip() for ln in text.splitlines())
-    lines = iter([ln for ln in stripped if ln and not ln.startswith("*")])
+    lines = iter([ln for ln in map(str.strip, text.splitlines())
+                  if ln and not ln.startswith("*")])
 
     def next_line() -> str:
         line = next(lines, None)
@@ -143,26 +144,26 @@ def parse_polyhedra_file(
         raise ParseError(f"{source}: malformed size line {line!r}")
     m, n = _count(size[0], line, source), _count(size[1], line, source)
 
-    # Each row is looked up token by token in ``known``, the tokens this
-    # call has parsed; a row with a new token is parsed and adds its tokens
+    # A row of the right width whose tokens this call has parsed is looked
+    # up in ``known``; any other row is checked, parsed and adds its tokens
     # while ``known`` is below ``_KNOWN_TOKENS``.
     rows = []
     known: dict[str, NumberLike] = {}
-    for k in range(1, m + 1):
-        line = next_line()
+    get = known.__getitem__
+    for k, line in enumerate(islice(lines, m), 1):
         tokens = line.split()
+        if len(tokens) == n:
+            try:
+                rows.append(tuple(map(get, tokens)))
+                continue
+            except KeyError:
+                pass
         if tokens == ["end"]:
             raise ParseError(f"{source}: expected {m} data rows")
         if len(tokens) != n:
             raise ParseError(
                 f"{source}: row has {len(tokens)} entries, expected {n}"
             )
-        if tokens[-1] in known:  # spares a row of new tokens the KeyError
-            try:
-                rows.append(tuple(map(known.__getitem__, tokens)))
-                continue
-            except KeyError:
-                pass
         try:
             row = _parse_row(line, tokens)
         except ParseError as exc:
@@ -170,7 +171,7 @@ def parse_polyhedra_file(
         rows.append(row)
         if len(known) < _KNOWN_TOKENS:
             known.update(zip(tokens, row))
-    if next_line() != "end":
+    if next_line() != "end":  # lines that ran out in the block raise here too
         raise ParseError(f"{source}: expected 'end' after {m} data rows")
     if linearity and max(linearity) >= m:
         raise ParseError(f"{source}: linearity index {max(linearity) + 1} out of range")

@@ -53,13 +53,11 @@ class HRepresentation:
     config: Configuration | None = None
 
     def __post_init__(self) -> None:
-        for row in self.rows:
-            if len(row) != self.dimension + 1:
-                raise ValueError(
-                    f"constraint of length {len(row)} in dimension {self.dimension}"
-                )
-            if not any(row):
-                raise ValueError("all-zero constraint row")
+        if set(map(len, self.rows)) - {self.dimension + 1}:
+            bad = next(n for n in map(len, self.rows) if n != self.dimension + 1)
+            raise ValueError(f"constraint of length {bad} in dimension {self.dimension}")
+        if not all(map(any, self.rows)):
+            raise ValueError("all-zero constraint row")
         for i in self.linearity:
             if not 0 <= i < len(self.rows):
                 raise ValueError(f"linearity index {i} out of range")

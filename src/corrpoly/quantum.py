@@ -207,6 +207,8 @@ class _Terms(dict):
         self.lo, self.hi = lo, hi
 
     def __missing__(self, c: int):
+        if type(c) is not int:  # a Fraction row: normalised before it is bounded
+            raise TypeError(f"{c!r} is not an int")
         term = self[c] = c * self.hi if c > 0 else c * self.lo if c else 0
         return term
 
@@ -250,10 +252,9 @@ def _violated(selected: list[tuple[int, tuple]],
     so no gcd, slice or bytecode runs per coefficient.  A zero's term is the
     int 0; it leaves a float sum as it was but for ``-0.0`` turning ``0.0``,
     which compares equal, so ``B`` is ``==`` the sum of the nonzero terms
-    alone, and a float unless the row is constant.  A row scaled by ``s``
-    has ``s`` times the bound, too low for ``s > 1`` below a negative cut or
-    ``s < 1`` (a ``Fraction`` row) above a positive one, so a row that is
-    not primitive, as one that passes, is normalised (``normalised_row``
+    alone, and a float unless the row is constant.  A row that passes, a
+    ``Fraction`` row (``_Terms`` refuses its entries) and, at a cut of 0 or
+    less, a row that is not primitive are normalised (``normalised_row``
     rejects a constant row) and bounded again.  With more than one tile, a
     row that passes the first box is summed only on the tiles whose own
     ``B`` passes, up to the first point above the cut, and dropped if there
@@ -270,7 +271,12 @@ def _violated(selected: list[tuple[int, tuple]],
     exact sum by less than ``2 * n * 2**-53 * sum(|c|)``, and rounding exact
     extremes to floats adds less than ``2**-52 * sum(|c|)``: far below the
     pad.  That holds at each point, so it holds on every box, a tile or all
-    the points.
+    the points.  An integer row as read is its gcd ``s >= 1`` times its
+    primitive row, and its bound ``s`` times that row's, pad and roundings
+    included.  With a positive cut, a bound at most the cut leaves the
+    primitive row's at most ``cut / s <= cut``, so no gcd is taken; at a cut
+    of 0 or less, ``s`` times a bound above the cut may be at most it, so
+    only a primitive row is dropped as read.
 
     A NaN threshold would compare false against every value and hide all
     violations, so it is rejected.
@@ -291,8 +297,8 @@ def _violated(selected: list[tuple[int, tuple]],
     kept = []
     gcd, lookup = math.gcd, dict.__getitem__  # faster than operator.getitem on a subclass
     for row, read in selected:
-        try:  # a Fraction entry raises
-            if gcd(*read) == 1:
+        try:  # a Fraction entry raises, in gcd or in _Terms
+            if cut > 0 or gcd(*read) == 1:
                 bound = sum(map(lookup, first, read)) - read[0]
                 if bound <= cut and type(bound) is float:  # an int: a constant row
                     continue

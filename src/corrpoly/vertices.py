@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Sequence
 
 from .core import (
@@ -37,7 +38,7 @@ class VRepresentation:
     config: Configuration | None = None
 
     def __post_init__(self) -> None:
-        for row in self.vertices + self.rays:
+        for row in chain(self.vertices, self.rays):
             if len(row) != self.dimension:
                 raise ValueError(
                     f"generator of length {len(row)} in dimension {self.dimension}"

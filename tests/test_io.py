@@ -317,6 +317,98 @@ def test_known_token_lookup_is_bounded_and_per_call(monkeypatch):
     assert len(calls) == 2
 
 
+def reference_read(text, source):
+    """The data rows of an H-representation by the plain rule, or the text
+    of the ``ParseError`` it raises: strip every line, skip blank and ``*``
+    lines, split, and read each token with ``parse_number``."""
+    lines = [ln.strip() for ln in text.splitlines()]
+    lines = [ln for ln in lines if ln and not ln.startswith("*")]
+    assert lines[:2] == ["H-representation", "begin"]
+    m, n = (int(t) for t in lines[2].split()[:2])
+    rows = []
+    for k, line in enumerate(lines[3:3 + m], 1):
+        tokens = line.split()
+        if tokens == ["end"]:
+            return f"{source}: expected {m} data rows"
+        if len(tokens) != n:
+            return f"{source}: row has {len(tokens)} entries, expected {n}"
+        try:
+            rows.append(tuple(parse_number(t) for t in tokens))
+        except ParseError as exc:
+            return f"{source}: data row {k}: {exc}"
+    if len(lines) <= 3 + m:
+        return f"{source}: unexpected end of file"
+    if lines[3 + m] != "end":
+        return f"{source}: expected 'end' after {m} data rows"
+    if any(all(v == 0 for v in row) for row in rows):
+        return f"{source}: all-zero constraint row"
+    return tuple(rows)
+
+
+READER_TOKENS = ["0", "1", "-1", "2", "-3", "+3", "-0", "007", "1/2", "-3/6", "4/2",
+                 "0.5", "2.50", "1e3", "9" * 40]
+
+
+def noisy_ine(rng, rows, m, n, tail=(["end"],)):
+    """Rows of tokens as ``.ine`` text with ``m n`` in its size line, then
+    the token lists of ``tail``: blank and ``*`` lines between the lines,
+    mixed spacing, and LF or CRLF line ends."""
+    lines = ["H-representation", "begin", f"{m} {n} rational"]
+    for r in [*rows, *tail]:
+        while rng.random() < 0.3:
+            lines.append(rng.choice(["", "   ", "\t", "* a comment", "  * 1 2 3", "*"]))
+        pad = rng.choice(["", " ", "\t"])
+        lines.append(pad + rng.choice([" ", "  ", "\t", " \t "]).join(r) + pad)
+    end = rng.choice(["\n", "\r\n"])
+    return end.join(lines) + rng.choice(["", end])
+
+
+def test_reader_matches_a_plain_reference_reader():
+    rng = random.Random(8017)
+    fresh = iter(range(10**12, 10**13, 7919))
+
+    def token():
+        return rng.choice(READER_TOKENS) if rng.random() < 0.8 else str(next(fresh))
+
+    # past the lookup's bound: more distinct tokens than it keeps, then
+    # known and fresh tokens mixed
+    wide = [[str(next(fresh)) for _ in range(16)] for _ in range(cpio._KNOWN_TOKENS // 16 + 8)]
+    wide += [[token() for _ in range(16)] for _ in range(40)]
+    texts = [noisy_ine(rng, wide, len(wide), 16)]
+    for _ in range(300):
+        n = rng.choice([1, 1, 2, 3, 6])
+        rows = [[token() for _ in range(n)] for _ in range(rng.randint(1, 9))]
+        m, tail = len(rows), [["end"], ["adjacency"]][:rng.randint(1, 2)]
+        fault = rng.choice(["none", "none", "short", "end", "width", "token", "no end"])
+        j = rng.randrange(len(rows))
+        if fault == "short":
+            m, tail = m + 1, rng.choice([[], [["end"]]])
+        elif fault == "end":
+            rows.insert(j, ["end"])
+        elif fault == "width":
+            rows[j] = rows[j][:-1] if n > 1 and rng.random() < 0.5 else rows[j] + [token()]
+        elif fault == "token":
+            rows[j][rng.randrange(n)] = rng.choice(["q", "1_0", "1/0", "\u0663", "--1", "end"])
+        elif fault == "no end":
+            tail = rng.choice([[], [[token() for _ in range(n)]]])
+        texts.append(noisy_ine(rng, rows, m, n, tail))
+    outcomes = set()
+    for text in texts:
+        want = reference_read(text, "f.ine")
+        try:
+            got = parse_polyhedra_file(text, "f.ine").rows
+        except ParseError as exc:
+            got = str(exc)
+        assert got == want, text
+        if isinstance(want, tuple):
+            assert [list(map(type, r)) for r in got] == [list(map(type, r)) for r in want]
+            outcomes.add("rows")
+        else:
+            outcomes.add(want.split(": ")[1].split()[0])
+    assert "\r\n" in "".join(texts) and len(parse_polyhedra_file(texts[0]).rows) == len(wide)
+    assert outcomes == {"rows", "unexpected", "expected", "row", "data", "all-zero"}
+
+
 # Tokens of every spelling cdd writes, plus edge cases of Python's int.
 NUMBER_CORPUS = [
     "+3", "-0", "007", "0", "-12", "1/2", "-3/6", "4/2", "0.5", "-2.50",

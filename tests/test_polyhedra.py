@@ -608,6 +608,12 @@ def test_debug_checks_the_adjacency_of_every_candidate(monkeypatch):
      "linearity index 1 out of range"),
     (lambda: DDPair(0), "cone dimension must be positive"),
     (lambda: VRepresentation(2, ((0, 0), (1, 0, 0))), "generator of length 3 in dimension 2"),
+    (lambda: HRepresentation(2, ((1, 0, 0), (0, 0, 0), (0, 1, 0))), "all-zero constraint row"),
+    # of several bad rows the first is named, not the shortest or longest
+    (lambda: HRepresentation(2, ((1, 0, 0), (1, 0), (1, 0, 0, 0), (1,))),
+     "constraint of length 2 in dimension 2"),
+    (lambda: VRepresentation(2, ((0, 0), (1, 0)), ((1, 1), (1, 0, 0), (1,), (1, 0, 0, 0))),
+     "generator of length 3 in dimension 2"),
 ])
 def test_representations_reject_bad_shapes(build, message):
     with pytest.raises(ValueError, match=message):

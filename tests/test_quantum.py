@@ -729,6 +729,48 @@ def test_scaled_rows_give_the_same_reports(hull_2_3):
                     assert all(read(source) == want for source in scaled)
 
 
+def test_positive_cut_bounds_integer_multiples_as_read(hull_2_3, monkeypatch):
+    # Above a positive cut an integer row s >= 1 times its primitive row is
+    # bounded as read, without a gcd per row; a row halved as p/q tokens is
+    # normalised first, and below a negative cut every row's gcd is taken.
+    # Either way the facets scaled by 2, 5 and 7, and halved, give ==
+    # reports and grids to the facets themselves.
+    model = builtin_model("singlet")
+    scaled = [replace(hull_2_3, rows=tuple(tuple(s * v for v in r) for r in hull_2_3.rows))
+              for s in (2, 5, 7)]
+    halved = replace(hull_2_3, rows=tuple(tuple(Fraction(v, 2) for v in r)
+                                          for r in hull_2_3.rows))
+    read_halved = parse_polyhedra_file(format_polyhedra_file(halved))
+    assert read_halved.rows == halved.rows
+    sources = [*scaled, read_halved]
+    gcd, calls = math.gcd, []
+    monkeypatch.setattr(math, "gcd", lambda *a: calls.append(a) or gcd(*a))
+    reported = 0
+    for text in (SYMMETRIC_2_3, "0.3,1.9,4;2.2,0.1,5.5"):
+        angles = parse_angles(text, C23)
+        for t in (0.0, 1e-9, 0.1):
+            want = scan_violations(hull_2_3, model, angles, threshold=t)
+            for source in sources:
+                calls.clear()
+                assert scan_violations(source, model, angles, threshold=t) == want
+                if source is not read_halved:  # a gcd per row that passes, not per row
+                    assert len(calls) < len(hull_2_3.rows) / 4
+            reported += len(want)
+    assert reported > 24
+    angles = parse_angles("x,0,2pi/3;0,y,4pi/3", C23)
+
+    def grid(source):
+        return sample_violation_grid(source, model, angles, samples_x=5, samples_y=4,
+                                     threshold=-0.5)
+
+    want = grid(hull_2_3)
+    assert len(want) > 100
+    for source in sources:
+        calls.clear()
+        assert grid(source) == want
+        assert len(calls) >= len(hull_2_3.rows)
+
+
 SYMMETRIC_2_3 = "0,2pi/3,4pi/3;0,2pi/3,4pi/3"
 
 
@@ -771,7 +813,8 @@ def test_random_rows_match_the_oracle_at_every_edge():
     # Many rows share a coefficient on an event, so the first-box bound
     # reads most of its terms from entries an earlier row filled.  Each
     # sample is checked on the rows scaled by 3 and by 1/2 too, at every
-    # edge: a row is bounded as read only when it is primitive.
+    # edge: an integer row is bounded as read at a positive cut, and at any
+    # other only when it is primitive; a Fraction row is normalised first.
     rows = random_rows(3501, 60)
     assert sum(c == 0 for q in rows for c in q.coefficients) > 100
     model = builtin_model("singlet")
