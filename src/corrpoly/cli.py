@@ -23,7 +23,8 @@ from .core import (
     parse_count,
     parse_number,
 )
-from .inequalities import Inequality, numbered_rows, parse_text, to_text, with_layout
+from .inequalities import (
+    Inequality, normalised_row, parse_text, selected_rows, to_text, with_layout)
 from .polyhedra import (
     DEFAULT_RAY_CAP,
     ENUM_ORDER,
@@ -221,8 +222,10 @@ def cmd_enum(args) -> None:
 
 def cmd_inequalities(args) -> None:
     hrep = _load_hrep(args)
-    for _, c, rhs in numbered_rows(hrep, rows=_parse_rows(args.rows)):
-        print(to_text(Inequality(c, rhs, hrep.config)))
+    texts = [to_text(Inequality(*normalised_row(row), hrep.config))
+             for _, row in selected_rows(hrep, rows=_parse_rows(args.rows))]
+    for text in texts:  # every row is read before any is printed
+        print(text)
 
 
 def cmd_violations(args) -> None:

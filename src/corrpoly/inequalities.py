@@ -66,13 +66,6 @@ class Inequality:
         return to_text(self)
 
 
-def numbered_rows(source: HRepresentation | Sequence[Inequality],
-                  config: Configuration | None = None, rows: tuple[int, int] | None = None,
-                  ) -> list[tuple[int, tuple[int, ...], int]]:
-    """``(row, coefficients, rhs)``: ``selected_rows``, each read by ``normalised_row``."""
-    return [(i, *normalised_row(row)) for i, row in selected_rows(source, config, rows)]
-
-
 def selected_rows(source: HRepresentation | Sequence[Inequality],
                   config: Configuration | None = None, rows: tuple[int, int] | None = None,
                   ) -> list[tuple[int, tuple]]:
@@ -153,9 +146,9 @@ def _check_layout(name: str, own: Configuration | None,
 
 
 def from_hrep(hrep: HRepresentation, config: Configuration | None = None) -> list[Inequality]:
-    """Every inequality row as an ``Inequality``, read by ``numbered_rows``."""
+    """Every inequality row as an ``Inequality``, read by ``normalised_row``."""
     hrep = with_layout(hrep, config, "the H-representation")
-    return [Inequality(c, rhs, hrep.config) for _, c, rhs in numbered_rows(hrep)]
+    return [Inequality(*normalised_row(row), hrep.config) for _, row in selected_rows(hrep)]
 
 
 def to_text(ineq: Inequality) -> str:

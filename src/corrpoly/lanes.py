@@ -45,19 +45,17 @@ def _to_lanes(values: Sequence[int], width: int) -> bytes:
     return b"".join([x.to_bytes(width, "little", signed=True) for x in values])
 
 
-def _from_lanes(data: bytes, width: int) -> Sequence[int]:
-    """The values of the two's complement lanes of ``width`` bytes in ``data``."""
+def _values(data: bytes, width: int) -> Sequence[int]:
+    """The values of the two's complement lanes of ``width`` bytes in ``data``,
+    read in place where the host can."""
+    view = _VIEWS.get(width) if _BYTEORDER == "little" else None
+    if view:
+        return memoryview(data).cast(view)
     code = _CODES.get(width)
     if code:
         return struct.unpack(f"<{len(data) // width}{code}", data)
     return [int.from_bytes(data[i:i + width], "little", signed=True)
             for i in range(0, len(data), width)]
-
-
-def _values(data: bytes, width: int) -> Sequence[int]:
-    """``_from_lanes(data, width)``, read in place where the host can."""
-    code = _VIEWS.get(width) if _BYTEORDER == "little" else None
-    return memoryview(data).cast(code) if code else _from_lanes(data, width)
 
 
 def _halves(count: int, width: int) -> int:
@@ -161,6 +159,6 @@ class Lanes:
             size, halves = self.count * old, self.halves
             self.halves = _halves(self.count, self.width)
             for j, p in enumerate(self.planes):
-                values = _from_lanes((p ^ halves).to_bytes(size, "little"), old)
+                values = _values((p ^ halves).to_bytes(size, "little"), old)
                 self.planes[j] = (int.from_bytes(_to_lanes(values, self.width), "little")
                                   ^ self.halves)

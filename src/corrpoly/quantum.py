@@ -207,7 +207,7 @@ class _Terms(dict):
         self.lo, self.hi = lo, hi
 
     def __missing__(self, c: int):
-        if type(c) is not int:  # a Fraction row: normalised before it is bounded
+        if type(c) is not int:  # a Fraction row is normalised, not bounded as read
             raise TypeError(f"{c!r} is not an int")
         term = self[c] = c * self.hi if c > 0 else c * self.lo if c else 0
         return term
@@ -245,22 +245,21 @@ def _violated(selected: list[tuple[int, tuple]],
     is largest at the largest ``p_e`` for ``c > 0`` and at the smallest for
     ``c < 0``, so ``B`` adds ``c * max(p_e)`` or ``c * min(p_e)`` in event
     order.  No point of a box with ``B - rhs <= cut`` keeps the row
-    (subtracting ``rhs`` is monotone too).  The first box holds every point
-    and drops most rows unsummed, as read: ``B - rhs`` is ``sum(map(...,
-    first, (b, a))) - b``, over ``_Terms`` tables of the int 0 for ``b`` and
-    of ``c = -a`` (negation is exact) that work out each term once per call,
-    so no gcd, slice or bytecode runs per coefficient.  A zero's term is the
-    int 0; it leaves a float sum as it was but for ``-0.0`` turning ``0.0``,
-    which compares equal, so ``B`` is ``==`` the sum of the nonzero terms
-    alone, and a float unless the row is constant.  A row that passes, a
-    ``Fraction`` row (``_Terms`` refuses its entries) and, at a cut of 0 or
-    less, a row that is not primitive are normalised (``normalised_row``
-    rejects a constant row) and bounded again.  With more than one tile, a
-    row that passes the first box is summed only on the tiles whose own
-    ``B`` passes, up to the first point above the cut, and dropped if there
-    is none; one tile is the first box again.  A row that is not dropped is
-    summed once at every point.  So the kept rows and their values are
-    exactly those of summing every row.
+    (subtracting ``rhs`` is monotone too).  Each row is bounded once on the
+    box of every point, as read, which drops most rows unsummed: ``B - rhs``
+    is ``sum(map(..., first, (b, a))) - b``, over ``_Terms`` tables of the
+    int 0 for ``b`` and of ``c = -a`` (negation is exact) that work out each
+    term once per call, so no gcd, slice or bytecode runs per coefficient.
+    A zero's term is the int 0; it leaves a float sum as it was but for
+    ``-0.0`` turning ``0.0``, which compares equal, so ``B`` is ``==`` the
+    sum of the nonzero terms alone, and a float unless the row is constant.
+    A row that passes, a ``Fraction`` row (``_Terms`` refuses its entries)
+    and, at a cut of 0 or less, a row that is not primitive are normalised
+    (``normalised_row`` rejects a constant row).  With more than one tile,
+    such a row is summed only on the tiles whose own ``B`` passes, up to the
+    first point above the cut, and dropped if there is none.  A row that is
+    not dropped is summed once at every point.  So the kept rows and their
+    values are exactly those of summing every row.
 
     ``B`` bounds every sum because exact sums grow with each term, and so
     do floats added one rounding at a time, each rounding being monotone.
@@ -288,8 +287,7 @@ def _violated(selected: list[tuple[int, tuple]],
     # lows[e][t], highs[e][t]: the padded extremes of p_e on tile t
     lows = list(zip(*[[min(col[a:b]) - pad for col in columns] for a, b in tiles]))
     highs = list(zip(*[[max(col[a:b]) + pad for col in columns] for a, b in tiles]))
-    box = list(map(_Terms, map(min, lows), map(max, highs)))
-    first = [_Terms(0, 0), *[_Terms(-t.hi, -t.lo) for t in box]]
+    first = [_Terms(0, 0), *[_Terms(-max(h), -min(l)) for l, h in zip(lows, highs)]]
     # scaled[e][c]: c * p_e at every point, and its padded largest value per tile
     scaled = [{1: (col, top)} for col, top in zip(columns, highs)]
 
@@ -305,8 +303,6 @@ def _violated(selected: list[tuple[int, tuple]],
         except TypeError:
             pass
         coefficients, rhs = normalised_row(read)
-        if sum(map(lookup, box, coefficients)) - rhs <= cut:
-            continue
         pairs = []
         for k, c in enumerate(coefficients):
             if c:

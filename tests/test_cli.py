@@ -4,6 +4,8 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -22,6 +24,7 @@ from corrpoly import (
     to_text,
     truth_table,
     write_ext,
+    write_ine,
 )
 from corrpoly import cli
 from corrpoly.cli import build_parser, main
@@ -246,6 +249,38 @@ def test_2_3_outputs_bytes_pinned(tmp_path, capsys):
         "ce91b069264ed949eca7b37305db6c2bf78163ebebb97b36041fc60ed30a8cfd",
         "a944e639681554d1c048d959a4cabc6e9b9ba865b463ab34827818739ff7fd76",
     ])
+
+
+def test_scaled_facets_print_the_pinned_inequalities(hull_2_3, tmp_path, capsys):
+    # The 2x3 facets times 3, and halved as p/q tokens, are the same
+    # inequalities: each file prints the bytes pinned above for the
+    # primitive one, whole and within a row range.
+    pinned = (
+        ((), "43041bd2c86b2942d0719e1e1826a489d64d1c7d7a869b6e965897bdb8e3524d"),
+        (("--rows", "100:600"),
+         "5af3a9302b903fadb2bb68994a3e8c27f55a177deed8573b0d4b0ab73768ea54"),
+    )
+    tripled = [tuple(3 * v for v in row) for row in hull_2_3.rows]
+    halved = [tuple(Fraction(v, 2) for v in row) for row in hull_2_3.rows]
+    for name, rows in (("primitive", hull_2_3.rows), ("tripled", tripled), ("halved", halved)):
+        ine = write_ine(replace(hull_2_3, rows=tuple(rows)), tmp_path / f"{name}.ine")
+        assert ("/2 " in ine.read_text()) == (name == "halved")
+        for selected, digest in pinned:
+            code, out, _ = run(capsys, "inequalities", "--ine", str(ine), *selected)
+            assert code == 0 and sha256(out) == digest
+
+
+def test_inequalities_read_only_the_selected_rows(tmp_path, capsys):
+    # Row 2 has no nonzero coefficient: outside the range it is not read,
+    # inside it fails the command before any row is printed.
+    ine = tmp_path / "constant.ine"
+    ine.write_text("H-representation\nbegin\n2 3 integer\n0 1 0\n1 0 0\nend\n"
+                   "Konfiguration 1 2\n")
+    assert run(capsys, "inequalities", "--ine", str(ine), "--rows", "1:1") == (
+        0, "-a1 <= 0\n", "")
+    code, out, err = run(capsys, "inequalities", "--ine", str(ine))
+    assert (code, out) == (1, "")
+    assert "inequality needs at least one nonzero coefficient" in err
 
 
 def test_violations_threshold_filters(tmp_path, capsys):

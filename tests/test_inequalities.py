@@ -20,7 +20,7 @@ from corrpoly import (
     truth_table,
 )
 from corrpoly.core import ParseError, event_count
-from corrpoly.inequalities import numbered_rows
+from corrpoly.inequalities import normalised_row, selected_rows
 from corrpoly.linalg import clear_to_int, primitive
 
 URN = Configuration((1, 1))
@@ -165,7 +165,7 @@ def test_constant_row_is_rejected():
     config = Configuration((2,))
     model = builtin_model("singlet")
     readers = (
-        from_hrep, numbered_rows,
+        from_hrep,
         lambda h: scan_violations(h, model, parse_angles("0,1", config)),
         lambda h: sample_violation_curve(h, model, parse_angles("x,1", config), samples=3),
         lambda h: sample_violation_grid(h, model, parse_angles("x,y", config),
@@ -178,11 +178,12 @@ def test_constant_row_is_rejected():
                                                  "nonzero coefficient$"):
                 read(hrep)
         # a row outside the range is not read
-        assert numbered_rows(hrep, rows=(1, 1)) == [(1, (-1, 0), 0)]
+        assert [(i, *normalised_row(row)) for i, row in selected_rows(hrep, rows=(1, 1))] == [
+            (1, (-1, 0), 0)]
     with pytest.raises(ValueError, match="no configuration attached"):
-        numbered_rows(HRepresentation(2, ((0, 1, 0),)))
+        selected_rows(HRepresentation(2, ((0, 1, 0),)))
     with pytest.raises(ValueError, match="empty inequality list"):
-        numbered_rows([], URN)
+        selected_rows([], URN)
 
 
 def test_inequality_needs_a_layout():

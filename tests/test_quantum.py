@@ -30,7 +30,7 @@ from corrpoly import (
     truth_table,
 )
 from corrpoly.core import CapacityError, ParseError
-from corrpoly.inequalities import numbered_rows
+from corrpoly.inequalities import selected_rows
 from corrpoly.io import format_polyhedra_file, parse_polyhedra_file
 from corrpoly.quantum import (
     MAX_POINTS,
@@ -698,7 +698,7 @@ def test_grid_peak_memory_stays_below_five_megabytes(hull_2_3):
 
 def test_scaled_rows_give_the_same_reports(hull_2_3):
     # The facets times 3, and halved as p/q tokens, are the same
-    # inequalities: bounded only once normalised, they give == reports,
+    # inequalities: bounded as read or normalised, they give == reports,
     # curves and grids with the same row numbers, at a negative cut too,
     # within a range and around linearity rows, which keep their numbers.
     model = builtin_model("singlet")
@@ -710,7 +710,7 @@ def test_scaled_rows_give_the_same_reports(hull_2_3):
         scaled = [replace(s, linearity=linearity) for s in scaled_sources(hull_2_3.rows)]
         for rows in (None, (100, 600)):
             lo, hi = rows or (1, len(hull_2_3.rows))
-            assert [i for i, _, _ in numbered_rows(plain, rows=rows)] == [
+            assert [i for i, _ in selected_rows(plain, rows=rows)] == [
                 i for i in range(lo, hi + 1) if i - 1 not in linearity]
             for t in (0.0, -0.5):
                 readers = [
