@@ -172,8 +172,9 @@ def cmd_events(args) -> None:
     # Every label is built before the first prints; a layout has fewer
     # events than truth-table rows, so the vertex cap bounds them too.
     count = event_count(config)
-    if count > DEFAULT_VERTEX_CAP:
-        raise CapacityError(f"layout has {count} events, exceeding the cap of "
+    if count > DEFAULT_VERTEX_CAP:  # a count past 64 bits is not printed: it may be unbounded
+        shown = count if count.bit_length() <= 64 else "more than 2**64"
+        raise CapacityError(f"layout has {shown} events, exceeding the cap of "
                             f"{DEFAULT_VERTEX_CAP}")
     for ev in enumerate_events(config):
         print(ev.label())

@@ -26,9 +26,6 @@ _BYTEORDER = sys.byteorder
 #: for a byte with bit ``j`` set, ``_NONZERO`` for a nonzero byte.
 _BITS = [(b"0" * (1 << j) + b"1" * (1 << j)) * (128 >> j) for j in range(8)]
 _NONZERO = bytes(b"01"[b != 0] for b in range(256))
-#: Vectors per flat pack in ``Lanes.append``: it never holds the coordinates
-#: of more vectors than this in one list.
-_BLOCK = 256
 
 
 def _bits(vectors: Sequence[Sequence[int]]) -> int:
@@ -113,20 +110,14 @@ class Lanes:
         self.coord_bits = 0
 
     def append(self, vectors: Sequence[Sequence[int]]) -> None:
-        """Pack ``vectors`` into the next lanes, a block at a time at one width."""
+        """Pack ``vectors`` into the next lanes, each plane from one column of them."""
         self.coord_bits = max(self.coord_bits, _bits(vectors))
         self._widen(self.coord_bits + 1)
-        parts = [bytearray() for _ in self.planes]  # each plane's new lanes, ORed in once
-        for start in range(0, len(vectors), _BLOCK):
-            block = vectors[start:start + _BLOCK]
-            data = _to_lanes(list(chain.from_iterable(zip(*block))), self.width)
-            size = len(block) * self.width
-            for j, part in enumerate(parts):
-                part += data[j * size:(j + 1) * size]
         halves = _halves(len(vectors), self.width)
         shift = 8 * self.width * self.count
-        for j, part in enumerate(parts):
-            self.planes[j] |= (int.from_bytes(part, "little") ^ halves) << shift
+        for j, column in enumerate(zip(*vectors)):
+            self.planes[j] |= (int.from_bytes(_to_lanes(column, self.width), "little")
+                               ^ halves) << shift
         self.halves |= halves << shift
         self.count += len(vectors)
 

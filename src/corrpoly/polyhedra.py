@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import CapacityError, Configuration, NumberLike, check_event_count, parse_count
-from .lanes import _BLOCK, Lanes, _bit_set
+from .lanes import Lanes, _bit_set
 from .linalg import (
     IntVec,
     clear_to_int,
@@ -33,6 +33,10 @@ from .vertices import VRepresentation
 
 #: Abort when an intermediate ray set grows beyond this (overridable).
 DEFAULT_RAY_CAP = 5_000_000
+#: Tight sets per block in ``DDPair._admit``: it never joins the bytes of more
+#: of them than this, which bounds the transient copy of the incidence sets
+#: when ``_reset`` admits every live ray again.
+_BLOCK = 256
 
 ProgressFn = Callable[[int, int, int], None]
 

@@ -431,8 +431,9 @@ def _check_points(*samples: int) -> None:
     if min(samples) < 2:
         raise ValueError("need at least 2 samples")
     count = math.prod(samples)
-    if count > MAX_POINTS:
-        raise CapacityError(f"{count} sample points exceed the cap of {MAX_POINTS}")
+    if count > MAX_POINTS:  # a count past 64 bits is not printed: it may be unbounded
+        shown = count if count.bit_length() <= 64 else "more than 2**64"
+        raise CapacityError(f"{shown} sample points exceed the cap of {MAX_POINTS}")
 
 
 def sample_violation_curve(

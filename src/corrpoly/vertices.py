@@ -109,15 +109,12 @@ def truth_table(
     if max_rows < 0:
         raise ValueError(f"vertex cap must be non-negative, got {max_rows}")
     k = sum(config.settings)
-    total = 1 << k
-    if total > max_rows:
-        raise CapacityError(
-            f"truth table would have {total} rows, exceeding the cap of "
-            f"{max_rows}; raise the cap to proceed"
-        )
+    if k >= max_rows.bit_length():  # 2**k > max_rows, without building 2**k
+        raise CapacityError("truth table would have more rows than the vertex cap; "
+                            "raise the cap to proceed")
     event_bits = _event_members(config)
     rows = []
-    for index in range(total):
+    for index in range(1 << k):
         bits = [(index >> i) & 1 for i in range(k)]
         rows.append(tuple(min(bits[i] for i in members) for members in event_bits))
     return VRepresentation(

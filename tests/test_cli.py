@@ -398,6 +398,40 @@ def test_events_checks_the_vertex_cap_before_listing(capsys, monkeypatch):
     assert code == 0 and out.split() == [f"a{i}" for i in range(1, 10)]
 
 
+def test_layouts_too_large_to_tabulate_exit_3(capsys):
+    # The truth table's 2**k rows and the event count are compared with
+    # their caps, never built or printed in full: 2**14400 and a 4,400-digit
+    # event count are past CPython's 4,300-digit limit on int to str.  (A
+    # table too large to allocate is run under a memory limit, below.)
+    nines = "9" * 2200
+    for argv in (("vertices", "-n", "2", "-m", "7200"),
+                 ("hull", "-n", "2", "-m", "7200", "-q"),
+                 ("verify", "-n", "2", "-m", "7200", "--ineq", "a1 <= 1"),
+                 ("events", "-n", "2", "-m", nines)):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("corrpoly: capacity exceeded: ") and len(err) < 200
+
+
+def test_a_vast_truth_table_exits_3_under_a_memory_limit():
+    # 2**(10**11) alone would take 12.5 GB: under a 1.5 GB address-space
+    # limit the cap must refuse the table before anything of its size.
+    resource = pytest.importorskip("resource")
+    limit = 1536 * 2**20
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    if hard != resource.RLIM_INFINITY:
+        limit = min(limit, hard)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (
+        str(Path(corrpoly.__file__).parents[1]), env.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-m", "corrpoly.cli", "vertices", "-n", "2", "-m", "50000000000"],
+        capture_output=True, env=env, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, hard)))
+    assert (done.returncode, done.stdout) == (3, b"")
+    assert done.stderr.startswith(b"corrpoly: capacity exceeded: ") and len(done.stderr) < 200
+
+
 def test_bad_konfiguration_exits_with_parse_error(tmp_path, capsys):
     ine = tmp_path / "bad.ine"
     ine.write_text("H-representation\nbegin\n1 2 integer\n1 0\nend\nKonfiguration 0 3\n")

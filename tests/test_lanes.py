@@ -4,7 +4,8 @@ import sys
 import pytest
 
 from corrpoly import lanes as lanes_module
-from corrpoly.lanes import _BLOCK, Lanes, _signs, _to_lanes
+from corrpoly.lanes import Lanes, _signs, _to_lanes
+from corrpoly.polyhedra import _BLOCK
 
 
 def plain(row, vectors):
@@ -69,10 +70,11 @@ def test_width_follows_the_exact_bound():
 
 
 def test_append_packs_a_long_batch_block_by_block():
-    # A batch longer than one block is packed a block at a time, at the
-    # width that its widest vector, here in the last block, needs from the
-    # start.  The lanes must be those of the same vectors appended one per
-    # call, where that last vector widens, and so repacks, all before it.
+    # A batch longer than the kernel's admission block is packed in one
+    # call, plane by plane, at the width that its widest vector, here the
+    # last, needs from the start.  The lanes must be those of the same
+    # vectors appended one per call, where that last vector widens, and so
+    # repacks, all before it.
     rng = random.Random(7)
     vectors = [(rng.randint(-3, 3), rng.randint(-3, 3), 0) for _ in range(2 * _BLOCK + 5)]
     vectors[-1] = (2**40, -1, 7)
@@ -86,6 +88,26 @@ def test_append_packs_a_long_batch_block_by_block():
     assert {s: getattr(lanes, s) for s in Lanes.__slots__} == {
         s: getattr(one_by_one, s) for s in Lanes.__slots__}
     for row in ((1, 1, 1), (0, -2, 1), (0, 0, 1)):
+        assert checked_dot(lanes, row, vectors) == plain(row, vectors)
+
+
+def test_one_long_batch_past_8_byte_lanes_matches_uneven_batches():
+    # More than a block of vectors in one call, one of them too wide for a
+    # struct code, so every plane is packed by joining ``to_bytes`` lanes.
+    # The lanes must be those of the same vectors appended in uneven
+    # batches: the first is packed in 1-byte lanes, and repacked when the
+    # second brings the wide vector.
+    rng = random.Random(11)
+    vectors = [tuple(rng.randint(-5, 5) for _ in range(4)) for _ in range(_BLOCK + 40)]
+    vectors[_BLOCK // 2] = (-2**70, 3, 2**69, -1)
+    lanes, batched = Lanes(4), Lanes(4)
+    lanes.append(vectors)
+    for first, last in ((0, 1), (1, _BLOCK), (_BLOCK, _BLOCK + 2), (_BLOCK + 2, len(vectors))):
+        batched.append(vectors[first:last])
+    assert (lanes.width, lanes.count) == (16, len(vectors))
+    assert {s: getattr(lanes, s) for s in Lanes.__slots__} == {
+        s: getattr(batched, s) for s in Lanes.__slots__}
+    for row in ((1, 1, 1, 1), (0, -2, 1, 5), (3, 0, 0, 0)):
         assert checked_dot(lanes, row, vectors) == plain(row, vectors)
 
 

@@ -517,6 +517,11 @@ def test_sample_count_above_the_cap_is_a_capacity_error(hull_2_2):
         sample_violation_grid(hull_2_2, refuse, angles=grid, samples_x=257, samples_y=257)
     with pytest.raises(CapacityError):
         sample_violation_grid(hull_2_2, refuse, angles=grid, samples_x=2, samples_y=10**15)
+    # A point count past CPython's 4,300-digit limit on int to str is
+    # refused all the same, not printed.
+    with pytest.raises(CapacityError, match="more than 2"):
+        sample_violation_grid(hull_2_2, refuse, angles=grid,
+                              samples_x=10**2200, samples_y=10**2200)
     with pytest.raises(AssertionError):
         sample_violation_grid(hull_2_2, refuse, angles=grid, samples_x=256, samples_y=256)
 

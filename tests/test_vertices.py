@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from corrpoly import CapacityError, Configuration, truth_table, vertex_for_assignment
@@ -96,6 +98,18 @@ def test_all_zero_and_all_one_present():
     vrep = truth_table(Configuration((2, 2)))
     assert (0,) * vrep.dimension in vrep.vertices
     assert (1,) * vrep.dimension in vrep.vertices
+
+
+def test_vertex_cap_is_checked_without_building_the_row_count():
+    # 2**(2 * 10**8) would be a 25 MB int; the cap compares exponents.
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            truth_table(Configuration.uniform(2, 10**8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_vertex_cap():
