@@ -333,8 +333,9 @@ def build_parser() -> _Parser:
                        help="per particle, comma-separated; particles split by ';'")
     model.add_argument("--threshold", type=_threshold_arg, default=0.0,
                        help="report rows whose violation exceeds this (default: "
-                            "%(default)s); a value led by '-' that is not a plain "
-                            "number needs '=', as in --threshold=-inf")
+                            "%(default)s); only plot and contour take a negative "
+                            "value, and one that is not a plain number needs '=', "
+                            "as in --threshold=-inf")
     dd = argparse.ArgumentParser(add_help=False)
     dd.add_argument("--ray-cap", default=None,
                     help="intermediate ray cap (or env CORRPOLY_RAY_CAP)")

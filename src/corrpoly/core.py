@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 import string
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from typing import Union
@@ -174,6 +176,17 @@ def as_rational(value: NumberLike) -> Fraction:
 
 #: Decimal tokens snap to the nearest rational with at most this denominator.
 MAX_DENOMINATOR = 10**9
+#: The spellings ``parse_number`` reads: ``p/q``, or an integer or decimal
+#: with an optional exponent, in ASCII digits with no ``_`` separators.
+_NUMBER = r"(?ai)[-+]?(?:\d+/\d+|(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?)"
+
+
+def _shown(text: str, show=repr) -> str:
+    """``show(text)`` for an error message, cut after 40 characters: a token,
+    a line or a number may run to thousands."""
+    if len(text) <= 40:
+        return show(text)
+    return f"{show(text[:40])}... ({len(text)} characters)"
 
 
 def parse_number(token: str) -> NumberLike:
@@ -181,22 +194,23 @@ def parse_number(token: str) -> NumberLike:
 
     Decimal tokens (cdd's ``real`` number type) are snapped to the nearest
     rational with denominator at most ``MAX_DENOMINATOR``.  Digits are
-    ASCII and ``_`` is no separator, as in cdd, although Python's ``int``
-    and ``Fraction`` accept both.
+    ASCII and ``_`` is no separator, as in cdd.  Every part is read through
+    ``Decimal``, which has no limit on the digits of a str-to-int parse.
     """
     token = token.strip()
-    if not token.isascii() or "_" in token:
-        raise ParseError(f"bad numeric token {token!r}")
-    try:
-        if "/" in token:
-            value = Fraction(token)
-        elif "." in token or "e" in token or "E" in token:
-            value = Fraction(token).limit_denominator(MAX_DENOMINATOR)
-        else:
-            return int(token)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad numeric token {token!r}") from exc
-    return value if value.denominator != 1 else int(value)
+    if re.fullmatch(_NUMBER, token):
+        num, slash, den = token.partition("/")
+        try:
+            if slash:
+                value = Fraction(int(Decimal(num)), int(Decimal(den)))
+            else:
+                value = Fraction(Decimal(token)).limit_denominator(MAX_DENOMINATOR)
+            return value if value.denominator != 1 else int(value)
+        # p/0 (its ZeroDivisionError message fails on a long p with ValueError),
+        # or an exponent past Decimal's range
+        except (ArithmeticError, ValueError):
+            pass
+    raise ParseError(f"bad numeric token {_shown(token)}")
 
 
 def parse_count(token: str) -> int:
@@ -211,5 +225,10 @@ def parse_count(token: str) -> int:
 
 
 def format_number(value: NumberLike) -> str:
-    """Render an exact number as cdd writes it: bare integer or ``p/q``."""
-    return str(as_rational(value))
+    """Render an exact number as cdd writes it: bare integer or ``p/q``.
+
+    Both parts are written through ``Decimal``, which has no limit on the
+    digits of an int-to-str conversion.
+    """
+    num, den = (str(Decimal(x)) for x in as_rational(value).as_integer_ratio())
+    return num if den == "1" else f"{num}/{den}"

@@ -21,6 +21,7 @@ from .core import (
     Configuration,
     NumberLike,
     ParseError,
+    _shown,
     format_number,
     parse_count,
     parse_number,
@@ -39,12 +40,15 @@ def _render_rows(rows: Iterable[Sequence[NumberLike]]) -> tuple[str, list[str]]:
     lines = []
     for row in rows:
         if set(map(type, row)) == {int}:
-            lines.append(" ".join(map(str, row)))
-        else:
-            line = " ".join(map(format_number, row))
-            if "/" in line:
-                numbertype = "rational"
-            lines.append(line)
+            try:
+                lines.append(" ".join(map(str, row)))
+                continue
+            except ValueError:  # an int past the digit limit of ``str``
+                pass
+        line = " ".join(map(format_number, row))
+        if "/" in line:
+            numbertype = "rational"
+        lines.append(line)
     return numbertype, lines
 
 
@@ -74,7 +78,7 @@ def _count(token: str, line: str, source: str) -> int:
     try:
         return parse_count(token)
     except ValueError:
-        raise ParseError(f"{source}: bad count {token!r} in {line!r}") from None
+        raise ParseError(f"{source}: bad count {_shown(token)} in {_shown(line)}") from None
 
 
 # How many distinct tokens one parse keeps parsed: cdd files repeat a few
@@ -122,7 +126,7 @@ def parse_polyhedra_file(
 
     header = next_line()
     if header not in ("H-representation", "V-representation"):
-        raise ParseError(f"{source}: malformed header {header!r}")
+        raise ParseError(f"{source}: malformed header {_shown(header)}")
 
     linearity: frozenset[int] = frozenset()
     line = next_line()
@@ -133,15 +137,15 @@ def parse_polyhedra_file(
         linearity = frozenset(i - 1 for i in numbers[1:])
         # a count, then that many distinct 1-based row indices
         if not numbers or not numbers[0] == len(numbers) - 1 == len(linearity) or -1 in linearity:
-            raise ParseError(f"{source}: malformed linearity line {line!r}")
+            raise ParseError(f"{source}: malformed linearity line {_shown(line)}")
         line = next_line()
     if line != "begin":
-        raise ParseError(f"{source}: expected 'begin', found {line!r}")
+        raise ParseError(f"{source}: expected 'begin', found {_shown(line)}")
 
     line = next_line()
     size = line.split()
     if len(size) != 3 or size[2] not in _NUMBER_TYPES:
-        raise ParseError(f"{source}: malformed size line {line!r}")
+        raise ParseError(f"{source}: malformed size line {_shown(line)}")
     m, n = _count(size[0], line, source), _count(size[1], line, source)
 
     # A row of the right width whose tokens this call has parsed is looked
@@ -174,7 +178,8 @@ def parse_polyhedra_file(
     if next_line() != "end":  # lines that ran out in the block raise here too
         raise ParseError(f"{source}: expected 'end' after {m} data rows")
     if linearity and max(linearity) >= m:
-        raise ParseError(f"{source}: linearity index {max(linearity) + 1} out of range")
+        index = _shown(format_number(max(linearity) + 1), str)
+        raise ParseError(f"{source}: linearity index {index} out of range")
 
     dimension = max(n - 1, 0)
     config = _read_config(lines, source)
@@ -184,8 +189,9 @@ def parse_polyhedra_file(
         vertices, rays = [], []
         for row in rows:
             if row[0] not in (0, 1):
+                first = _shown(format_number(row[0]), str)
                 raise ParseError(
-                    f"{source}: generator rows must start with 0 or 1, got {row[0]}"
+                    f"{source}: generator rows must start with 0 or 1, got {first}"
                 )
             (vertices if row[0] == 1 else rays).append(row[1:])
         return VRepresentation(dimension, tuple(vertices), tuple(rays), config)
@@ -209,7 +215,7 @@ def _read_config(options: Iterable[str], source: str) -> Configuration | None:
                 )
             raise ValueError("expected 'N M' or 'M1,M2,...'")
         except ValueError as exc:
-            raise ParseError(f"{source}: bad {line!r}: {exc}") from None
+            raise ParseError(f"{source}: bad {_shown(line)}: {exc}") from None
     return None
 
 

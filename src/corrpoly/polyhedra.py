@@ -169,48 +169,46 @@ class DDPair:
             raise ValueError("constraint dimension mismatch")
         if not any(row):
             return  # 0 >= 0 constrains nothing
+        for row in (row, tuple(-x for x in row)) if equality else (row,):
+            # Classify: ``neg`` and ``nonzero`` are bit sets over every lane, dead
+            # ids included; ``hit`` is the first basis direction the row sees.
+            vals, neg, nonzero = self.lanes.dot(row)
+            if self.debug:
+                self._check_values(row, vals, neg, nonzero)
+            alive = self.alive
+            neg &= alive
+            nonzero &= alive
+            zero = alive ^ nonzero
+            bit = 1 << len(self.rows)
+            lin_prods = [dot(row, l) for l in self.lineality]
+            hit = next((i for i, p in enumerate(lin_prods) if p), None)
 
-        # Classify: ``neg`` and ``nonzero`` are bit sets over every lane, dead
-        # ids included; ``hit`` is the first basis direction the row sees.
-        vals, neg, nonzero = self.lanes.dot(row)
-        if self.debug:
-            self._check_values(row, vals, neg, nonzero)
-        alive = self.alive
-        neg &= alive
-        nonzero &= alive
-        zero = alive ^ nonzero
-        bit = 1 << len(self.rows)
-        lin_prods = [dot(row, l) for l in self.lineality]
-        hit = next((i for i, p in enumerate(lin_prods) if p), None)
+            # New rays, read from the state before the step only.  Only the ids
+            # of the zero rays, of the dropped ones and of the smaller sign side
+            # are ever listed.
+            if hit is not None:
+                new, lineality = self._project(vals, nonzero, bit, lin_prods, hit)
+            else:
+                new = self._combine_pairs(vals, nonzero ^ neg, neg, bit)
+                lineality = self.lineality
+            dropped = nonzero if hit is not None else neg
 
-        # New rays, read from the state before the step only.  Only the ids
-        # of the zero rays, of the dropped ones and of the smaller sign side
-        # are ever listed.
-        if hit is not None:
-            new, lineality = self._project(vals, nonzero, bit, lin_prods, hit)
-        else:
-            new = self._combine_pairs(vals, nonzero ^ neg, neg, bit)
-            lineality = self.lineality
-        dropped = nonzero if hit is not None else neg
-
-        # Commit, the same for every kind of step: the dropped rays free both
-        # slots; the zero rays and the new ones (next ids) are tight on the row.
-        active = self._active
-        for i in _ids(dropped):
-            self._rays[i] = active[i] = None
-        for i in _ids(zero):
-            active[i] |= bit
-        self.rows.append(row)
-        self.cols.append(zero)
-        self.lineality = lineality
-        self.alive = alive ^ dropped
-        self._admit([ray for ray, _ in new], [tight for _, tight in new])
-        if len(self._rays) > (_DEAD_ID_FACTOR + 1) * self.alive.bit_count():
-            self._reset(self.rays, self.active)
-        if self.debug:
-            self._check_columns()
-        if equality:
-            self.insert(tuple(-x for x in row))
+            # Commit, the same for every kind of step: the dropped rays free both
+            # slots; the zero rays and the new ones (next ids) are tight on the row.
+            active = self._active
+            for i in _ids(dropped):
+                self._rays[i] = active[i] = None
+            for i in _ids(zero):
+                active[i] |= bit
+            self.rows.append(row)
+            self.cols.append(zero)
+            self.lineality = lineality
+            self.alive = alive ^ dropped
+            self._admit([ray for ray, _ in new], [tight for _, tight in new])
+            if len(self._rays) > (_DEAD_ID_FACTOR + 1) * self.alive.bit_count():
+                self._reset(self.rays, self.active)
+            if self.debug:
+                self._check_columns()
 
     def _project(self, vals: Sequence[int], nonzero: int, bit: int, lin_prods: list[int],
                  hit: int) -> tuple[list[tuple[IntVec, int]], list[IntVec]]:
@@ -564,7 +562,8 @@ def enumerate_vertices(hrep: HRepresentation, order: str = ENUM_ORDER, *,
     directions = []
     for r in rays:
         if r[0] > 0:
-            points.append(tuple(_tidy(Fraction(x, r[0])) for x in r[1:]))
+            points.append(tuple(x // r[0] if x % r[0] == 0 else Fraction(x, r[0])
+                                for x in r[1:]))
         else:
             directions.append(primitive(r[1:]))
     if not points:
@@ -581,10 +580,6 @@ def enumerate_vertices(hrep: HRepresentation, order: str = ENUM_ORDER, *,
         rays=tuple(sorted(set(directions))),
         config=hrep.config,
     )
-
-
-def _tidy(f: Fraction) -> NumberLike:
-    return int(f) if f.denominator == 1 else f
 
 
 def contains(hrep: HRepresentation, point: Sequence[NumberLike]) -> bool:

@@ -617,6 +617,26 @@ def test_dash_led_values_need_the_equals_form(capsys):
         assert code == 1 and "expected one argument" in err, flag
 
 
+def test_hull_and_enum_past_the_int_str_digit_limit(tmp_path, capsys):
+    # The segment from 0 to 5,000 nines, past CPython's int/str digit limit.
+    ext = tmp_path / "big.ext"
+    ext.write_text(f"V-representation\nbegin\n2 2 integer\n1 0\n1 {'9' * 5000}\nend\n")
+    ine = tmp_path / "big.ine"
+    code, out, _ = run(capsys, "hull", "--ext", str(ext), "-q", "-o", str(ine))
+    assert code == 0 and out.splitlines()[-1] == "2 facets"
+    assert run(capsys, "enum", "--ine", str(ine), "-q") == (0, "2 vertices, 0 rays\n", "")
+
+
+def test_threshold_help_names_the_commands_that_take_a_negative_value(capsys):
+    # The help is shared, but violations rejects a negative threshold (see
+    # test_usage_errors_of_the_shared_flags).
+    for sub in ("violations", "plot"):
+        code, out, _ = run(capsys, sub, "--help")
+        text = " ".join(out.split())
+        assert code == 0 and "only plot and contour take a negative value" in text, sub
+        assert "as in --threshold=-inf" in text, sub
+
+
 def test_help_everywhere(capsys):
     for sub in (
         "events", "vertices", "hull", "enum", "inequalities",

@@ -453,6 +453,64 @@ def test_bad_number_names_the_file_and_data_row(tmp_path, read, kind, token):
         read(path)
 
 
+# 5,000 digits, past CPython's 4,300-digit limit on int/str conversions: the
+# test texts are built from digit strings, never by ``str`` of these ints.
+NINES = 10**5000 - 1
+SEVENS = NINES // 9 * 7
+Q = 10**4999 + 3  # "1", 4,998 zeros, "3"
+
+
+@pytest.mark.parametrize("token,value", [
+    ("9" * 5000, NINES),
+    ("-" + "7" * 5000, -SEVENS),
+    ("+" + "9" * 5000, NINES),
+    ("7" * 5000 + "/" + "1" + "0" * 4998 + "3", Fraction(SEVENS, Q)),
+    ("-" + "9" * 5000 + "/" + "7" * 5000, Fraction(-9, 7)),
+    ("7" * 4999 + ".5", Fraction(SEVENS // 10 * 2 + 1, 2)),
+    ("9" * 5000 + "e-3", Fraction(NINES, 1000)),
+    ("." + "9" * 5000, Fraction(1)),  # snapped like any decimal
+], ids=["int", "negative", "plus", "p/q", "reducing p/q", "decimal", "exponent", "snapped"])
+def test_numbers_past_the_int_str_digit_limit_read_exactly(token, value):
+    assert parse_number(token) == value
+    assert type(parse_number(token)) is (int if value.denominator == 1 else Fraction)
+    text = f"H-representation\nbegin\n1 2 rational\n1 {token}\nend\n"
+    assert parse_polyhedra_file(text).rows == ((1, value),)
+
+
+def test_rows_past_the_int_str_digit_limit_write_and_read_back(tmp_path):
+    for rows, numbertype in [(((NINES, -1), (0, 1)), "integer"),
+                             (((Fraction(SEVENS, Q), 1), (-SEVENS, Fraction(1, 2))), "rational")]:
+        hrep = HRepresentation(1, rows)
+        path = write_ine(hrep, tmp_path / f"{numbertype}.ine")
+        assert path.read_text().splitlines()[2] == f"2 2 {numbertype}"
+        assert read_ine(path).rows == rows
+    vrep = VRepresentation(1, ((0,), (NINES,), (Fraction(-SEVENS, Q),)), ((SEVENS,),))
+    back = read_ext(write_ext(vrep, tmp_path / "big.ext"))
+    assert (back.vertices, back.rays) == (vrep.vertices, vrep.rays)
+
+
+H = "H-representation\nbegin\n"
+V = "V-representation\nbegin\n1 2 integer\n"
+
+
+@pytest.mark.parametrize("text,length", [
+    (H + "1 2 integer\n1 " + "q" * 5000, 5000),
+    (H + "1 2 integer\n1 " + "7" * 4999 + "q", 5000),
+    (H + "1 2 rational\n1 " + "9" * 5000 + "/0", 5002),
+    (H + "1 2 real\n1 1e" + "9" * 5000, 5002),
+    (H + "1 " + "9" * 5000 + " integer\n1 1", 5000),
+    (V + "9" * 4000 + " 1", 4000),
+    (V + "9" * 5000 + " 1", 5000),
+    ("H-representation\nlinearity 1 " + "9" * 4300 + "\nbegin\n1 2 integer\n1 1", 4300),
+], ids=["word", "digits then a letter", "p/0", "exponent", "size line",
+        "generator start", "generator start past the limit", "linearity index"])
+def test_long_bad_tokens_are_echoed_in_part(text, length):
+    with pytest.raises(ParseError) as info:
+        parse_polyhedra_file(text + "\nend\n")
+    message = str(info.value)
+    assert len(message) < 200 and f"... ({length} characters)" in message, message
+
+
 def test_wrong_kind_rejected(tmp_path):
     for kind, read in (("H", read_ext), ("V", read_ine)):
         path = tmp_path / f"{kind}_text"

@@ -79,10 +79,18 @@ def test_dd_insert_equality_mode_matches_double_insertion():
     # state matches, the rows and columns of both steps included.  Covered:
     # an equality positive on every ray, one that splits the rays into
     # pairs, and one that meets the lineality space (a free cone's first row).
+    # The equalities of the tests below run here too: two whose steps end in
+    # the dead-id rebuild, and the homogenised diagonal x + y = 1 of the unit
+    # square.
     pointed = [(1, 2, -1), (0, 1, 1), (2, -1, 3)]
-    for rows, eq in [(pointed, (1, 1, 1)), (pointed, (1, -1, 0)), ([], (1, 1, 1))]:
-        a = DDPair(3, debug=True)
-        b = DDPair(3, debug=True)
+    for dim, rows, eq in [
+        (3, pointed, (1, 1, 1)), (3, pointed, (1, -1, 0)), (3, [], (1, 1, 1)),
+        (4, [(1, 0, 0, 0), (0, 1, 0, 0), (1, -1, 0, 0), (0, 1, 1, 0)], (1, 0, 0, 0)),
+        (2, [(1, 0), (0, 1), (300, -1), (-1, 1)], (1, -1)),
+        (3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, -1, 0), (1, 0, -1)], (-1, 1, 1)),
+    ]:
+        a = DDPair(dim, debug=True)
+        b = DDPair(dim, debug=True)
         for r in rows:
             a.insert(r)
             b.insert(r)
@@ -93,6 +101,30 @@ def test_dd_insert_equality_mode_matches_double_insertion():
         assert ((a.rows, a.cols, a.alive, a._rays, a._active, a.lineality)
                 == (b.rows, b.cols, b.alive, b._rays, b._active, b.lineality))
         assert a.rows[-2:] == [eq, tuple(-x for x in eq)]
+
+
+def test_one_insert_call_per_constraint(monkeypatch):
+    # An equality's negated row is cut inside its own ``insert`` call, so a
+    # wrapper of ``DDPair.insert`` on the class sees one call per constraint:
+    # the triangle x + y + z = 1 takes its equality, the homogenising row and
+    # its three facets.
+    calls = []
+    insert = DDPair.insert
+
+    def counted(pair, row, equality=False):
+        calls.append(row)
+        insert(pair, row, equality)
+
+    monkeypatch.setattr(DDPair, "insert", counted)
+    triangle = HRepresentation(3, ((-1, 1, 1, 1), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
+                               linearity=frozenset({0}))
+    v = enumerate_vertices(triangle)
+    assert set(v.vertices) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)} and not v.rays
+    assert len(calls) == 5
+    calls.clear()
+    pair = DDPair(3)
+    pair.insert((1, 1, 1), equality=True)
+    assert len(calls) == 1 and len(pair.rows) == 2
 
 
 def test_random_cones_match_brute_force():
